@@ -2,10 +2,11 @@
 
 Usage: dtscatter --config run.cfg [--set key=value ...]
 
-Exit codes: 0 success, 1 usage or config error, 2 every computed row
-came out flagged, 3 I/O failure.  Grid points that fail individually
-are recorded as flagged rows with the reason in the `note` column; they
-never abort the rest of a sweep.
+Exit codes: 0 success, 1 usage or config error (or any other failure
+outside a grid point), 2 every computed row came out flagged, 3 I/O
+failure.  Grid points that fail individually are recorded as flagged rows
+with the reason in the `note` column; they never abort the rest of a
+sweep.  Errors and warnings go to stderr, one line each.
 
 The `generated` timestamp in the metadata comes from SOURCE_DATE_EPOCH
 (seconds) when set and from epoch zero otherwise, so identical configs
@@ -17,17 +18,14 @@ from __future__ import annotations
 import argparse
 import datetime
 import itertools
-import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
+import warnings
 
 from . import __version__
 from .config import RunConfig, parse_config
 from .dyson import first_order_amplitude, lambda_chi_reconcile, second_order_amplitude
-from .errors import ConfigError, DtScatterError
+from .errors import DtScatterError
 from .spectral import make_dispersion
 from .tables import ResultTable, emit
 from .thirring import (
@@ -158,8 +156,14 @@ def _run_dyson(cfg: RunConfig) -> ResultTable:
     table = ResultTable(metadata=_metadata(cfg))
     table.declare(("order", "dyson", "series", "abs_gap", "flagged", "note"),
                   complex_names=("dyson", "series"))
-    ch = channel(params, p, k, +1, +1)
-    f = xy_factors(params, p, k)
+    try:
+        ch = channel(params, p, k, +1, +1)
+        f = xy_factors(params, p, k)
+    except DtScatterError as exc:
+        for order in (1, 2):
+            table.add_row(order=order, dyson=_CNAN, series=_CNAN,
+                          abs_gap=_NAN, flagged=True, note=str(exc))
+        return table
     lead = (f.y - f.x) / (2.0 * (f.x + f.y))
     lam_coeffs = [lead, lead * (-f.x / (f.x + f.y))]
     chi_coeffs = lambda_chi_reconcile(lam_coeffs, 2)
@@ -187,15 +191,21 @@ def _run_dyson(cfg: RunConfig) -> ResultTable:
 
 def _run_trotter(cfg: RunConfig) -> ResultTable:
     pr = cfg.params
-    model = hopping_ring_model(n=pr["n"], omega_max=pr["omega_max"],
-                               mode_index=pr["mode_index"],
-                               eps_ref=pr["eps_ref"])
     table = ResultTable(metadata=_metadata(cfg))
     table.declare(("tau", "gap", "certified", "flagged", "note"))
-    bound = tau_threshold(model)
+    taus = [float(t) for t in cfg.grids["tau"]]
+    try:
+        model = hopping_ring_model(n=pr["n"], omega_max=pr["omega_max"],
+                                   mode_index=pr["mode_index"],
+                                   eps_ref=pr["eps_ref"])
+        bound = tau_threshold(model)
+    except DtScatterError as exc:
+        for tau in taus:
+            table.add_row(tau=tau, gap=_NAN, certified=False, flagged=True,
+                          note=str(exc))
+        return table
     table.metadata["m_star"] = bound.m_star
     table.metadata["gamma"] = bound.gamma
-    taus = [float(t) for t in cfg.grids["tau"]]
     try:
         report = convergence_sweep(model, taus)
         table.metadata["slope"] = report.slope
@@ -286,25 +296,6 @@ def _run_wavepacket(cfg: RunConfig) -> ResultTable:
     return table
 
 
-def _worker_count(cfg: RunConfig) -> int:
-    env = os.environ.get("DTSCATTER_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ConfigError(
-                f"DTSCATTER_THREADS must be a positive integer, got {env!r}"
-            )
-        if n < 1:
-            raise ConfigError(
-                f"DTSCATTER_THREADS must be a positive integer, got {env!r}"
-            )
-        return n
-    if cfg.threads is not None:
-        return cfg.threads
-    return os.cpu_count() or 1
-
-
 def _run_sweep(cfg: RunConfig) -> ResultTable:
     axes = ("nu", "chi", "p", "k")
     values = [
@@ -312,27 +303,15 @@ def _run_sweep(cfg: RunConfig) -> ResultTable:
         else [float(cfg.params[a])]
         for a in axes
     ]
-    points = list(itertools.product(*values))
-
-    def one(point):
-        nu, chi, p, k = point
-        try:
-            c = amplitude_pp(ThirringParams(nu=nu, chi=chi), p, k).coefficient
-            return (c, False, "")
-        except DtScatterError as exc:
-            return (_CNAN, True, str(exc))
-
-    workers = _worker_count(cfg)
     table = ResultTable(metadata=_metadata(cfg))
     table.declare(("nu", "chi", "p", "k", "coefficient", "flagged", "note"),
                   complex_names=("coefficient",))
-    table.metadata["workers"] = workers
-    if points:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, points))
-    else:
-        results = []
-    for (nu, chi, p, k), (c, flagged, note) in zip(points, results):
+    for nu, chi, p, k in itertools.product(*values):
+        try:
+            c = amplitude_pp(ThirringParams(nu=nu, chi=chi), p, k).coefficient
+            flagged, note = False, ""
+        except DtScatterError as exc:
+            c, flagged, note = _CNAN, True, str(exc)
         table.add_row(nu=nu, chi=chi, p=p, k=k, coefficient=c,
                       flagged=flagged, note=note)
     return table
@@ -357,6 +336,11 @@ def run(cfg: RunConfig) -> ResultTable:
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+def _warn_one_line(message, category, filename, lineno, file=None,
+                   line=None) -> None:
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -385,9 +369,11 @@ def main(argv=None) -> int:
         return 3
 
     try:
-        cfg = parse_config(text, overrides=tuple(args.overrides))
-        table = run(cfg)
-    except ConfigError as exc:
+        with warnings.catch_warnings():
+            warnings.showwarning = _warn_one_line
+            cfg = parse_config(text, overrides=tuple(args.overrides))
+            table = run(cfg)
+    except DtScatterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

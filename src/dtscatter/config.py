@@ -1,6 +1,6 @@
 """Line-oriented run configuration: `key = value` under `[section]` headers.
 
-Sections: [run] (command, seed, threads), [params] (scalar physics
+Sections: [run] (command, seed), [params] (scalar physics
 parameters), [grid] (swept variables; values are comma lists or
 inclusive ranges `lo:hi:count`), [output] (path, format).  Comments
 start with `#`; blank lines are ignored.  Parsing collects every
@@ -47,7 +47,6 @@ class RunConfig:
     output_path: str
     output_format: str
     seed: int = 0
-    threads: int | None = None
     source_lines: dict = field(default_factory=dict, compare=False)
 
 
@@ -133,7 +132,7 @@ def _scan(text: str):
     return sections, problems
 
 
-_RUN_KEYS = ("command", "seed", "threads")
+_RUN_KEYS = ("command", "seed")
 _OUTPUT_KEYS = ("path", "format")
 
 
@@ -184,17 +183,28 @@ def _check_physics(params: dict, lines: dict, problems: list):
         n = lines.get(key)
         return "" if n is None else f"{_loc(n)}: "
 
+    bad = {key for key, v in params.items()
+           if isinstance(v, float) and not np.isfinite(v)}
+    for key in sorted(bad):
+        problems.append(f"{line_of(key)}{key} must be finite, "
+                        f"got {params[key]}")
+    params = {key: v for key, v in params.items() if key not in bad}
     nu = params.get("nu")
-    if nu is not None and not 0.0 <= float(nu) <= 1.0:
+    if nu is not None and not 0.0 <= nu <= 1.0:
         problems.append(f"{line_of('nu')}nu must lie in [0, 1], got {nu}")
     sigma = params.get("sigma_x")
-    if sigma is not None and float(sigma) < 8.0:
+    if sigma is not None and sigma < 8.0:
         problems.append(f"{line_of('sigma_x')}sigma_x must be >= 8, "
                         f"got {sigma}")
-    for key in ("length", "t_steps", "n", "quad_n", "n_max", "born_n"):
+    for key in ("length", "t_steps", "n", "quad_n", "n_max", "born_n",
+                "omega_max", "eps_ref"):
         v = params.get(key)
-        if v is not None and int(v) <= 0:
+        if v is not None and v <= 0:
             problems.append(f"{line_of(key)}{key} must be positive, got {v}")
+    mode_index, n = params.get("mode_index"), params.get("n")
+    if mode_index is not None and n is not None and not 0 <= mode_index < n:
+        problems.append(f"{line_of('mode_index')}mode_index must lie in "
+                        f"[0, n) = [0, {n}), got {mode_index}")
 
 
 def parse_config(text: str, overrides=()) -> RunConfig:
@@ -223,16 +233,8 @@ def parse_config(text: str, overrides=()) -> RunConfig:
             problems.append(f"{_loc(run['seed'][1])}: seed must be an integer")
         else:
             seed = v
-    threads = None
-    if "threads" in run:
-        v = _parse_scalar(run["threads"][0])
-        if not isinstance(v, int) or v < 1:
-            problems.append(f"{_loc(run['threads'][1])}: threads must be a "
-                            f"positive integer")
-        else:
-            threads = v
     for key in run:
-        if key not in ("command", "seed", "threads"):
+        if key not in _RUN_KEYS:
             problems.append(f"{_loc(run[key][1])}: unknown key {key!r} in [run]")
 
     out_path = "results.csv"
@@ -284,6 +286,9 @@ def parse_config(text: str, overrides=()) -> RunConfig:
                                 f"command {command!r}")
                 continue
             vals = _parse_grid_value(value, lineno, problems)
+            if not np.all(np.isfinite(vals)):
+                problems.append(f"{_loc(lineno)}: grid {key!r} must hold "
+                                f"finite values only")
             grids[key] = vals
         for key in sorted(set(params) & set(grids)):
             problems.append(f"{key!r} is given both as a scalar in [params] "
@@ -312,6 +317,5 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         output_path=out_path,
         output_format=out_format,
         seed=seed,
-        threads=threads,
         source_lines=lines,
     )

@@ -38,9 +38,14 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import DomainError, TruncationError
+from .errors import DomainError, StationaryPointError, TruncationError
 from .spectral import bz_grid, quadrature_bz, wrap_momentum
-from .thirring import ThirringChannel, ThirringParams, com_inverse
+from .thirring import (
+    STATIONARY_TOL,
+    ThirringChannel,
+    ThirringParams,
+    com_inverse,
+)
 
 # Overall external-leg normalization: four legs at every order contribute
 # one factor of LEG_NORM to the amplitude.  Pinned by requiring the
@@ -71,34 +76,6 @@ class DysonTerm:
     order: int
     pattern: tuple
     value: complex
-
-
-@dataclass(frozen=True)
-class InteractionPictureVertex:
-    """Vertex operator at integer step t, described through mode phases.
-
-    Conjugating the on-site vertex by t free steps multiplies each
-    annihilation mode (k, s) by exp(-i*s*omega(k)*t) (creation modes by
-    the conjugate); positions enter only through exp(i*k*x).  Phases
-    compose additively in t.
-    """
-
-    params: ThirringParams
-    t: int
-
-    def annihilator_phase(self, k: float, s: int) -> complex:
-        return complex(np.exp(-1j * s * self.params.dispersion.omega(k) * self.t))
-
-    def creator_phase(self, k: float, s: int) -> complex:
-        return np.conj(self.annihilator_phase(k, s))
-
-
-def interaction_hamiltonian_picture(params: ThirringParams,
-                                    t: int) -> InteractionPictureVertex:
-    """The vertex at step t in the interaction picture (mode-phase form)."""
-    if t != int(t):
-        raise DomainError(f"vertex time must be an integer step, got {t}")
-    return InteractionPictureVertex(params=params, t=int(t))
 
 
 def retarded_propagator(params: ThirringParams, dx: int, dt: int,
@@ -162,8 +139,14 @@ def _on_shell(params: ThirringParams, ch_in: ThirringChannel,
 
 def _out_jacobian(params: ThirringParams, ch: ThirringChannel) -> float:
     d = params.dispersion
-    return abs(float(ch.s1 * d.omega_prime(ch.p + ch.k)
-                     - ch.s2 * d.omega_prime(ch.p - ch.k)))
+    jac = abs(float(ch.s1 * d.omega_prime(ch.p + ch.k)
+                    - ch.s2 * d.omega_prime(ch.p - ch.k)))
+    if jac < STATIONARY_TOL:
+        raise StationaryPointError(
+            f"outgoing channel (p, k) = ({ch.p}, {ch.k}) sits on a stationary "
+            "point of its band pair: the flux jacobian vanishes"
+        )
+    return jac
 
 
 def first_order_amplitude(params: ThirringParams, ch_in: ThirringChannel,

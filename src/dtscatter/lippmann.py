@@ -38,7 +38,6 @@ __all__ = [
     "Extrapolation",
     "w_operator",
     "support_kernel",
-    "born_term",
     "t_matrix_born",
     "t_matrix_closed",
     "fixed_point_residual",
@@ -104,18 +103,15 @@ class TMatrixEval:
 class AmplitudeRecord:
     """On-shell amplitude: the factor multiplying the conservation delta.
 
-    ``convention`` is a tag, never a number: "discrete" means the element is
-    coefficient * delta_2pi(omega' - omega); "continuous" means
-    coefficient * delta(omega' - omega) with the -2 pi i prefactor already
-    folded into the coefficient.  ``comb_index`` l satisfies
-    omega' = omega + 2 pi l for the stored representative channel pair.
+    The element is coefficient * delta_2pi(omega' - omega).  ``comb_index``
+    l satisfies omega' = omega + 2 pi l for the stored representative
+    channel pair.
     """
 
     in_channel: tuple[float, int]
     out_channel: tuple[float, int]
     comb_index: int
     coefficient: complex
-    convention: str = "discrete"
     flagged: bool = False
     note: str = ""
     error_estimate: float = 0.0
@@ -213,23 +209,6 @@ def support_kernel(
                 np.tensordot(phase, m, axes=(0, 0)) / n
             )
     return block
-
-
-def born_term(
-    w: FiniteRankInteraction,
-    u0: SpectralFreeEvolution,
-    z: complex,
-    n: int,
-    quad_n: int = 2048,
-) -> np.ndarray:
-    """n-th Born term (W G0(z) U0)^n W projected to the support block."""
-    term = w.action.copy()
-    if n == 0:
-        return term
-    kernel = w.action @ support_kernel(u0, z, w.support, n=quad_n)
-    for _ in range(n):
-        term = kernel @ term
-    return term
 
 
 def t_matrix_born(
@@ -346,13 +325,12 @@ def s_matrix_element(
     out_channel: tuple[float, int],
     eps_schedule=DEFAULT_EPS_SCHEDULE,
     quad_n: int = 2048,
-    convention: str = "discrete",
 ) -> AmplitudeRecord:
     """eps -> 0 improper S-matrix element between walk modes.
 
     Off the quasi-energy shell (mod 2 pi, tolerance SHELL_TOL) the comb
     selection rule forces a zero record.  On shell the coefficient is the
-    factor multiplying the conservation delta in the chosen convention.
+    factor multiplying the conservation delta_2pi(omega' - omega).
     """
     k_in, s_in = float(wrap_momentum(in_channel[0])), int(in_channel[1])
     k_out, s_out = float(wrap_momentum(out_channel[0])), int(out_channel[1])
@@ -366,7 +344,6 @@ def s_matrix_element(
             out_channel=(k_out, s_out),
             comb_index=0,
             coefficient=0.0,
-            convention=convention,
             note="off-shell",
         )
     if w.rank == 0:
@@ -376,7 +353,6 @@ def s_matrix_element(
             out_channel=(k_out, s_out),
             comb_index=l,
             coefficient=0.0,
-            convention=convention,
             note="empty interaction support",
         )
     vec_in = _plane_wave_on_support(disp, w.support, k_in, s_in)
@@ -396,19 +372,12 @@ def s_matrix_element(
         note = str(exc)
     # The support sandwich is the full on-shell factor in momentum-
     # normalized channels (the mode normalization folds the 2 pi of the
-    # conservation comb into it); the two tags coincide at unit step.
-    if convention == "continuous":
-        coefficient = -1.0j * (1j * ext.value)
-    elif convention == "discrete":
-        coefficient = ext.value
-    else:
-        raise ValueError(f"unknown convention tag: {convention}")
+    # conservation comb into it).
     return AmplitudeRecord(
         in_channel=(k_in, s_in),
         out_channel=(k_out, s_out),
         comb_index=l,
-        coefficient=complex(coefficient),
-        convention=convention,
+        coefficient=complex(ext.value),
         flagged=flagged,
         note=note,
         error_estimate=ext.error,
@@ -422,8 +391,6 @@ def channel_amplitude(record: AmplitudeRecord, u0: SpectralFreeEvolution) -> com
     comb contributes delta(k' - k_out)/|omega'(k_out)| at the outgoing root,
     so on momentum-normalized channels c = coefficient / |omega'(k_out)|.
     """
-    if record.convention != "discrete":
-        raise ValueError("channel_amplitude expects the discrete convention tag")
     k_out = record.out_channel[0]
     vg = abs(u0.dispersion.omega_prime(k_out))
     return record.coefficient / vg

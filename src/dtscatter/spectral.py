@@ -24,10 +24,7 @@ from .errors import DomainError, PoleError, QuadratureError
 
 __all__ = [
     "Dispersion",
-    "BlochMatrix",
-    "SpectralMode",
     "SpectralFreeEvolution",
-    "ResolventMap",
     "wrap_momentum",
     "bz_grid",
     "make_dispersion",
@@ -96,30 +93,6 @@ class Dispersion:
 
 
 @dataclass(frozen=True)
-class BlochMatrix:
-    """One quasi-momentum fiber of the walk: a unitary 2x2 matrix."""
-
-    k: float
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", np.asarray(self.entries, dtype=complex))
-
-
-@dataclass(frozen=True)
-class SpectralMode:
-    """Generalized eigenvector of the free walk at (k, s)."""
-
-    k: float
-    s: int
-    energy: float  # s * omega(k), radians per step
-    vector: np.ndarray  # (alpha_up, alpha_dn), unit norm
-
-    def __post_init__(self):
-        object.__setattr__(self, "vector", np.asarray(self.vector, dtype=complex))
-
-
-@dataclass(frozen=True)
 class SpectralFreeEvolution:
     """Free walk described by its spectral data.
 
@@ -127,13 +100,6 @@ class SpectralFreeEvolution:
     """
 
     dispersion: Dispersion
-
-    def phase(self, k, s: int):
-        """Single-step eigenphase exp(-i s omega(k))."""
-        return np.exp(-1j * s * self.dispersion.omega(k))
-
-    def mode(self, k: float, s: int) -> SpectralMode:
-        return dirac_eigensystem(self.dispersion, k)[0 if s == +1 else 1]
 
 
 def make_dispersion(nu: float) -> Dispersion:
@@ -143,65 +109,45 @@ def make_dispersion(nu: float) -> Dispersion:
     return Dispersion(nu=float(nu))
 
 
-def dirac_walk_matrix(d: Dispersion, k: float) -> BlochMatrix:
+def dirac_walk_matrix(d: Dispersion, k: float) -> np.ndarray:
     """Momentum-space walk step [[nu e^{ik}, -i mu], [-i mu, nu e^{-ik}]]."""
     k = float(wrap_momentum(k))
-    m = np.array(
+    return np.array(
         [
             [d.nu * np.exp(1j * k), -1j * d.mu],
             [-1j * d.mu, d.nu * np.exp(-1j * k)],
         ],
         dtype=complex,
     )
-    return BlochMatrix(k=k, entries=m)
 
 
-def dirac_eigensystem(d: Dispersion, k: float) -> tuple[SpectralMode, SpectralMode]:
-    """Closed-form eigenmodes of the walk fiber at k, bands s = (+1, -1).
+def dirac_eigensystem(d: Dispersion, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form unit eigenvectors of the walk fiber at k, bands s = (+1, -1).
 
     Satisfies D_k u = exp(-i s omega) u without a generic eigensolver.
     """
     k = float(wrap_momentum(k))
-    w = float(d.omega(k))
-    modes = []
-    for s in (+1, -1):
-        a_up, a_dn = d.alpha(s, k)
-        modes.append(
-            SpectralMode(
-                k=k, s=s, energy=s * w, vector=np.array([a_up, a_dn], dtype=complex)
-            )
-        )
-    return modes[0], modes[1]
+    plus, minus = (np.array(d.alpha(s, k), dtype=complex) for s in (+1, -1))
+    return plus, minus
 
 
-@dataclass(frozen=True)
-class ResolventMap:
-    """Mode-wise multiplier form of (z - U0)^{-1}.
+def resolvent_free(u0: SpectralFreeEvolution, z: complex, k, s: int):
+    """Free resolvent multiplier 1 / (z - exp(-i s omega(k))) of mode (k, s).
 
-    Calling the map at (k, s) returns 1 / (z - exp(-i s omega(k))).
+    Raises PoleError when z sits on the spectrum at any of the given k.
     """
-
-    z: complex
-    dispersion: Dispersion
-    atol: float = 1e-14
-
-    def __call__(self, k, s: int):
-        lam = np.exp(-1j * s * self.dispersion.omega(k))
-        dist = np.abs(self.z - lam)
-        if np.any(dist <= self.atol):
-            bad = np.argmin(np.atleast_1d(dist))
-            k_bad = float(np.atleast_1d(np.asarray(k, dtype=float)).ravel()[bad])
-            raise PoleError(
-                f"resolvent evaluated on the spectrum: z = {self.z} hits "
-                f"exp(-i s omega(k)) at k = {k_bad}",
-                k=k_bad,
-            )
-        return 1.0 / (self.z - lam)
-
-
-def resolvent_free(u0: SpectralFreeEvolution, z: complex) -> ResolventMap:
-    """Free resolvent of the walk as a mode-wise multiplier map."""
-    return ResolventMap(z=complex(z), dispersion=u0.dispersion)
+    z = complex(z)
+    lam = np.exp(-1j * s * u0.dispersion.omega(k))
+    dist = np.abs(z - lam)
+    if np.any(dist <= 1e-14):
+        bad = np.argmin(np.atleast_1d(dist))
+        k_bad = float(np.atleast_1d(np.asarray(k, dtype=float)).ravel()[bad])
+        raise PoleError(
+            f"resolvent evaluated on the spectrum: z = {z} hits "
+            f"exp(-i s omega(k)) at k = {k_bad}",
+            k=k_bad,
+        )
+    return 1.0 / (z - lam)
 
 
 def quadrature_bz(integrand, n: int = 2048):

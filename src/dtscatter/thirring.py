@@ -328,7 +328,7 @@ def _gamma_residue(params: ThirringParams, p: float, omega_target: float,
         den = np.exp(-1j * h) - 1.0
         if abs(den) < 1e-12:
             raise PoleError(
-                0.0, f"remainder entry {idx} diverges: omega {omega_c} and "
+                f"remainder entry {idx} diverges: omega {omega_c} and "
                 f"total momentum {p} satisfy omega {'+' if idx == 0 else '-'} "
                 "2p = 0 mod 2pi"
             )
@@ -378,8 +378,8 @@ def _gamma_quadrature(params: ThirringParams, p: float, omega_target: float,
         for w12, proj in pair_data:
             weights = 1.0 / (z * np.exp(1j * w12) - 1.0)
             if not np.all(np.isfinite(weights)):
-                raise PoleError(0.0, "regularized integrand is singular; "
-                                     "eps schedule reached the unit circle")
+                raise PoleError("regularized integrand is singular; "
+                                "eps schedule reached the unit circle")
             acc += np.tensordot(weights, proj, axes=(0, 0)) / quad_n
         evals.append(acc)
 

@@ -137,7 +137,7 @@ class ContinuousModel:
         """Dense resolvent G0(z) = (z - H0)^{-1}."""
         zdist = np.abs(z - self.evals)
         if zdist.min() < 1e-14:
-            raise PoleError(0.0, f"z = {z} sits on the spectrum of h0")
+            raise PoleError(f"z = {z} sits on the spectrum of h0")
         return np.linalg.inv(z * np.eye(self.dim) - self.h0)
 
 
@@ -145,7 +145,8 @@ class ContinuousModel:
 class DiscreteModel:
     """Stepped counterpart of a ContinuousModel at step tau.
 
-    u0 = exp(-i*H0*tau); u = u0 * exp(-i*V*tau).
+    The step is U = exp(-i*H0*tau) * exp(-i*V*tau); the eigendecomposition
+    of V is kept for the stepped potential W~.
     """
 
     continuous: ContinuousModel
@@ -154,14 +155,7 @@ class DiscreteModel:
     def __post_init__(self):
         if not self.tau > 0.0:
             raise DomainError(f"tau must be positive, got {self.tau}")
-        c = self.continuous
-        phases = np.exp(-1j * c.evals * self.tau)
-        u0 = (c.evecs * phases) @ c.evecs.conj().T
-        vvals, vvecs = np.linalg.eigh(c.v)
-        uv = (vvecs * np.exp(-1j * vvals * self.tau)) @ vvecs.conj().T
-        object.__setattr__(self, "u0", u0)
-        object.__setattr__(self, "u", u0 @ uv)
-        object.__setattr__(self, "_v_eig", (vvals, vvecs))
+        object.__setattr__(self, "_v_eig", np.linalg.eigh(self.continuous.v))
 
 
 def hopping_ring_model(n: int = 128, omega_max: float = 2.0,
@@ -180,6 +174,9 @@ def hopping_ring_model(n: int = 128, omega_max: float = 2.0,
     """
     if len(v_sites) > 4 or len(v_sites) != len(v_values):
         raise DomainError("potential support limited to at most 4 sites")
+    if not all(0 <= s < n for s in v_sites):
+        raise DomainError(f"potential sites {v_sites} do not fit a ring of "
+                          f"{n} sites")
     j_hop = omega_max / 4.0
     x = np.arange(n)
     h0 = np.zeros((n, n))
@@ -257,8 +254,8 @@ def green_discrete(model: DiscreteModel, z: complex,
     bad = np.abs(den) < 1e-14
     if np.any(bad):
         idx = int(np.argmax(bad))
-        raise PoleError(float(omega[idx]),
-                        f"(z - omega)*tau hits 2*pi*Z at omega = {omega[idx]}")
+        raise PoleError(
+            f"(z - omega)*tau hits 2*pi*Z at omega = {omega[idx]}")
     return -1j * tau / den
 
 

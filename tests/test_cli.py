@@ -1,10 +1,19 @@
 """End-to-end command-line runs against temporary configs."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dtscatter import cli
+from dtscatter.config import _SCHEMAS, COMMANDS
+
+GOLDEN = Path(__file__).parent / "golden"
 
 DISPERSION_CFG = """\
 [run]
@@ -128,7 +137,7 @@ def test_all_rows_flagged_exit_2(tmp_path, capsys):
     assert rows[0]["coefficient_re"] is None  # NaN -> null in JSON
 
 
-def test_threads_env_validation(tmp_path, capsys, monkeypatch):
+def test_sweep_keeps_row_order_without_workers_key(tmp_path):
     sweep = """\
 [run]
 command = sweep
@@ -137,20 +146,16 @@ nu = 0.8
 chi = 1.0
 p = 0.3
 [grid]
-k = 0.4, 0.9
+k = 0.9, 0.4, 1.2
 [output]
 path = {path}
 """
     out = tmp_path / "sweep.json"
     cfg = write_cfg(tmp_path, sweep.format(path=out))
-    monkeypatch.setenv("DTSCATTER_THREADS", "2")
     assert cli.main(["--config", cfg]) == 0
     doc = json.loads(out.read_text())
-    assert doc["metadata"]["workers"] == 2
-    assert [r["k"] for r in doc["rows"]] == [0.4, 0.9]  # order preserved
-    monkeypatch.setenv("DTSCATTER_THREADS", "lots")
-    assert cli.main(["--config", cfg]) == 1
-    assert "DTSCATTER_THREADS" in capsys.readouterr().err
+    assert "workers" not in doc["metadata"]
+    assert [r["k"] for r in doc["rows"]] == [0.9, 0.4, 1.2]  # grid order
 
 
 def test_wavepacket_run_with_snapshots(tmp_path):
@@ -185,3 +190,114 @@ path = {path}
         text = snap.read_bytes().decode()
         assert text.startswith("site,component,re,im\r\n")
         assert text.count("\r\n") == 2048 * 4 + 1
+
+
+_BAD_INPUTS = [
+    # the relative-coordinate reduction degenerates: flagged rows, not a crash
+    ("dyson", ("p=0.0",), 2, "sits on a multiple of pi/2"),
+    ("trotter", ("mode_index=200",), 1, "mode_index must lie in [0, n)"),
+    ("trotter", ("mode_index=-5",), 1, "mode_index must lie in [0, n)"),
+    ("trotter", ("eps_ref=0",), 1, "eps_ref must be positive"),
+    # a legal eps_ref whose Born contraction gamma >= 1: no step certified
+    ("trotter", ("eps_ref=1e-4",), 2, "no step is certified"),
+    ("amplitude", ("chi=nan",), 1, "chi must be finite"),
+    ("born", ("chi=nan",), 1, "chi must be finite"),
+    ("dyson", ("chi=nan",), 1, "chi must be finite"),
+    ("wavepacket", ("chi=nan",), 1, "chi must be finite"),
+]
+
+
+@pytest.mark.parametrize("command,overrides,code,message", _BAD_INPUTS,
+                         ids=[f"{c}-{o[0]}" for c, o, _, _ in _BAD_INPUTS])
+def test_bad_inputs_end_in_flags_or_one_error_line(
+        command, overrides, code, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    args = ["--config", str(GOLDEN / f"{command}.cfg"), "--set", "path=out.json"]
+    for item in overrides:
+        args += ["--set", item]
+    assert cli.main(args) == code
+    err = capsys.readouterr().err
+    if code == 1:
+        assert err.startswith("error: ") and message in err
+    else:
+        assert err == ""
+        rows = json.loads((tmp_path / "out.json").read_text())["rows"]
+        assert rows and all(r["flagged"] and message in r["note"] for r in rows)
+
+
+EDGE_FLOATS = (0.0, math.pi / 2, -1.0, -0.3, math.nan, math.inf, -math.inf)
+EDGE_INTS = (-5, -1, 0, 40)
+
+# valid range per parameter; sizes capped to keep each example short
+_RANGES = {
+    "nu": (0.0, 1.0), "chi": (-4.0, 4.0), "p": (0.05, 1.5), "k": (0.0, 1.5),
+    "k0": (0.05, 1.5), "omega_max": (0.5, 3.0), "eps_ref": (0.05, 0.5),
+    "sigma_x": (8.0, 32.0), "tau": (0.01, 0.5),
+    "born_n": (1, 12), "n_max": (1, 12), "quad_n": (16, 1024), "n": (1, 32),
+    "mode_index": (0, 31), "length": (16, 256), "t_steps": (1, 64),
+    "snapshot_every": (0, 64),
+}
+
+
+def _values(name, edges):
+    lo, hi = _RANGES[name]
+    if isinstance(lo, int):
+        valid, edge = st.integers(lo, hi), st.sampled_from(EDGE_INTS)
+    else:
+        valid, edge = st.floats(lo, hi), st.sampled_from(EDGE_FLOATS)
+    return st.one_of(valid, edge) if edges else valid
+
+
+@st.composite
+def _configs(draw):
+    """(command, params, grids); half the draws mix in edge values."""
+    command = draw(st.sampled_from(COMMANDS))
+    edges = draw(st.booleans())
+    required, optional, allowed_grids, _ = _SCHEMAS[command]
+    grids = {}
+    for name in allowed_grids:
+        if name == "tau":
+            # geometric, as convergence_sweep requires
+            tau0 = draw(_values("tau", edges))
+            grids[name] = [tau0 * 0.5 ** j for j in range(draw(st.integers(0, 4)))]
+        elif name == "k" or draw(st.booleans()):
+            grids[name] = draw(st.lists(_values(name, edges), max_size=4))
+    params = {name: draw(_values(name, edges))
+              for name in (*required, *optional)
+              if name in _RANGES and name not in grids}
+    if "mode_index" in params and not edges:
+        params["mode_index"] = draw(st.integers(0, params["n"] - 1))
+    return command, params, grids
+
+
+@settings(max_examples=60, deadline=None)
+@given(_configs())
+def test_generated_configs_keep_the_cli_contract(drawn):
+    command, params, grids = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = ["[run]", f"command = {command}", "[params]"]
+        lines += [f"{name} = {value!r}" for name, value in params.items()]
+        if command == "wavepacket":
+            lines.append(f"snapshot_prefix = {tmp}/snap_")
+        lines.append("[grid]")
+        lines += [f"{name} = {', '.join(map(repr, values))}"
+                  for name, values in grids.items()]
+        lines += ["[output]", f"path = {tmp}/out.csv"]
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        err = io.StringIO()
+        with (contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(err)):
+            code = cli.main(["--config", str(cfg)])
+    assert code in (0, 1, 2, 3)
+    report = err.getvalue()
+    assert "Traceback" not in report
+    # warnings may come first; then, on exit 1, "error: <message>" and one
+    # indented line per config problem
+    lines = [ln for ln in report.splitlines() if not ln.startswith("warning: ")]
+    if code == 1:
+        first, *problems = lines
+        assert first.startswith("error: ")
+        assert all(ln.startswith("  ") and ln.strip() for ln in problems)
+    else:
+        assert lines == []

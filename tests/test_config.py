@@ -29,7 +29,7 @@ def test_minimal_amplitude_config():
     assert cfg.grids["k"] == [0.2, 0.7, 1.3]
     assert cfg.output_path == "out.json"
     assert cfg.output_format == "json"         # inferred from the suffix
-    assert cfg.seed == 0 and cfg.threads is None
+    assert cfg.seed == 0
 
 
 def test_format_inference_and_override():
@@ -147,10 +147,10 @@ path = s.csv
 
 
 def test_run_section_validation():
-    cfg = parse_config(AMPLITUDE_CFG + "[run]\nseed = 7\nthreads = 3\n")
-    assert cfg.seed == 7 and cfg.threads == 3
-    with pytest.raises(ConfigError, match="threads must be a positive integer"):
-        parse_config(AMPLITUDE_CFG + "[run]\nthreads = 0\n")
+    cfg = parse_config(AMPLITUDE_CFG + "[run]\nseed = 7\n")
+    assert cfg.seed == 7
+    with pytest.raises(ConfigError, match="unknown key 'threads' in \\[run\\]"):
+        parse_config(AMPLITUDE_CFG + "[run]\nthreads = 3\n")
     with pytest.raises(ConfigError, match="unknown key 'verbose' in \\[run\\]"):
         parse_config(AMPLITUDE_CFG + "[run]\nverbose = 1\n")
 

@@ -51,19 +51,6 @@ def test_retarded_propagator_vs_matrix_power(params, dx, dt):
     assert np.abs(mine - dense).max() < 1e-12
 
 
-def test_vertex_phases(params):
-    v1 = dy.interaction_hamiltonian_picture(params, 1)
-    v2 = dy.interaction_hamiltonian_picture(params, 2)
-    # phases compose additively in t and conjugate between psi and psidag
-    assert v2.annihilator_phase(K_REL, +1) == pytest.approx(
-        v1.annihilator_phase(K_REL, +1) ** 2, rel=1e-14)
-    assert v1.creator_phase(K_REL, +1) == pytest.approx(
-        np.conj(v1.annihilator_phase(K_REL, +1)), rel=1e-15)
-    assert abs(v1.annihilator_phase(K_REL, -1)) == pytest.approx(1.0, rel=1e-14)
-    with pytest.raises(DomainError):
-        dy.interaction_hamiltonian_picture(params, 0.5)
-
-
 def test_first_order_elastic_coefficient(params, elastic):
     xy = xy_factors(params, P_TOT, K_REL)
     a = (xy.y - xy.x) / (2.0 * (xy.x + xy.y))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dtscatter.errors import DegenerateMomentumError, DomainError
+from dtscatter.errors import DegenerateMomentumError, DomainError, PoleError
 from dtscatter.thirring import (
     ThirringParams,
     amplitude_pp,
@@ -170,6 +170,13 @@ def test_gamma_residue_roots_on_shell():
     # the zone edge (pinned by root bisection at the reference point)
     assert (0.7, 1, 1) in roots
     assert (round(-2.4415926535898365, 9), -1, -1) in roots
+
+
+def test_gamma_remainder_pole_carries_its_message():
+    # omega + 2p = 0: the (0, 0) remainder entry 1/(e^{-ih} - 1) diverges
+    with pytest.raises(PoleError, match="remainder entry 0 diverges") as exc:
+        gamma_matrix(ThirringParams(nu=0.8, chi=1.0), 0.3, -0.6)
+    assert exc.value.k is None
 
 
 def test_degenerate_total_momentum_rejected():

@@ -174,8 +174,10 @@ def test_green_discrete_guards(ring):
     with pytest.raises(DomainError):
         tr.green_discrete(tr.DiscreteModel(continuous=ring, tau=np.pi), 1.0 + 0.2j)
     disc = tr.DiscreteModel(continuous=ring, tau=0.5)
-    with pytest.raises(PoleError):
+    with pytest.raises(PoleError, match=r"hits 2\*pi\*Z at omega = "):
         tr.green_discrete(disc, complex(ring.evals[32]))
+    with pytest.raises(PoleError, match="sits on the spectrum of h0"):
+        tr.hopping_ring_model(n=16, mode_index=4, eps_ref=0.0)
     with pytest.raises(DomainError):
         tr.DiscreteModel(continuous=ring, tau=-0.1)
 
