@@ -342,8 +342,15 @@ def _warn_one_line(message, category, filename, lineno, file=None,
     print(f"warning: {category.__name__}: {message}", file=sys.stderr)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # one stderr line instead of argparse's usage line plus message
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(1)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="dtscatter",
         description="scattering tables for the discrete-time lattice models",
     )

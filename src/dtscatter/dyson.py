@@ -39,6 +39,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import DomainError, StationaryPointError, TruncationError
+from .lippmann import SHELL_TOL, epsilon_extrapolate
 from .spectral import bz_grid, quadrature_bz, wrap_momentum
 from .thirring import (
     STATIONARY_TOL,
@@ -53,10 +54,10 @@ from .thirring import (
 # reused unchanged at second order.
 LEG_NORM = +1.0
 
-# shell tolerance for the momentum/quasi-energy comb conditions
-SHELL_TOL = 1e-9
-
-DEFAULT_EPS_SCHEDULE = tuple(0.05 * 0.5 ** j for j in range(6))
+# damping regulators of the relative-time sums, extrapolated to zero, and
+# the bound on the extrapolation's self-estimate
+EPS_SCHEDULE = tuple(0.05 * 0.5 ** j for j in range(6))
+TAIL_TOL = 1e-7
 DEFAULT_QUAD_N = 32768
 
 
@@ -232,19 +233,17 @@ def _geometric_tail(phi, eps):
 
 def second_order_amplitude(params: ThirringParams, ch_in: ThirringChannel,
                            ch_out: ThirringChannel, *,
-                           quad_n: int = DEFAULT_QUAD_N,
-                           eps_schedule: tuple = DEFAULT_EPS_SCHEDULE,
-                           tail_tol: float = 1e-7) -> complex:
+                           quad_n: int = DEFAULT_QUAD_N) -> complex:
     """Order-chi^2 amplitude from the full two-vertex contraction sum.
 
     The two internal lines carry loop momenta; the relative-position sum
     pins the second to q2 = +-(K - +-q1) and the relative-time sum is a
     damped geometric series in closed form, split into the T = 0 term
     and the two half-lines.  The damping eps is extrapolated to zero
-    through the given schedule; the integrand develops poles of width
+    through EPS_SCHEDULE; the integrand develops poles of width
     eps/|slope| in q1, so quad_n must keep n*eps well above the maximal
     band slope for every retained eps.  Raises a truncation error when
-    the extrapolation's self-estimate exceeds tail_tol.
+    the extrapolation's self-estimate exceeds TAIL_TOL.
     """
     if not _on_shell(params, ch_in, ch_out):
         return 0.0j
@@ -268,8 +267,7 @@ def second_order_amplitude(params: ThirringParams, ch_in: ThirringChannel,
             )
         return q2_cache[key]
 
-    eps_arr = np.asarray(eps_schedule, dtype=float)
-    totals = np.zeros(eps_arr.size, dtype=complex)
+    totals = np.zeros(len(EPS_SCHEDULE), dtype=complex)
 
     for in_slots, out_slots, lines, sign in _PATTERNS_ORDER2:
         # static leg factors and the v2 leg phase coefficients
@@ -321,7 +319,7 @@ def second_order_amplitude(params: ThirringParams, ch_in: ThirringChannel,
                 w2 = omega_q2[s_b]
                 weight = sign * leg_amp * u1 * u2
                 phi = -w_legs - z1 * w1 - z2 * w2
-                for i, eps in enumerate(eps_arr):
+                for i, eps in enumerate(EPS_SCHEDULE):
                     acc = np.zeros(quad_n, dtype=complex)
                     if c_zero:
                         acc += c_zero
@@ -331,19 +329,15 @@ def second_order_amplitude(params: ThirringParams, ch_in: ThirringChannel,
                         acc += c_minus * _geometric_tail(-phi, eps)
                     totals[i] += np.mean(weight * acc)
 
-    # regulator -> 0 by full-degree polynomial extrapolation; the error
-    # estimate drops the largest regulator and compares
-    fit_all = np.polyfit(eps_arr, totals, eps_arr.size - 1)[-1]
-    fit_drop = np.polyfit(eps_arr[1:], totals[1:], eps_arr.size - 2)[-1]
-    est = abs(fit_all - fit_drop)
-    if est > tail_tol:
+    ext = epsilon_extrapolate(totals, EPS_SCHEDULE)
+    if ext.error > TAIL_TOL:
         raise TruncationError(
-            f"regulator extrapolation self-estimate {est:.3e} above "
-            f"{tail_tol:.1e}; increase quad_n or extend the schedule"
+            f"regulator extrapolation self-estimate {ext.error:.3e} above "
+            f"{TAIL_TOL:.1e}; increase quad_n"
         )
     jac = _out_jacobian(params, ch_out)
     pref = LEG_NORM * (1j * params.chi) ** 2 / 2.0
-    return complex(pref * fit_all / jac)
+    return complex(pref * ext.value / jac)
 
 
 def second_order_terms(params: ThirringParams, ch_in: ThirringChannel,

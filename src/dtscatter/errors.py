@@ -49,10 +49,6 @@ class SingularKernelError(DtScatterError):
         self.condition_number = condition_number
 
 
-class ExtrapolationError(DtScatterError):
-    """The epsilon -> 0 extrapolation diverged or had too few points."""
-
-
 class DegenerateMomentumError(DtScatterError):
     """Total quasi-momentum sits on a degeneracy of the two-particle bands."""
 

@@ -17,18 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ExtrapolationError,
     InsufficientDataError,
     PoleError,
     SingularKernelError,
     UnsupportedInteractionError,
 )
-from .spectral import (
-    Dispersion,
-    SpectralFreeEvolution,
-    bz_grid,
-    wrap_momentum,
-)
+from .spectral import Dispersion, bz_grid, wrap_momentum
 
 __all__ = [
     "OnSitePhase",
@@ -44,12 +38,17 @@ __all__ = [
     "s_matrix_element",
     "epsilon_extrapolate",
     "channel_amplitude",
-    "DEFAULT_EPS_SCHEDULE",
+    "EPS_SCHEDULE",
     "SHELL_TOL",
 ]
 
 SHELL_TOL = 1e-9
-DEFAULT_EPS_SCHEDULE = tuple(1e-2 * 2.0 ** (-j) for j in range(5))
+# regulators of the improper elements, extrapolated to eps -> 0
+EPS_SCHEDULE = tuple(1e-2 * 2.0 ** (-j) for j in range(5))
+# Born series: stop once a term's norm is below BORN_TOL, give up after
+# BORN_MAX_N terms
+BORN_TOL = 1e-12
+BORN_MAX_N = 200
 
 
 @dataclass(frozen=True)
@@ -119,11 +118,11 @@ class AmplitudeRecord:
 
 @dataclass(frozen=True)
 class Extrapolation:
-    value: complex
+    value: complex | np.ndarray
     error: float
 
 
-def w_operator(u0: SpectralFreeEvolution, v: OnSitePhase) -> FiniteRankInteraction:
+def w_operator(v: OnSitePhase) -> FiniteRankInteraction:
     """Interaction kernel W = U0^dag (U0 V) - I = V - I on its support."""
     d = 2  # two internal components of the walk
     support = tuple(
@@ -161,22 +160,14 @@ def _mode_projectors(disp: Dispersion, k: np.ndarray):
     out = []
     lams = []
     for s in (+1, -1):
-        g = s * np.sin(w) + disp.nu * np.sin(k)
-        norm = np.sqrt(disp.mu**2 + g * g)
-        a_up = disp.mu / norm
-        a_dn = g / norm
-        p = np.empty((n, 2, 2), dtype=complex)
-        p[:, 0, 0] = a_up * a_up
-        p[:, 0, 1] = a_up * a_dn
-        p[:, 1, 0] = a_dn * a_up
-        p[:, 1, 1] = a_dn * a_dn
-        out.append(p)
+        a = np.stack(disp.alpha(s, k), axis=-1)
+        out.append((a[:, :, None] * a[:, None, :]).astype(complex))
         lams.append(np.exp(-1j * s * w))
     return lams[0], lams[1], out[0], out[1]
 
 
 def support_kernel(
-    u0: SpectralFreeEvolution,
+    disp: Dispersion,
     z: complex,
     support: tuple[int, ...],
     n: int = 2048,
@@ -187,7 +178,7 @@ def support_kernel(
     [ (z - D_k)^{-1} D_k ]_{ab}, evaluated by zone quadrature.
     """
     k = bz_grid(n)
-    lam_a, lam_b, p_a, p_b = _mode_projectors(u0.dispersion, k)
+    lam_a, lam_b, p_a, p_b = _mode_projectors(disp, k)
     m = np.zeros((n, 2, 2), dtype=complex)
     for lam, p in ((lam_a, p_a), (lam_b, p_b)):
         den = z - lam
@@ -213,44 +204,42 @@ def support_kernel(
 
 def t_matrix_born(
     w: FiniteRankInteraction,
-    u0: SpectralFreeEvolution,
+    disp: Dispersion,
     z: complex,
-    tol: float = 1e-12,
-    max_n: int = 200,
     quad_n: int = 2048,
 ) -> TMatrixEval:
-    """Sum the Born series on the support block until the last term < tol.
+    """Sum the Born series on the support block until the last term < BORN_TOL.
 
     Non-convergence is reported through ``converged=False`` (sweeps over
     coupling must be able to continue past divergent points).
     """
     if w.rank == 0:
         return TMatrixEval(z=z, value=w.action.copy(), n_terms=0, converged=True, residual=0.0)
-    kernel = w.action @ support_kernel(u0, z, w.support, n=quad_n)
+    kernel = w.action @ support_kernel(disp, z, w.support, n=quad_n)
     term = w.action.copy()
     total = term.copy()
     n_terms = 1
     residual = float(np.linalg.norm(term))
-    for n in range(1, max_n + 1):
+    for n in range(1, BORN_MAX_N + 1):
         term = kernel @ term
         total += term
         n_terms = n + 1
         residual = float(np.linalg.norm(term))
-        if residual < tol:
+        if residual < BORN_TOL:
             return TMatrixEval(z=z, value=total, n_terms=n_terms, converged=True, residual=residual)
     return TMatrixEval(z=z, value=total, n_terms=n_terms, converged=False, residual=residual)
 
 
 def t_matrix_closed(
     w: FiniteRankInteraction,
-    u0: SpectralFreeEvolution,
+    disp: Dispersion,
     z: complex,
     quad_n: int = 2048,
 ) -> TMatrixEval:
     """Closed resummation T = (I - W G0 U0)^{-1} W on the support block."""
     if w.rank == 0:
         return TMatrixEval(z=z, value=w.action.copy(), n_terms=0, converged=True, residual=0.0)
-    kernel = w.action @ support_kernel(u0, z, w.support, n=quad_n)
+    kernel = w.action @ support_kernel(disp, z, w.support, n=quad_n)
     a = np.eye(kernel.shape[0]) - kernel
     cond = float(np.linalg.cond(a))
     if not np.isfinite(cond) or cond > 1e12:
@@ -264,49 +253,37 @@ def t_matrix_closed(
 
 def fixed_point_residual(
     w: FiniteRankInteraction,
-    u0: SpectralFreeEvolution,
+    disp: Dispersion,
     eval_: TMatrixEval,
     quad_n: int = 2048,
 ) -> float:
     """|| T - (W + W G0 U0 T) || on the support block."""
-    kernel = w.action @ support_kernel(u0, eval_.z, w.support, n=quad_n)
+    kernel = w.action @ support_kernel(disp, eval_.z, w.support, n=quad_n)
     return float(np.linalg.norm(eval_.value - (w.action + kernel @ eval_.value)))
 
 
 def epsilon_extrapolate(values, eps) -> Extrapolation:
-    """Richardson (Neville) extrapolation of values(eps) to eps = 0.
+    """Polynomial extrapolation of values(eps) to eps = 0.
 
-    Degree = len - 1, capped at 4.  The error estimate is the modulus of the
-    difference between the last two extrapolation orders; a growing tail of
-    estimates is reported as divergence.
+    value is the full-degree interpolant through every sample, evaluated
+    at eps = 0; error is its distance from the interpolant that drops the
+    largest regulator.  Trailing axes of ``values`` are extrapolated entry
+    by entry, and error is then the largest of the entry errors.
     """
-    values = [complex(v) for v in values]
-    eps = [float(e) for e in eps]
-    if len(values) != len(eps):
+    values = np.asarray(values, dtype=complex)
+    eps = np.asarray(eps, dtype=float)
+    if values.shape[:1] != eps.shape:
         raise InsufficientDataError("values and eps schedules differ in length")
-    if len(values) < 3:
+    if eps.size < 3:
         raise InsufficientDataError("need at least 3 samples to extrapolate")
-    if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])) or eps[-1] <= 0:
+    if np.any(np.diff(eps) >= 0.0) or eps[-1] <= 0:
         raise InsufficientDataError("eps schedule must decrease strictly toward 0")
-    max_order = min(len(values) - 1, 4)
-    m = len(values)
-    tableau = list(values)
-    diag = [tableau[-1]]
-    for order in range(1, max_order + 1):
-        nxt = []
-        for i in range(m - order):
-            num = eps[i] * tableau[i + 1] - eps[i + order] * tableau[i]
-            nxt.append(num / (eps[i] - eps[i + order]))
-        tableau = nxt
-        diag.append(tableau[-1])
-    steps = [abs(b - a) for a, b in zip(diag, diag[1:])]
-    err = steps[-1] if steps else 0.0
-    if len(steps) >= 2 and steps[-1] > 4.0 * steps[-2] and steps[-1] > 1e-12:
-        raise ExtrapolationError(
-            f"extrapolation diverging: successive corrections {steps[-2]:.3e} "
-            f"-> {steps[-1]:.3e}"
-        )
-    return Extrapolation(value=diag[-1], error=float(err))
+    flat = values.reshape(eps.size, -1)
+    full = np.polyfit(eps, flat, eps.size - 1)[-1]
+    drop = np.polyfit(eps[1:], flat[1:], eps.size - 2)[-1]
+    value = full.reshape(values.shape[1:])
+    return Extrapolation(value=complex(value) if value.ndim == 0 else value,
+                         error=float(np.abs(full - drop).max()))
 
 
 def _plane_wave_on_support(
@@ -320,21 +297,21 @@ def _plane_wave_on_support(
 
 def s_matrix_element(
     w: FiniteRankInteraction,
-    u0: SpectralFreeEvolution,
+    disp: Dispersion,
     in_channel: tuple[float, int],
     out_channel: tuple[float, int],
-    eps_schedule=DEFAULT_EPS_SCHEDULE,
     quad_n: int = 2048,
 ) -> AmplitudeRecord:
     """eps -> 0 improper S-matrix element between walk modes.
 
     Off the quasi-energy shell (mod 2 pi, tolerance SHELL_TOL) the comb
     selection rule forces a zero record.  On shell the coefficient is the
-    factor multiplying the conservation delta_2pi(omega' - omega).
+    factor multiplying the conservation delta_2pi(omega' - omega), taken
+    through EPS_SCHEDULE; a growing extrapolation error flags the record
+    and keeps the smallest-regulator sample.
     """
     k_in, s_in = float(wrap_momentum(in_channel[0])), int(in_channel[1])
     k_out, s_out = float(wrap_momentum(out_channel[0])), int(out_channel[1])
-    disp = u0.dispersion
     w_in = s_in * disp.omega(k_in)
     w_out = s_out * disp.omega(k_out)
     l = int(np.round((w_out - w_in) / (2.0 * np.pi)))
@@ -358,18 +335,20 @@ def s_matrix_element(
     vec_in = _plane_wave_on_support(disp, w.support, k_in, s_in)
     vec_out = _plane_wave_on_support(disp, w.support, k_out, s_out)
     vals = []
-    for eps in eps_schedule:
+    for eps in EPS_SCHEDULE:
         z = np.exp(-1j * w_in + eps)
-        t = t_matrix_closed(w, u0, z, quad_n=quad_n)
+        t = t_matrix_closed(w, disp, z, quad_n=quad_n)
         vals.append(vec_out.conj() @ t.value @ vec_in)
-    try:
-        ext = epsilon_extrapolate(vals, list(eps_schedule))
-        flagged = ext.error > 1e-6
-        note = "extrapolation orders disagree" if flagged else ""
-    except ExtrapolationError as exc:
+    ext = epsilon_extrapolate(vals, EPS_SCHEDULE)
+    prev = epsilon_extrapolate(vals[1:], EPS_SCHEDULE[1:]).error
+    if ext.error > 4.0 * prev and ext.error > 1e-12:
+        note = (f"extrapolation diverging: successive corrections {prev:.3e} "
+                f"-> {ext.error:.3e}")
         ext = Extrapolation(value=vals[-1], error=float("inf"))
         flagged = True
-        note = str(exc)
+    else:
+        flagged = ext.error > 1e-6
+        note = "extrapolation orders disagree" if flagged else ""
     # The support sandwich is the full on-shell factor in momentum-
     # normalized channels (the mode normalization folds the 2 pi of the
     # conservation comb into it).
@@ -384,7 +363,7 @@ def s_matrix_element(
     )
 
 
-def channel_amplitude(record: AmplitudeRecord, u0: SpectralFreeEvolution) -> complex:
+def channel_amplitude(record: AmplitudeRecord, disp: Dispersion) -> complex:
     """Physical single-channel amplitude c with S = 1 + c on that channel.
 
     The stored element is coefficient * delta_2pi(omega(k') - omega(k)); the
@@ -392,5 +371,5 @@ def channel_amplitude(record: AmplitudeRecord, u0: SpectralFreeEvolution) -> com
     so on momentum-normalized channels c = coefficient / |omega'(k_out)|.
     """
     k_out = record.out_channel[0]
-    vg = abs(u0.dispersion.omega_prime(k_out))
+    vg = abs(disp.omega_prime(k_out))
     return record.coefficient / vg

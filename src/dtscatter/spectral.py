@@ -24,7 +24,6 @@ from .errors import DomainError, PoleError, QuadratureError
 
 __all__ = [
     "Dispersion",
-    "SpectralFreeEvolution",
     "wrap_momentum",
     "bz_grid",
     "make_dispersion",
@@ -92,16 +91,6 @@ class Dispersion:
         return self.mu / norm, gs / norm
 
 
-@dataclass(frozen=True)
-class SpectralFreeEvolution:
-    """Free walk described by its spectral data.
-
-    One step multiplies the (k, s) mode by exp(-i s omega(k)).
-    """
-
-    dispersion: Dispersion
-
-
 def make_dispersion(nu: float) -> Dispersion:
     """Build the dispersion; nu must lie in [0, 1]."""
     if not (0.0 <= nu <= 1.0):
@@ -131,13 +120,13 @@ def dirac_eigensystem(d: Dispersion, k: float) -> tuple[np.ndarray, np.ndarray]:
     return plus, minus
 
 
-def resolvent_free(u0: SpectralFreeEvolution, z: complex, k, s: int):
+def resolvent_free(d: Dispersion, z: complex, k, s: int):
     """Free resolvent multiplier 1 / (z - exp(-i s omega(k))) of mode (k, s).
 
     Raises PoleError when z sits on the spectrum at any of the given k.
     """
     z = complex(z)
-    lam = np.exp(-1j * s * u0.dispersion.omega(k))
+    lam = np.exp(-1j * s * d.omega(k))
     dist = np.abs(z - lam)
     if np.any(dist <= 1e-14):
         bad = np.argmin(np.atleast_1d(dist))

@@ -18,10 +18,10 @@ Key objects:
 * ``xy_factors`` -- the two overlap products x, y of the band eigenvector
   components that every closed-form amplitude is written in.
 * ``gamma_matrix`` -- the 4x4 matrix Gamma(z), the Brillouin-zone average
-  of the inverse free resolvent evaluated at the coincidence site.  Two
-  independent evaluation routes are provided (pole bookkeeping vs
-  regularized quadrature) and must agree; the scalar remainder entries of
-  the pole route are validated against the quadrature route only.
+  of the inverse free resolvent evaluated at the coincidence site, by
+  pole bookkeeping.  ``gamma_quadrature`` is the independent route
+  (regularized quadrature) it must agree with; the scalar remainder
+  entries of the pole route are validated against that route only.
 * ``t_closed_thirring`` / ``amplitude_pp`` -- closed forms obtained by
   resumming the geometric Born series.
 * ``umklapp_amplitudes`` -- the elastic and band-flip records related by
@@ -44,8 +44,8 @@ from .errors import (
     RootEnumerationError,
     StationaryPointError,
 )
-from .lippmann import AmplitudeRecord
-from .spectral import Dispersion, make_dispersion, wrap_momentum
+from .lippmann import AmplitudeRecord, epsilon_extrapolate
+from .spectral import Dispersion, bz_grid, make_dispersion, wrap_momentum
 
 _HALF_PI = 0.5 * np.pi
 
@@ -54,6 +54,13 @@ STATIONARY_TOL = 1e-8
 # Proximity to p = n*pi/2 (where the relative-coordinate reduction
 # degenerates) that is rejected outright.
 DEGENERATE_P_TOL = 1e-12
+# Residue route: scan cells per band pair, and the bisection width of
+# each crossing.
+ROOT_SCAN_N = 2048
+ROOT_BISECT_TOL = 1e-13
+# Quadrature route: zone grid and the regulators extrapolated to zero.
+GAMMA_QUAD_N = 8192
+GAMMA_EPS = tuple(0.1 * 0.5 ** j for j in range(5))
 
 
 @dataclass(frozen=True)
@@ -117,16 +124,12 @@ class XYFactors:
 class GammaMatrix:
     """Gamma(z) on the 4-dimensional coin space at the coincidence site.
 
-    method records which evaluation route produced the block:
-    "residue" (pole bookkeeping at the radial limit |z| -> 1+) or
-    "quadrature" (regularized Brillouin integral, extrapolated in the
-    regulator).  roots holds the (k, s1, s2) crossings the residue route
-    kept, for diagnostics.
+    roots holds the (k, s1, s2) crossings the residue route kept, for
+    diagnostics; the quadrature route leaves it empty.
     """
 
     z: complex
     block: np.ndarray
-    method: str
     roots: tuple = ()
 
 
@@ -222,8 +225,7 @@ def jacobian_pp(params: ThirringParams, p: float, k: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _band_pair_roots(d: Dispersion, s1: int, s2: int, p: float,
-                     omega_target: float, scan_n: int,
-                     bisect_tol: float) -> list[float]:
+                     omega_target: float) -> list[float]:
     """All k in (-pi, pi] with s1*w(p+k) + s2*w(p-k) = omega_target mod 2pi.
 
     The combination is smooth and 2pi-periodic in k, so its level crossings
@@ -235,23 +237,24 @@ def _band_pair_roots(d: Dispersion, s1: int, s2: int, p: float,
     def level(k: float | np.ndarray) -> float | np.ndarray:
         return (s1 * d.omega(p + k) + s2 * d.omega(p - k) - omega_target) / (2.0 * np.pi)
 
-    ks = -np.pi + 2.0 * np.pi * np.arange(scan_n + 1) / scan_n
+    ks = -np.pi + 2.0 * np.pi * np.arange(ROOT_SCAN_N + 1) / ROOT_SCAN_N
     vals = level(ks)
     roots: list[float] = []
-    for i in range(scan_n):
+    for i in range(ROOT_SCAN_N):
         a, b = ks[i], ks[i + 1]
         fa, fb = vals[i], vals[i + 1]
         lo, hi = (fa, fb) if fa <= fb else (fb, fa)
         # integer levels strictly inside (lo, hi], one bisection per level
         for m in range(int(np.ceil(lo)), int(np.floor(hi)) + 1):
             if fa == m:
-                continue  # exact hit counted at the left endpoint of cell i
+                roots.append(float(a))  # exact hit at the left endpoint
+                continue
             ga, gb = fa - m, fb - m
             if ga * gb > 0.0:
                 continue
             x0, x1, g0 = a, b, ga
             for _ in range(200):
-                if x1 - x0 <= bisect_tol:
+                if x1 - x0 <= ROOT_BISECT_TOL:
                     break
                 xm = 0.5 * (x0 + x1)
                 gm = level(xm) - m
@@ -270,13 +273,7 @@ def _band_pair_roots(d: Dispersion, s1: int, s2: int, p: float,
                     f"(residual {resid:.3e})"
                 )
             roots.append(float(root))
-    # exact hits at scan nodes (rare; the k = -pi node is the cell-0 endpoint)
-    for i in range(scan_n):
-        if float(vals[i]) == np.round(float(vals[i])) and not any(
-            abs(ks[i] - r) < 1e-10 for r in roots
-        ):
-            roots.append(float(ks[i]))
-    # de-duplicate brackets that converged to the same crossing
+    # de-duplicate brackets (and exact node hits) that found the same crossing
     roots.sort()
     out: list[float] = []
     for r in roots:
@@ -285,9 +282,25 @@ def _band_pair_roots(d: Dispersion, s1: int, s2: int, p: float,
     return out
 
 
-def _gamma_residue(params: ThirringParams, p: float, omega_target: float,
-                   scan_n: int, bisect_tol: float) -> GammaMatrix:
-    """Radial-limit Gamma via pole bookkeeping.
+def _check_gamma_args(params: ThirringParams, p: float,
+                      omega_target: float) -> None:
+    _check_total_momentum(p)
+    if not 0.0 < params.nu < 1.0:
+        raise DomainError(
+            f"gamma_matrix needs dispersive gapped bands (0 < nu < 1), got {params.nu}"
+        )
+    if not np.isfinite(omega_target):
+        raise DomainError(f"omega_target must be finite, got {omega_target}")
+
+
+def gamma_matrix(params: ThirringParams, p: float,
+                 omega_target: float) -> GammaMatrix:
+    """Gamma(z) at z -> exp(-i*omega_target) from outside the unit circle.
+
+    Radial-limit Gamma via pole bookkeeping (fast, exact up to the
+    crossing solves); ``gamma_quadrature`` is the slow independent route,
+    and the two agree to better than 1e-6 away from stationary band
+    points.  Depends on (nu, p, omega_target) only, not on chi.
 
     Gamma(z) depends on z = exp(-i*omega) only, so omega_target is first
     reduced to its principal representative in (-pi, pi]; the crossing
@@ -299,6 +312,7 @@ def _gamma_residue(params: ThirringParams, p: float, omega_target: float,
     fixed diagonal in the corner entries, with scalar form validated
     against the quadrature route.
     """
+    _check_gamma_args(params, p, omega_target)
     d = params.dispersion
     omega_c = float(wrap_momentum(omega_target))
     positive = omega_c >= 0.0
@@ -307,7 +321,7 @@ def _gamma_residue(params: ThirringParams, p: float, omega_target: float,
     kept: list[tuple[float, int, int]] = []
     for s1 in (+1, -1):
         for s2 in (+1, -1):
-            for kr in _band_pair_roots(d, s1, s2, p, omega_c, scan_n, bisect_tol):
+            for kr in _band_pair_roots(d, s1, s2, p, omega_c):
                 s2k = np.sin(2.0 * kr)
                 keep = (s2k >= -1e-12) if positive else (s2k < 1e-12)
                 if not keep:
@@ -336,29 +350,27 @@ def _gamma_residue(params: ThirringParams, p: float, omega_target: float,
     total[2, 2] += -1.0
 
     return GammaMatrix(z=complex(np.exp(-1j * omega_c)), block=total,
-                       method="residue", roots=tuple(kept))
+                       roots=tuple(kept))
 
 
 # ---------------------------------------------------------------------------
 # Gamma(z): regularized-quadrature route
 # ---------------------------------------------------------------------------
 
-DEFAULT_GAMMA_EPS = tuple(0.1 * 0.5 ** j for j in range(5))
-
-
-def _gamma_quadrature(params: ThirringParams, p: float, omega_target: float,
-                      quad_n: int, eps_schedule: tuple) -> GammaMatrix:
+def gamma_quadrature(params: ThirringParams, p: float,
+                     omega_target: float) -> GammaMatrix:
     """Gamma via the Brillouin integral at z = exp(-i*omega + eps).
 
     The integrand has poles of width eps/|slope| in k, so the grid must
     resolve them: the node-average error decays like exp(-n*eps/|slope|),
-    and the schedule should keep n*eps well above the largest band slope
-    (about 2/mu).  The eps -> 0 limit is taken entrywise by polynomial
-    extrapolation through the schedule.
+    and GAMMA_QUAD_N * eps stays well above the largest band slope (about
+    2/mu) for every eps in GAMMA_EPS.  The eps -> 0 limit is taken
+    entrywise by polynomial extrapolation through the schedule.
     """
+    _check_gamma_args(params, p, omega_target)
     d = params.dispersion
     omega_c = float(wrap_momentum(omega_target))
-    kk = -np.pi + 2.0 * np.pi * np.arange(1, quad_n + 1) / quad_n
+    kk = bz_grid(GAMMA_QUAD_N)
 
     # band data on the grid, reused across the schedule
     pair_data = []
@@ -367,12 +379,12 @@ def _gamma_quadrature(params: ThirringParams, p: float, omega_target: float,
             w12 = s1 * d.omega(p + kk) + s2 * d.omega(p - kk)
             u1 = np.stack(d.alpha(s1, p + kk))
             u2 = np.stack(d.alpha(s2, p - kk))
-            v = np.einsum("an,bn->abn", u1, u2).reshape(4, quad_n)
+            v = np.einsum("an,bn->abn", u1, u2).reshape(4, GAMMA_QUAD_N)
             proj = np.einsum("in,jn->nij", v, v)
             pair_data.append((w12, proj))
 
     evals = []
-    for eps in eps_schedule:
+    for eps in GAMMA_EPS:
         z = np.exp(-1j * omega_c + eps)
         acc = np.zeros((4, 4), dtype=complex)
         for w12, proj in pair_data:
@@ -380,45 +392,11 @@ def _gamma_quadrature(params: ThirringParams, p: float, omega_target: float,
             if not np.all(np.isfinite(weights)):
                 raise PoleError("regularized integrand is singular; "
                                 "eps schedule reached the unit circle")
-            acc += np.tensordot(weights, proj, axes=(0, 0)) / quad_n
+            acc += np.tensordot(weights, proj, axes=(0, 0)) / GAMMA_QUAD_N
         evals.append(acc)
 
-    eps_arr = np.asarray(eps_schedule, dtype=float)
-    block = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            seq = np.array([m[i, j] for m in evals])
-            block[i, j] = np.polyfit(eps_arr, seq, len(eps_arr) - 1)[-1]
-
-    return GammaMatrix(z=complex(np.exp(-1j * omega_c)), block=block,
-                       method="quadrature")
-
-
-def gamma_matrix(params: ThirringParams, p: float, omega_target: float,
-                 method: str = "residue", *, scan_n: int = 2048,
-                 bisect_tol: float = 1e-13, quad_n: int = 8192,
-                 eps_schedule: tuple = DEFAULT_GAMMA_EPS) -> GammaMatrix:
-    """Gamma(z) at z -> exp(-i*omega_target) from outside the unit circle.
-
-    method "residue" does explicit pole bookkeeping (fast, exact up to the
-    crossing solves); "quadrature" integrates the regularized kernel over
-    the zone and extrapolates the regulator to zero (slow, independent).
-    The two agree to better than 1e-6 away from stationary band points
-    when the quadrature resolves the poles (see _gamma_quadrature).
-    Depends on (nu, p, omega_target) only, not on chi.
-    """
-    _check_total_momentum(p)
-    if not 0.0 < params.nu < 1.0:
-        raise DomainError(
-            f"gamma_matrix needs dispersive gapped bands (0 < nu < 1), got {params.nu}"
-        )
-    if not np.isfinite(omega_target):
-        raise DomainError(f"omega_target must be finite, got {omega_target}")
-    if method == "residue":
-        return _gamma_residue(params, p, omega_target, scan_n, bisect_tol)
-    if method == "quadrature":
-        return _gamma_quadrature(params, p, omega_target, quad_n, eps_schedule)
-    raise ValueError(f"unknown gamma method {method!r}")
+    block = epsilon_extrapolate(evals, GAMMA_EPS).value
+    return GammaMatrix(z=complex(np.exp(-1j * omega_c)), block=block)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +507,7 @@ def born_series_thirring(params: ThirringParams, p: float, k: float,
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     w = w_vector(params, p, k)
     omega = two_particle_omega(params, p, k, +1, +1)
-    g = gamma_matrix(params, p, omega, method="residue").block
+    g = gamma_matrix(params, p, omega).block
     # Gamma commutes exactly with swapping the two coin factors (k -> -k in
     # the defining integral), which is what makes w an eigenvector and the
     # terms geometric.  The evaluated block carries O(root-tolerance)

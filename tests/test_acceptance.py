@@ -20,13 +20,14 @@ from dtscatter.lippmann import (
     t_matrix_closed,
     w_operator,
 )
-from dtscatter.spectral import SpectralFreeEvolution, make_dispersion
+from dtscatter.spectral import make_dispersion
 from dtscatter.thirring import (
     ThirringParams,
     amplitude_pp,
     born_series_thirring,
     channel,
     gamma_matrix,
+    gamma_quadrature,
     jacobian_pp,
     two_particle_omega,
     umklapp_amplitudes,
@@ -246,9 +247,9 @@ def test_criterion_8_structural_invariants():
     assert outside.max() == 0.0, f"leak outside the cone: {outside.max():.3e}"
 
     # conservation-rule zeros: off-shell records vanish to 1e-12
-    u0 = SpectralFreeEvolution(make_dispersion(0.8))
-    w = w_operator(u0, OnSitePhase(chi=1.0, f={0: -1.0}))
-    rec = s_matrix_element(w, u0, (0.5, +1), (0.9, +1), quad_n=256)
+    disp = make_dispersion(0.8)
+    w = w_operator(OnSitePhase(chi=1.0, f={0: -1.0}))
+    rec = s_matrix_element(w, disp, (0.5, +1), (0.9, +1), quad_n=256)
     assert abs(rec.coefficient) <= 1e-12
     params = ThirringParams(nu=0.8, chi=1.0)
     ch_in = channel(params, 0.3, 0.7, +1, +1)
@@ -257,15 +258,15 @@ def test_criterion_8_structural_invariants():
 
     # closed T solve is a fixed point of its defining equation
     z = np.exp(-1j * 0.9 + 0.05)
-    t_eval = t_matrix_closed(w, u0, z)
-    res = fixed_point_residual(w, u0, t_eval)
+    t_eval = t_matrix_closed(w, disp, z)
+    res = fixed_point_residual(w, disp, t_eval)
     assert res < 1e-8, f"fixed-point residual {res:.3e}"
 
     # residue route against direct quadrature
     params_g = ThirringParams(nu=0.8, chi=0.3)
     omega = two_particle_omega(params_g, 0.3, 0.7, +1, +1)
-    g_res = gamma_matrix(params_g, 0.3, omega, method="residue").block
-    g_quad = gamma_matrix(params_g, 0.3, omega, method="quadrature").block
+    g_res = gamma_matrix(params_g, 0.3, omega).block
+    g_quad = gamma_quadrature(params_g, 0.3, omega).block
     gap = np.abs(g_res - g_quad).max()
     assert gap < 1e-6, f"residue-vs-quadrature gap {gap:.3e}"
 

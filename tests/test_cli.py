@@ -113,6 +113,23 @@ def test_usage_error_exit_1(capsys):
     assert "dtscatter" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [[], ["--config", "x", "--bogus"],
+                                  ["--config", "x", "--set"]],
+                         ids=["no-arguments", "unknown-flag", "bare-set"])
+def test_usage_problems_are_one_error_line(argv, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert captured.out == ""
+
+
+def test_help_goes_to_stdout(capsys):
+    assert cli.main(["--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: dtscatter") and captured.err == ""
+
+
 def test_missing_config_exit_3(tmp_path, capsys):
     assert cli.main(["--config", str(tmp_path / "nope.cfg")]) == 3
     assert "cannot read config" in capsys.readouterr().err

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 import oracles
+from dtscatter import lippmann
 from dtscatter.errors import PoleError, UnsupportedInteractionError
 from dtscatter.lippmann import (
+    EPS_SCHEDULE,
     OnSitePhase,
+    TMatrixEval,
     channel_amplitude,
     epsilon_extrapolate,
     fixed_point_residual,
@@ -16,7 +19,7 @@ from dtscatter.lippmann import (
     t_matrix_closed,
     w_operator,
 )
-from dtscatter.spectral import SpectralFreeEvolution, make_dispersion
+from dtscatter.spectral import make_dispersion
 
 # single-site phase walk at (nu, k0, chi) = (0.8, 0.5, 1.0), quad_n = 32768:
 # converged to 4e-13 against a doubled grid, unitarity closes to 7e-11,
@@ -27,13 +30,13 @@ C_BACK = -0.7525601526429524 + 0.2602566553648124j
 
 
 def _setup(chi=1.0, nu=0.8):
-    u0 = SpectralFreeEvolution(make_dispersion(nu))
-    w = w_operator(u0, OnSitePhase(chi=chi, f={0: -1.0}))
-    return u0, w
+    disp = make_dispersion(nu)
+    w = w_operator(OnSitePhase(chi=chi, f={0: -1.0}))
+    return disp, w
 
 
 def test_w_operator_is_diagonal_phase_minus_identity():
-    u0, w = _setup(chi=1.0)
+    disp, w = _setup(chi=1.0)
     assert w.support == (0,)
     assert w.rank == 1
     # f = -1 makes the site factor e^{+i chi}
@@ -54,9 +57,9 @@ def test_support_kernel_matches_matrix_power_sum():
     ring (oracles.propagator_matrix_power), a route with no quadrature
     or resolvent in it.
     """
-    u0, w = _setup()
+    disp, w = _setup()
     z = np.exp(-1j * 1.0 + 0.3)
-    block = support_kernel(u0, z, (0,), n=4096)
+    block = support_kernel(disp, z, (0,), n=4096)
     acc = np.zeros((2, 2), dtype=complex)
     length = 200
     for d in range(1, 81):  # tail ~ e^{-0.3*80} ~ 4e-11
@@ -65,29 +68,29 @@ def test_support_kernel_matches_matrix_power_sum():
 
 
 def test_closed_solve_is_fixed_point():
-    u0, w = _setup()
+    disp, w = _setup()
     z = np.exp(-1j * 0.9 + 0.05)
-    t = t_matrix_closed(w, u0, z)
-    assert fixed_point_residual(w, u0, t) < 1e-8
+    t = t_matrix_closed(w, disp, z)
+    assert fixed_point_residual(w, disp, t) < 1e-8
 
 
 def test_born_converges_to_closed():
-    u0, w = _setup(chi=0.7)
+    disp, w = _setup(chi=0.7)
     z = np.exp(-1j * 0.9 + 0.4)
-    closed = t_matrix_closed(w, u0, z)
-    born = t_matrix_born(w, u0, z)
+    closed = t_matrix_closed(w, disp, z)
+    born = t_matrix_born(w, disp, z)
     assert born.converged
     assert np.abs(born.value - closed.value).max() < 1e-10
 
 
 def test_support_kernel_pole_rejected():
-    u0, w = _setup()
+    disp, w = _setup()
     # place z exactly on a quadrature node's eigenvalue
     from dtscatter.spectral import bz_grid
     k_node = bz_grid(4096)[137]
-    z = np.exp(-1j * u0.dispersion.omega(k_node))
+    z = np.exp(-1j * disp.omega(k_node))
     with pytest.raises(PoleError):
-        support_kernel(u0, z, (0,), n=4096)
+        support_kernel(disp, z, (0,), n=4096)
 
 
 def test_epsilon_extrapolate_recovers_polynomial_limit():
@@ -99,20 +102,60 @@ def test_epsilon_extrapolate_recovers_polynomial_limit():
     assert ext.error < 1e-10
 
 
+def test_epsilon_extrapolate_error_drops_largest_regulator():
+    # e^4 is reproduced exactly by the quartic through all five samples,
+    # while the cubic through the four smallest misses it at 0 by e1 e2 e3 e4
+    e = np.asarray(EPS_SCHEDULE)
+    ext = epsilon_extrapolate(e**4, e)
+    assert abs(ext.value) < 1e-20
+    assert ext.error == pytest.approx(np.prod(e[1:]), rel=1e-9)
+
+
+def test_epsilon_extrapolate_stack_matches_scalar_calls():
+    rng = np.random.default_rng(3)
+    stack = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    ext = epsilon_extrapolate(stack, EPS_SCHEDULE)
+    singles = [epsilon_extrapolate(stack[:, i, j], EPS_SCHEDULE)
+               for i in range(4) for j in range(4)]
+    assert np.array_equal(ext.value.ravel(), [x.value for x in singles])
+    assert ext.error == max(x.error for x in singles)
+
+
+def test_s_matrix_element_flags_diverging_extrapolation(monkeypatch):
+    # every regulator gives the same sample except the largest, offset by
+    # 1e-3: the extrapolation moves by 1e-3/315 against ~1e-16 without it
+    calls = []
+
+    def fake_closed(w, disp, z, quad_n=2048):
+        value = 0.5 + (1e-3 if not calls else 0.0)
+        calls.append(z)
+        return TMatrixEval(z=z, value=value * np.eye(2), n_terms=1,
+                           converged=True, residual=0.0)
+
+    monkeypatch.setattr(lippmann, "t_matrix_closed", fake_closed)
+    disp, w = _setup()
+    rec = s_matrix_element(w, disp, (0.5, +1), (0.5, +1))
+    assert len(calls) == 5
+    assert rec.flagged
+    assert rec.error_estimate == float("inf")
+    assert rec.note.startswith("extrapolation diverging: successive corrections")
+    assert rec.coefficient == pytest.approx(0.5, abs=1e-15)
+
+
 def test_off_shell_element_is_zero():
-    u0, w = _setup()
-    rec = s_matrix_element(w, u0, (0.5, +1), (0.9, +1), quad_n=256)
+    disp, w = _setup()
+    rec = s_matrix_element(w, disp, (0.5, +1), (0.9, +1), quad_n=256)
     assert rec.coefficient == 0.0
     assert rec.note == "off-shell"
 
 
 def test_single_site_closed_solve_reference():
-    u0, w = _setup()
-    rec_f = s_matrix_element(w, u0, (0.5, +1), (0.5, +1), quad_n=QUAD_N)
-    rec_b = s_matrix_element(w, u0, (-0.5, +1), (0.5, +1), quad_n=QUAD_N)
+    disp, w = _setup()
+    rec_f = s_matrix_element(w, disp, (0.5, +1), (0.5, +1), quad_n=QUAD_N)
+    rec_b = s_matrix_element(w, disp, (-0.5, +1), (0.5, +1), quad_n=QUAD_N)
     assert not rec_f.flagged and not rec_b.flagged
-    cf = channel_amplitude(rec_f, u0)
-    cb = channel_amplitude(rec_b, u0)
+    cf = channel_amplitude(rec_f, disp)
+    cb = channel_amplitude(rec_b, disp)
     assert cf == pytest.approx(C_FWD, abs=1e-9)
     assert cb == pytest.approx(C_BACK, abs=1e-9)
 
@@ -120,15 +163,15 @@ def test_single_site_closed_solve_reference():
 def test_single_site_unitarity():
     # forward + backward exhaust the on-shell channels of the + band,
     # so the S row must be a unit vector in the eps -> 0 limit
-    u0, w = _setup()
-    rec_f = s_matrix_element(w, u0, (0.5, +1), (0.5, +1), quad_n=QUAD_N)
-    rec_b = s_matrix_element(w, u0, (-0.5, +1), (0.5, +1), quad_n=QUAD_N)
-    cf = channel_amplitude(rec_f, u0)
-    cb = channel_amplitude(rec_b, u0)
+    disp, w = _setup()
+    rec_f = s_matrix_element(w, disp, (0.5, +1), (0.5, +1), quad_n=QUAD_N)
+    rec_b = s_matrix_element(w, disp, (-0.5, +1), (0.5, +1), quad_n=QUAD_N)
+    cf = channel_amplitude(rec_f, disp)
+    cb = channel_amplitude(rec_b, disp)
     assert abs(1.0 + cf) ** 2 + abs(cb) ** 2 == pytest.approx(1.0, abs=1e-9)
 
 
 def test_zero_coupling_gives_identity_s():
-    u0, w = _setup(chi=0.0)
-    rec = s_matrix_element(w, u0, (0.5, +1), (0.5, +1), quad_n=1024)
+    disp, w = _setup(chi=0.0)
+    rec = s_matrix_element(w, disp, (0.5, +1), (0.5, +1), quad_n=1024)
     assert abs(rec.coefficient) < 1e-13

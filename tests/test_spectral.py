@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from dtscatter.errors import DomainError, PoleError
 from dtscatter.spectral import (
     Dispersion,
-    SpectralFreeEvolution,
     bz_grid,
     dirac_eigensystem,
     dirac_walk_matrix,
@@ -104,17 +103,16 @@ def test_bz_grid_covers_zone_once():
 
 
 def test_resolvent_pole_detection():
-    u0 = SpectralFreeEvolution(make_dispersion(0.8))
+    d = make_dispersion(0.8)
     # z on the free spectrum: the mode with omega(k*) = 1 is a pole
     k_star = np.arccos(np.cos(1.0) / 0.8)
     with pytest.raises(PoleError):
-        resolvent_free(u0, np.exp(-1j * 1.0), k_star, +1)
+        resolvent_free(d, np.exp(-1j * 1.0), k_star, +1)
 
 
 def test_resolvent_free_values():
-    u0 = SpectralFreeEvolution(make_dispersion(0.8))
-    z = np.exp(-1j * 1.0 + 0.3)
     d = make_dispersion(0.8)
+    z = np.exp(-1j * 1.0 + 0.3)
     for k, s in ((0.4, +1), (-2.0, -1)):
         expect = 1.0 / (z - np.exp(-1j * s * d.omega(k)))
-        assert resolvent_free(u0, z, k, s) == pytest.approx(expect, rel=1e-13)
+        assert resolvent_free(d, z, k, s) == pytest.approx(expect, rel=1e-13)

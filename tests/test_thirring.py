@@ -1,10 +1,17 @@
 """Two-fermion collision model: closed forms, Born series, Gamma block."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dtscatter.errors import DegenerateMomentumError, DomainError, PoleError
+from dtscatter.errors import (
+    DegenerateMomentumError,
+    DomainError,
+    PoleError,
+    StationaryPointError,
+)
 from dtscatter.thirring import (
     ThirringParams,
     amplitude_pp,
@@ -13,6 +20,7 @@ from dtscatter.thirring import (
     com_inverse,
     com_transform,
     gamma_matrix,
+    gamma_quadrature,
     jacobian_pp,
     t_closed_thirring,
     two_particle_omega,
@@ -154,17 +162,15 @@ def test_t_closed_equals_born_resummation():
 def test_gamma_residue_vs_quadrature():
     params = ThirringParams(nu=0.8, chi=0.3)
     omega = two_particle_omega(params, 0.3, 0.7, +1, +1)
-    res = gamma_matrix(params, 0.3, omega, method="residue")
-    quad = gamma_matrix(params, 0.3, omega, method="quadrature")
-    assert res.method == "residue"
-    assert quad.method == "quadrature"
+    res = gamma_matrix(params, 0.3, omega)
+    quad = gamma_quadrature(params, 0.3, omega)
     assert np.abs(res.block - quad.block).max() < 1e-6
 
 
 def test_gamma_residue_roots_on_shell():
     params = ThirringParams(nu=0.8, chi=0.3)
     omega = two_particle_omega(params, 0.3, 0.7, +1, +1)
-    res = gamma_matrix(params, 0.3, omega, method="residue")
+    res = gamma_matrix(params, 0.3, omega)
     roots = {(round(k, 9), s1, s2) for k, s1, s2 in res.roots}
     # the (+,+) crossing at the defining k and its (-,-) partner across
     # the zone edge (pinned by root bisection at the reference point)
@@ -179,10 +185,19 @@ def test_gamma_remainder_pole_carries_its_message():
     assert exc.value.k is None
 
 
+def test_flat_band_rejected_quickly():
+    # at nu = 1e-300 every scan node is an exact level hit; the root scan
+    # must record them in one pass, not re-match each node against the list
+    t0 = time.monotonic()
+    with pytest.raises(StationaryPointError):
+        born_series_thirring(ThirringParams(1e-300, 1.0), 0.3, 0.7, 12)
+    assert time.monotonic() - t0 < 0.25
+
+
 def test_degenerate_total_momentum_rejected():
     params = ThirringParams(nu=0.8, chi=1.0)
     with pytest.raises(DegenerateMomentumError):
-        gamma_matrix(params, 0.0, 1.2, method="residue")
+        gamma_matrix(params, 0.0, 1.2)
 
 
 def test_channel_consistency():
