@@ -4,9 +4,10 @@ Usage: dtscatter --config run.cfg [--set key=value ...]
 
 Exit codes: 0 success, 1 usage or config error (or any other failure
 outside a grid point), 2 every computed row came out flagged, 3 I/O
-failure.  Grid points that fail individually are recorded as flagged rows
-with the reason in the `note` column; they never abort the rest of a
-sweep.  Errors and warnings go to stderr, one line each.
+failure (config unreadable, table or snapshot unwritable).  Grid points
+that fail individually are recorded as flagged rows with the reason in
+the `note` column; they never abort the rest of a sweep.  Errors and
+warnings go to stderr, one line each.
 
 The `generated` timestamp in the metadata comes from SOURCE_DATE_EPOCH
 (seconds) when set and from epoch zero otherwise, so identical configs
@@ -25,7 +26,7 @@ import warnings
 from . import __version__
 from .config import RunConfig, parse_config
 from .dyson import first_order_amplitude, lambda_chi_reconcile, second_order_amplitude
-from .errors import DtScatterError
+from .errors import DtScatterError, OutputError
 from .spectral import make_dispersion
 from .tables import ResultTable, emit
 from .thirring import (
@@ -39,13 +40,8 @@ from .thirring import (
 from .trotter import convergence_sweep, hopping_ring_model, tau_threshold
 from .wavepacket import (
     GaussianPacketSpec,
-    antisymmetrize,
-    band_project,
-    build_packet,
-    evolve,
     extract_smatrix,
-    free_evolve,
-    snapshot_rows,
+    snapshot_columns,
     thirring_com_model,
 )
 
@@ -231,32 +227,6 @@ def _run_trotter(cfg: RunConfig) -> ResultTable:
     return table
 
 
-def _dump_snapshots(model, spec, t_steps: int, every: int, prefix: str) -> None:
-    """Amplitude dumps along the interacting leg of the sandwich.
-
-    Files <prefix><t>.csv with the (site, component, re, im) schema,
-    t counted in steps of the interacting evolution (0 .. 2 t_steps).
-    """
-    packet = build_packet(model, spec)
-    packet = band_project(model, packet, tuple(spec.band)).normalized()
-    if model.total_momentum is not None:
-        packet = antisymmetrize(model, packet)
-    state = free_evolve(packet, model, -t_steps)
-    total = 2 * t_steps
-    done = 0
-    while True:
-        rows = snapshot_rows(state)
-        table = ResultTable()
-        for site, comp, re, im in rows:
-            table.add_row(site=site, component=comp, re=re, im=im)
-        emit(table, "csv", f"{prefix}{done:05d}.csv")
-        if done >= total:
-            break
-        chunk = min(every, total - done)
-        state = evolve(state, model, chunk)
-        done += chunk
-
-
 def _run_wavepacket(cfg: RunConfig) -> ResultTable:
     pr = cfg.params
     params = ThirringParams(nu=pr["nu"], chi=pr["chi"])
@@ -277,10 +247,16 @@ def _run_wavepacket(cfg: RunConfig) -> ResultTable:
         model = thirring_com_model(params, p, length=length)
         spec = GaussianPacketSpec(k0=k0, sigma_x=pr["sigma_x"],
                                   x0=length // 2, band=(1, 1))
-        if pr["snapshot_every"] > 0:
-            prefix = pr["snapshot_prefix"] or "snapshot_"
-            _dump_snapshots(model, spec, t_steps, pr["snapshot_every"], prefix)
-        meas = extract_smatrix(model, spec, t_steps)
+        every = pr["snapshot_every"]
+        prefix = pr["snapshot_prefix"] or "snapshot_"
+
+        def snapshot(n, amps):
+            if n % every == 0 or n == 2 * t_steps:
+                emit(ResultTable(columns=snapshot_columns(amps)), "csv",
+                     f"{prefix}{n:05d}.csv")
+
+        meas = extract_smatrix(model, spec, t_steps,
+                               on_step=snapshot if every > 0 else None)
         diag = meas.diagonal_coefficient
         table.metadata["diagonal_coefficient_re"] = diag.real
         table.metadata["diagonal_coefficient_im"] = diag.imag
@@ -291,6 +267,8 @@ def _run_wavepacket(cfg: RunConfig) -> ResultTable:
             table.add_row(band_pair=_band_label(label),
                           weight=meas.channel_weights[label],
                           flagged=False, note="")
+    except OutputError:
+        raise
     except DtScatterError as exc:
         table.add_row(band_pair="", weight=_NAN, flagged=True, note=str(exc))
     return table
@@ -380,15 +358,10 @@ def main(argv=None) -> int:
             warnings.showwarning = _warn_one_line
             cfg = parse_config(text, overrides=tuple(args.overrides))
             table = run(cfg)
-    except DtScatterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         emit(table, cfg.output_format, cfg.output_path)
     except DtScatterError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, OutputError) else 1
 
     n = table.n_rows
     flags = [bool(v) for v in table.columns.get("flagged", [])]

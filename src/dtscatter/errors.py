@@ -99,6 +99,10 @@ class ConfigError(DtScatterError):
         self.problems = problems or []
 
 
+class OutputError(DtScatterError):
+    """A result file (table or snapshot) could not be written."""
+
+
 class BoundaryLeakageWarning(UserWarning):
     """Wave-packet mass near the ring boundary exceeded the monitor level."""
 

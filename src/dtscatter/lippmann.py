@@ -300,7 +300,7 @@ def s_matrix_element(
     disp: Dispersion,
     in_channel: tuple[float, int],
     out_channel: tuple[float, int],
-    quad_n: int = 2048,
+    quad_n: int = 32768,
 ) -> AmplitudeRecord:
     """eps -> 0 improper S-matrix element between walk modes.
 
@@ -308,7 +308,8 @@ def s_matrix_element(
     selection rule forces a zero record.  On shell the coefficient is the
     factor multiplying the conservation delta_2pi(omega' - omega), taken
     through EPS_SCHEDULE; a growing extrapolation error flags the record
-    and keeps the smallest-regulator sample.
+    and keeps the smallest-regulator sample.  The default quad_n resolves
+    the pole width at the smallest regulator (2 048 nodes do not).
     """
     k_in, s_in = float(wrap_momentum(in_channel[0])), int(in_channel[1])
     k_out, s_out = float(wrap_momentum(out_channel[0])), int(out_channel[1])

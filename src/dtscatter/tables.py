@@ -16,7 +16,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .errors import DtScatterError
+from .errors import DtScatterError, OutputError
 
 
 @dataclass
@@ -52,35 +52,23 @@ class ResultTable:
             self.columns.setdefault(name, []).append(value)
 
 
-def _complex_flags(table: ResultTable) -> dict:
-    """name -> split-into-re/im decision, computed once per render."""
-    return {
-        name: (name in table.complex_columns
-               or any(isinstance(v, complex) for v in values))
-        for name, values in table.columns.items()
-    }
+def _flat_columns(table: ResultTable):
+    """Output names and value columns, complex columns split re/im.
 
-
-def _flat_names(table: ResultTable, flags: dict):
-    """Output column names with complex columns split re/im."""
-    names = []
-    for name in table.columns:
-        if flags[name]:
-            names.extend([f"{name}_re", f"{name}_im"])
+    A column is split when declared complex or when it holds a complex
+    value; the split columns are generators, so nothing is copied.
+    """
+    names, cols = [], []
+    for name, values in table.columns.items():
+        if (name in table.complex_columns
+                or any(isinstance(v, complex) for v in values)):
+            names += [f"{name}_re", f"{name}_im"]
+            cols += [(complex(v).real for v in values),
+                     (complex(v).imag for v in values)]
         else:
             names.append(name)
-    return names
-
-
-def _flat_row(table: ResultTable, flags: dict, i: int):
-    out = []
-    for name, values in table.columns.items():
-        if flags[name]:
-            z = complex(values[i])
-            out.extend([z.real, z.imag])
-        else:
-            out.append(values[i])
-    return out
+            cols.append(values)
+    return names, cols
 
 
 def _format_cell(v) -> str:
@@ -94,10 +82,9 @@ def _format_cell(v) -> str:
 def render_csv(table: ResultTable) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
-    flags = _complex_flags(table)
-    writer.writerow(_flat_names(table, flags))
-    for i in range(table.n_rows):
-        writer.writerow([_format_cell(v) for v in _flat_row(table, flags, i)])
+    names, cols = _flat_columns(table)
+    writer.writerow(names)
+    writer.writerows(zip(*(map(_format_cell, col) for col in cols)))
     return buf.getvalue()
 
 
@@ -115,14 +102,8 @@ def _json_value(v):
 
 
 def render_json(table: ResultTable) -> str:
-    flags = _complex_flags(table)
-    names = _flat_names(table, flags)
-    rows = []
-    for i in range(table.n_rows):
-        rows.append({
-            name: _json_value(v)
-            for name, v in zip(names, _flat_row(table, flags, i))
-        })
+    names, cols = _flat_columns(table)
+    rows = [dict(zip(names, map(_json_value, row))) for row in zip(*cols)]
     obj = {"metadata": _json_value(table.metadata), "rows": rows}
     return json.dumps(obj, indent=1, sort_keys=False, allow_nan=False) + "\n"
 
@@ -141,7 +122,7 @@ def emit(table: ResultTable, fmt: str, path: str) -> None:
             fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:
-        raise DtScatterError(f"cannot write {path}: {exc}") from exc
+        raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
 def parse_json_table(text: str) -> ResultTable:

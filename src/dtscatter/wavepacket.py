@@ -226,43 +226,52 @@ def antisymmetrize(model: WalkModel, state: LatticeState) -> LatticeState:
     return LatticeState(odd).normalized()
 
 
-def step(state: LatticeState, model: WalkModel) -> LatticeState:
-    """One discrete step: the local interaction phase, then the free walk."""
-    amps = state.amplitudes.copy()
+def _step(amps: np.ndarray, model: WalkModel, entries) -> np.ndarray:
+    """The step kernel on a bare (sites, components) array."""
+    amps = amps.copy()
     amps[model.center] *= np.exp(1j * model.chi)
     out = np.zeros_like(amps)
-    for a, b, coef, shift in model.step_entries():
+    for a, b, coef, shift in entries:
         out[:, a] += coef * np.roll(amps[:, b], -shift)
-    return LatticeState(out)
+    return out
 
 
-def _boundary_mass(state: LatticeState) -> float:
-    dens = np.sum(np.abs(state.amplitudes) ** 2, axis=1)
+def step(state: LatticeState, model: WalkModel) -> LatticeState:
+    """One discrete step: the local interaction phase, then the free walk."""
+    return LatticeState(_step(state.amplitudes, model, model.step_entries()))
+
+
+def _boundary_mass(amps: np.ndarray) -> float:
+    dens = np.sum(np.abs(amps) ** 2, axis=1)
     w = BOUNDARY_WINDOW
     return float(dens[:w].sum() + dens[-w:].sum())
 
 
-def evolve(state: LatticeState, model: WalkModel, t_steps: int) -> LatticeState:
+def evolve(state: LatticeState, model: WalkModel, t_steps: int,
+           on_step=None) -> LatticeState:
     """t_steps local steps with boundary-leakage monitoring.
 
     Amplitude mass within BOUNDARY_WINDOW sites of the ring seam above
     LEAKAGE_TOL raises a boundary-contamination warning (once).
+    on_step(n, amplitudes), if given, sees the array after n = 0..t_steps.
     """
     if t_steps < 0:
         raise DomainError(f"t_steps must be >= 0, got {t_steps}")
-    current = state
+    entries = model.step_entries()
+    amps = state.amplitudes
+    observe = on_step or (lambda n, amps: None)
+    observe(0, amps)
     warned = False
-    for n in range(t_steps):
-        current = step(current, model)
-        if (n % 64 == 63 or n == t_steps - 1) and not warned:
-            mass = _boundary_mass(current)
+    for n in range(1, t_steps + 1):
+        amps = _step(amps, model, entries)
+        if (n % 64 == 0 or n == t_steps) and not warned:
+            mass = _boundary_mass(amps)
             if mass > LEAKAGE_TOL:
-                warnings.warn(
-                    f"boundary mass {mass:.2e} after {n + 1} steps",
-                    BoundaryLeakageWarning,
-                )
+                warnings.warn(f"boundary mass {mass:.2e} after {n} steps",
+                              BoundaryLeakageWarning)
                 warned = True
-    return current
+        observe(n, amps)
+    return LatticeState(amps)
 
 
 def free_evolve(state: LatticeState, model: WalkModel, t_steps: int) -> LatticeState:
@@ -281,16 +290,13 @@ def free_evolve(state: LatticeState, model: WalkModel, t_steps: int) -> LatticeS
 class SMatrixMeasurement:
     """Binned scattering data from one finite-time sandwich run."""
 
-    t_steps: int
     diagonal_coefficient: complex
     channel_weights: dict
-    momenta: np.ndarray
-    channel_amplitudes: dict
     boundary_mass: float
 
 
 def extract_smatrix(model: WalkModel, spec_in: GaussianPacketSpec,
-                    t_steps: int) -> SMatrixMeasurement:
+                    t_steps: int, on_step=None) -> SMatrixMeasurement:
     """Finite-time Moller sandwich U0^{-T} U^{2T} U0^{-T} on the packet.
 
     The packet is the free asymptote at time zero (centered on the
@@ -298,7 +304,8 @@ def extract_smatrix(model: WalkModel, spec_in: GaussianPacketSpec,
     the local stepper runs 2T steps, and the second free leg maps the
     result back.  For the fixed-p model the packet is projected onto the
     exchange-odd sector first, so the diagonal coefficient approximates
-    the fermionic elastic amplitude (S_diag = 1 + c).
+    the fermionic elastic amplitude (S_diag = 1 + c).  on_step is passed
+    to the interacting leg's evolve (n = 0 .. 2T).
 
     Raises the inconclusive-scattering error when the packet has not
     fully cleared the interaction region on either asymptotic leg.
@@ -318,7 +325,7 @@ def extract_smatrix(model: WalkModel, spec_in: GaussianPacketSpec,
             f"interaction region; increase t_steps or narrow the packet"
         )
 
-    middle = evolve(past, model, 2 * t_steps)
+    middle = evolve(past, model, 2 * t_steps, on_step=on_step)
     mass_out = float(np.sum(np.abs(middle.amplitudes[window]) ** 2))
     if mass_out > TRAVERSAL_TOL:
         raise ScatteringInconclusiveError(
@@ -329,21 +336,16 @@ def extract_smatrix(model: WalkModel, spec_in: GaussianPacketSpec,
 
     diag = complex(np.vdot(packet.amplitudes, out.amplitudes)) - 1.0
 
-    kk, bands = model.mode_data()
+    _, bands = model.mode_data()
     ft = np.fft.fft(out.amplitudes, axis=0) / np.sqrt(model.length)
-    weights = {}
-    amplitudes = {}
-    for label, (_, vec) in bands.items():
-        proj = np.einsum("ck,kc->k", vec, ft)
-        amplitudes[label] = proj
-        weights[label] = float(np.sum(np.abs(proj) ** 2))
+    weights = {
+        label: float(np.sum(np.abs(np.einsum("ck,kc->k", vec, ft)) ** 2))
+        for label, (_, vec) in bands.items()
+    }
     return SMatrixMeasurement(
-        t_steps=t_steps,
         diagonal_coefficient=diag,
         channel_weights=weights,
-        momenta=kk,
-        channel_amplitudes=amplitudes,
-        boundary_mass=_boundary_mass(out),
+        boundary_mass=_boundary_mass(out.amplitudes),
     )
 
 
@@ -372,12 +374,16 @@ def transmission_reflection(out_state: LatticeState, model: WalkModel,
     return float(dens[forward].sum()), float(dens[backward].sum())
 
 
-def snapshot_rows(state: LatticeState):
-    """Rows (site, component, re, im) for the CSV snapshot schema."""
-    L, ncomp = state.amplitudes.shape
-    rows = []
-    for x in range(L):
-        for c in range(ncomp):
-            z = state.amplitudes[x, c]
-            rows.append((x, c, float(z.real), float(z.imag)))
-    return rows
+def snapshot_columns(amps: np.ndarray) -> dict:
+    """Columns (site, component, re, im) of the CSV snapshot schema."""
+    L, ncomp = amps.shape
+    return {
+        "site": np.repeat(np.arange(L), ncomp).tolist(),
+        "component": np.tile(np.arange(ncomp), L).tolist(),
+        "re": amps.real.ravel().tolist(),
+        "im": amps.imag.ravel().tolist(),
+    }
+
+
+# the name perfbench/tracer.py wraps (its TARGETS predate the rename)
+snapshot_rows = snapshot_columns

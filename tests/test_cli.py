@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dtscatter import cli
+from dtscatter import cli, wavepacket
 from dtscatter.config import _SCHEMAS, COMMANDS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -140,6 +140,36 @@ def test_unwritable_output_exit_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path, DISPERSION_CFG.format(path=target))
     assert cli.main(["--config", cfg]) == 3
     assert "no_dir" in capsys.readouterr().err
+
+
+def test_unwritable_snapshot_prefix_exit_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    args = ["--config", str(GOLDEN / "wavepacket.cfg"),
+            "--set", "snapshot_every=240", "--set", "snapshot_prefix=nodir/snap_"]
+    assert cli.main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write nodir/snap_00000.csv")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not (tmp_path / "wavepacket.json").exists()
+
+
+def test_snapshot_run_steps_the_interacting_leg_once(tmp_path, monkeypatch):
+    # T = 240 in the golden config: 2T = 480 steps, not one leg per view
+    calls = []
+    kernel = wavepacket._step
+
+    def counted(*args):
+        calls.append(None)
+        return kernel(*args)
+
+    monkeypatch.setattr(wavepacket, "_step", counted)
+    monkeypatch.chdir(tmp_path)
+    args = ["--config", str(GOLDEN / "wavepacket.cfg"),
+            "--set", "snapshot_every=50", "--set", "snapshot_prefix=snap_"]
+    assert cli.main(args) == 0
+    assert len(calls) == 480
+    written = sorted(p.name for p in tmp_path.glob("snap_*.csv"))
+    assert written == [f"snap_{n:05d}.csv" for n in (*range(0, 480, 50), 480)]
 
 
 def test_all_rows_flagged_exit_2(tmp_path, capsys):

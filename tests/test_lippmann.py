@@ -160,6 +160,13 @@ def test_single_site_closed_solve_reference():
     assert cb == pytest.approx(C_BACK, abs=1e-9)
 
 
+def test_s_matrix_element_default_quadrature_resolves_reference():
+    disp, w = _setup()
+    rec = s_matrix_element(w, disp, (0.5, +1), (0.5, +1))
+    assert not rec.flagged
+    assert channel_amplitude(rec, disp) == pytest.approx(C_FWD, abs=1e-9)
+
+
 def test_single_site_unitarity():
     # forward + backward exhaust the on-shell channels of the + band,
     # so the S row must be a unit vector in the eps -> 0 limit

@@ -100,3 +100,30 @@ def test_emit_unwritable_path_reports_target(tmp_path):
     target = str(tmp_path / "missing_dir" / "out.csv")
     with pytest.raises(DtScatterError, match="missing_dir"):
         emit(small_table(), "csv", target)
+
+
+def test_undeclared_complex_column_is_split():
+    # no declare(): the split comes from scanning the column's values
+    t = ResultTable()
+    t.add_row(k=0.5, c=1.0)
+    t.add_row(k=1.0, c=0.25 - 0.5j)
+    lines = render_csv(t).split("\r\n")
+    assert lines[:3] == ["k,c_re,c_im", "0.5,1.0,0.0", "1.0,0.25,-0.5"]
+    rows = json.loads(render_json(t))["rows"]
+    assert rows[1] == {"k": 1.0, "c_re": 0.25, "c_im": -0.5}
+
+
+def test_columns_table_renders_like_add_row_table():
+    t = small_table()
+    by_columns = ResultTable(columns={name: list(values)
+                                      for name, values in t.columns.items()},
+                             metadata=dict(t.metadata),
+                             complex_columns=t.complex_columns)
+    assert render_csv(by_columns) == render_csv(t)
+    assert render_json(by_columns) == render_json(t)
+    # the snapshot shape: no declare(), real columns only
+    rows = ResultTable()
+    rows.add_row(site=0, re=0.5)
+    rows.add_row(site=1, re=-0.0)
+    cols = ResultTable(columns={"site": [0, 1], "re": [0.5, -0.0]})
+    assert render_csv(cols) == render_csv(rows)

@@ -205,10 +205,22 @@ def test_transmission_reflection_guards():
         wp.transmission_reflection(st1, m, 0.0)  # vanishing group velocity
 
 
+def test_extract_smatrix_reports_each_interacting_step_once():
+    m = wp.single_particle_model(0.8, 1.0, length=1024)
+    spec = wp.GaussianPacketSpec(k0=0.5, sigma_x=16.0, x0=512)
+    seen = []
+    meas = wp.extract_smatrix(m, spec, 300,
+                              on_step=lambda n, amps: seen.append(n))
+    assert seen == list(range(601))
+    # observing the leg leaves the measurement bit for bit
+    plain = wp.extract_smatrix(m, spec, 300)
+    assert meas.diagonal_coefficient == plain.diagonal_coefficient
+
+
 def test_snapshot_rows_schema():
     amps = np.zeros((4, 2), dtype=complex)
     amps[2, 1] = 0.25 - 0.5j
-    rows = wp.snapshot_rows(wp.LatticeState(amps))
-    assert len(rows) == 8
-    assert rows[5] == (2, 1, 0.25, -0.5)
-    assert all(len(r) == 4 for r in rows)
+    cols = wp.snapshot_columns(amps)
+    assert list(cols) == ["site", "component", "re", "im"]
+    assert all(len(c) == 8 for c in cols.values())
+    assert tuple(c[5] for c in cols.values()) == (2, 1, 0.25, -0.5)
