@@ -50,11 +50,14 @@ _CNAN = complex(_NAN, _NAN)
 
 
 def _timestamp() -> str:
+    # a SOURCE_DATE_EPOCH that is not an integer, or not a date the
+    # platform can represent, falls back to epoch zero
+    utc = datetime.timezone.utc
     try:
         epoch = int(os.environ.get("SOURCE_DATE_EPOCH", "0"))
-    except ValueError:
-        epoch = 0
-    stamp = datetime.datetime.fromtimestamp(epoch, datetime.timezone.utc)
+        stamp = datetime.datetime.fromtimestamp(epoch, utc)
+    except (ValueError, OverflowError, OSError):
+        stamp = datetime.datetime.fromtimestamp(0, utc)
     return stamp.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 

@@ -201,6 +201,10 @@ def _check_physics(params: dict, lines: dict, problems: list):
         v = params.get(key)
         if v is not None and v <= 0:
             problems.append(f"{line_of(key)}{key} must be positive, got {v}")
+    every = params.get("snapshot_every")
+    if every is not None and every < 0:
+        problems.append(f"{line_of('snapshot_every')}snapshot_every must be "
+                        f">= 0, got {every}")
     mode_index, n = params.get("mode_index"), params.get("n")
     if mode_index is not None and n is not None and not 0 <= mode_index < n:
         problems.append(f"{line_of('mode_index')}mode_index must lie in "

@@ -33,8 +33,8 @@ constant multiplies every order, so second order is a genuine prediction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 
@@ -61,27 +61,9 @@ TAIL_TOL = 1e-7
 DEFAULT_QUAD_N = 32768
 
 
-@dataclass(frozen=True)
-class PropagatorEval:
-    """Gated band-projector kernel theta(dt) * P(dx, dt) as a 2x2 block."""
-
-    dx: int
-    dt: int
-    block: np.ndarray
-
-
-@dataclass(frozen=True)
-class DysonTerm:
-    """One contraction pattern's contribution at a given order."""
-
-    order: int
-    pattern: tuple
-    value: complex
-
-
 def retarded_propagator(params: ThirringParams, dx: int, dt: int,
-                        quad_n: int = 2048) -> PropagatorEval:
-    """theta(dt) * P(dx, dt), the retarded single-particle kernel.
+                        quad_n: int = 2048) -> np.ndarray:
+    """The retarded single-particle kernel theta(dt) * P(dx, dt), a 2x2 block.
 
     P(dx, dt) = (1/2pi) int dk sum_s u^s(k) u^s(k)^T e^{-i(s*omega(k)dt + k*dx)}.
     Vanishes for dt < 0 and outside the unit-speed cone |dx| > |dt|
@@ -89,20 +71,18 @@ def retarded_propagator(params: ThirringParams, dx: int, dt: int,
     completeness.
     """
     if dt < 0:
-        return PropagatorEval(dx=dx, dt=dt, block=np.zeros((2, 2), dtype=complex))
+        return np.zeros((2, 2), dtype=complex)
     d = params.dispersion
 
     def integrand(k):
         w = d.omega(k)
         out = np.zeros((2, 2), dtype=complex)
         for s in (+1, -1):
-            a_up, a_dn = d.alpha(s, k)
-            u = np.array([a_up, a_dn])
+            u = np.array(d.alpha(s, k))
             out += np.outer(u, u) * np.exp(-1j * (s * w * dt + k * dx))
         return out
 
-    block = quadrature_bz(integrand, n=quad_n)
-    return PropagatorEval(dx=int(dx), dt=int(dt), block=block)
+    return quadrature_bz(integrand, n=quad_n)
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +91,10 @@ def retarded_propagator(params: ThirringParams, dx: int, dt: int,
 
 def _crossing_sign(pairs) -> int:
     """Fermionic sign of a pairing: parity of its crossing number."""
-    crossings = 0
     norm = [tuple(sorted(p)) for p in pairs]
-    for i in range(len(norm)):
-        for j in range(i + 1, len(norm)):
-            (a1, b1), (a2, b2) = norm[i], norm[j]
-            if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
-                crossings += 1
+    crossings = sum(a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1
+                    for i, (a1, b1) in enumerate(norm)
+                    for a2, b2 in norm[i + 1:])
     return -1 if crossings % 2 else +1
 
 
@@ -193,42 +170,93 @@ _OUT_POS = (1, 0)
 
 
 def _second_order_patterns():
-    """All complete pairings of the two-vertex string with cross-vertex
-    internal lines (same-vertex internal contractions vanish exactly)."""
+    """The complete pairings of the two-vertex string that contribute.
+
+    External legs are (mode index into ins + outs, component, z) with
+    z = +1 / -1 for an in / out leg at vertex 2 and 0 at vertex 1.
+    Internal lines join the two vertices (same-vertex contractions vanish
+    exactly).  A line has z = +1 when its psi end sits at vertex 2; with
+    T = t2 - t1 it carries theta(z*T) when written psi-first and
+    -(theta(z*T) - delta_{T,0}) when written psidag-first.  The gate
+    product is c_tail on the half-line z*T >= 1, which needs z1 = z2, and
+    c_zero at T = 0; pairings where both vanish are dropped here, once for
+    every channel.  Entries are (legs, sign, (a1, b1, a2, b2), z1, z2,
+    c_tail, c_zero), with a/b the psi/psidag components of the two lines.
+    """
     patterns = []
     for in_slots in permutations(range(4), 2):
         for out_slots in permutations(range(4), 2):
+            legs, leg_pairs = [], []
+            for i, slot in enumerate(in_slots):
+                v, comp, pos = _PSI_SLOTS[slot]
+                legs.append((i, comp, +1.0 if v == 2 else 0.0))
+                leg_pairs.append((pos, _IN_POS[i]))
+            for i, slot in enumerate(out_slots):
+                v, comp, pos = _PSIDAG_SLOTS[slot]
+                legs.append((2 + i, comp, -1.0 if v == 2 else 0.0))
+                leg_pairs.append((_OUT_POS[i], pos))
             free_psi = [i for i in range(4) if i not in in_slots]
             free_dag = [i for i in range(4) if i not in out_slots]
             for flip in (False, True):
-                match = list(zip(free_psi, reversed(free_dag) if flip
-                                 else free_dag))
-                if any(_PSI_SLOTS[a][0] == _PSIDAG_SLOTS[b][0]
-                       for a, b in match):
+                match = zip(free_psi, reversed(free_dag) if flip else free_dag)
+                lines = [(_PSI_SLOTS[a], _PSIDAG_SLOTS[b]) for a, b in match]
+                if any(psi[0] == dag[0] for psi, dag in lines):
                     continue
-                pairs = []
-                for leg_idx, slot in enumerate(in_slots):
-                    pairs.append((_PSI_SLOTS[slot][2], _IN_POS[leg_idx]))
-                for leg_idx, slot in enumerate(out_slots):
-                    pairs.append((_OUT_POS[leg_idx], _PSIDAG_SLOTS[slot][2]))
-                lines = []
-                for a, b in match:
-                    vp, comp_a, pos_a = _PSI_SLOTS[a]
-                    vd, comp_b, pos_b = _PSIDAG_SLOTS[b]
-                    pairs.append(tuple(sorted((pos_a, pos_b))))
-                    lines.append((vp, comp_a, vd, comp_b, pos_a < pos_b))
-                patterns.append((in_slots, out_slots, tuple(lines),
-                                 _crossing_sign(pairs)))
-    return patterns
+                pairs = leg_pairs + [(psi[2], dag[2]) for psi, dag in lines]
+                (v1, a1, p1), (_, b1, d1) = lines[0]
+                (v2, a2, p2), (_, b2, d2) = lines[1]
+                z1, z2 = (+1.0 if v == 2 else -1.0 for v in (v1, v2))
+                g1 = +1.0 if p1 < d1 else -1.0      # +1: psi written first
+                g2 = +1.0 if p2 < d2 else -1.0
+                c_tail = g1 * g2 if z1 == z2 else 0.0
+                c_zero = 1.0 if g1 > 0 and g2 > 0 else 0.0
+                if c_tail or c_zero:
+                    patterns.append((tuple(legs), _crossing_sign(pairs),
+                                     (a1, b1, a2, b2), z1, z2, c_tail, c_zero))
+    return tuple(patterns)
 
 
 _PATTERNS_ORDER2 = _second_order_patterns()
 
 
-def _geometric_tail(phi, eps):
-    """sum_{T>=1} e^{(i*phi - eps)T} in closed form."""
-    r = np.exp(1j * phi - eps)
-    return r / (1.0 - r)
+def _fold_weights(d, modes, q1):
+    """Sum the surviving pairings' static weights sign * leg_amp * u1 * u2.
+
+    Returns the zone mean of the T = 0 weight, the weight of each distinct
+    tail (q2 branch, phase constant, s_a, s_b), and omega on each q2 branch.
+    A T <= -1 half-line is the T >= 1 tail of the mirrored phase, so both
+    regions share one key.  The eigenvector arrays are released on return,
+    before the regulator loop allocates its temporaries.
+    """
+    alpha1 = {s: d.alpha(s, q1) for s in (+1, -1)}
+    alpha2 = {}     # q2 branch (z2*k_legs rounded, z1*z2) -> alphas at q2
+    omega2 = {}
+    tails = {}
+    zero = 0.0
+    for legs, sign, (a1, b1, a2, b2), z1, z2, c_tail, c_zero in _PATTERNS_ORDER2:
+        # static leg factors and the vertex-2 leg momentum and phase
+        leg_amp, k_legs, w_legs = 1.0, 0.0, 0.0
+        for i, comp, z in legs:
+            k, _, w, alpha = modes[i]
+            leg_amp *= alpha[comp]
+            if z:
+                k_legs += z * k
+                w_legs += z * w
+        branch = (round(z2 * k_legs, 14), z1 * z2)
+        if branch not in alpha2:
+            q2 = wrap_momentum(z2 * k_legs - z1 * z2 * q1)
+            omega2[branch] = d.omega(q2)
+            alpha2[branch] = {s: d.alpha(s, q2) for s in (+1, -1)}
+        for s_a, al1 in alpha1.items():
+            u1 = al1[a1] * al1[b1]
+            for s_b, al2 in alpha2[branch].items():
+                weight = sign * leg_amp * u1 * (al2[a2] * al2[b2])
+                if c_zero:
+                    zero = zero + weight
+                if c_tail:
+                    key = (branch, -z1 * w_legs, s_a, s_b)
+                    tails[key] = tails.get(key, 0.0) + c_tail * weight
+    return np.mean(zero), tails, omega2
 
 
 def second_order_amplitude(params: ThirringParams, ch_in: ThirringChannel,
@@ -237,10 +265,13 @@ def second_order_amplitude(params: ThirringParams, ch_in: ThirringChannel,
     """Order-chi^2 amplitude from the full two-vertex contraction sum.
 
     The two internal lines carry loop momenta; the relative-position sum
-    pins the second to q2 = +-(K - +-q1) and the relative-time sum is a
-    damped geometric series in closed form, split into the T = 0 term
-    and the two half-lines.  The damping eps is extrapolated to zero
-    through EPS_SCHEDULE; the integrand develops poles of width
+    pins the second to q2 = z2*k_legs - z1*z2*q1, with k_legs the momentum
+    of the external legs at vertex 2, and the relative-time sum
+    splits into the T = 0 term and the half-line z*T >= 1, a damped
+    geometric series sum_T r^T = r/(1 - r) with r = e^{i*phi - eps} and
+    phi = -z*w_legs - w1 - w2.  Each distinct tail is evaluated once
+    per regulator on its folded weight.  The damping eps is extrapolated
+    to zero through EPS_SCHEDULE; the integrand develops poles of width
     eps/|slope| in q1, so quad_n must keep n*eps well above the maximal
     band slope for every retained eps.  Raises a truncation error when
     the extrapolation's self-estimate exceeds TAIL_TOL.
@@ -248,86 +279,16 @@ def second_order_amplitude(params: ThirringParams, ch_in: ThirringChannel,
     if not _on_shell(params, ch_in, ch_out):
         return 0.0j
     d = params.dispersion
-    ins = _channel_modes(params, ch_in)
-    outs = _channel_modes(params, ch_out)
-
     q1 = bz_grid(quad_n)
-    omega_q1 = {s: s * d.omega(q1) for s in (+1, -1)}
-    alpha_q1 = {s: np.stack(d.alpha(s, q1)) for s in (+1, -1)}
-    q2_cache: dict = {}
-
-    def q2_data(c0: float, c1: float):
-        key = (round(c0, 14), c1)
-        if key not in q2_cache:
-            q2 = wrap_momentum(c0 - c1 * q1)
-            q2_cache[key] = (
-                q2,
-                {s: s * d.omega(q2) for s in (+1, -1)},
-                {s: np.stack(d.alpha(s, q2)) for s in (+1, -1)},
-            )
-        return q2_cache[key]
-
-    totals = np.zeros(len(EPS_SCHEDULE), dtype=complex)
-
-    for in_slots, out_slots, lines, sign in _PATTERNS_ORDER2:
-        # static leg factors and the v2 leg phase coefficients
-        leg_amp = 1.0
-        k_legs = 0.0
-        w_legs = 0.0
-        ok = True
-        for leg, slot in zip(ins, in_slots):
-            v, comp, _ = _PSI_SLOTS[slot]
-            leg_amp *= leg[3][comp]
-            if v == 2:
-                k_legs += leg[0]
-                w_legs += leg[2]
-        for leg, slot in zip(outs, out_slots):
-            v, comp, _ = _PSIDAG_SLOTS[slot]
-            leg_amp *= leg[3][comp]
-            if v == 2:
-                k_legs -= leg[0]
-                w_legs -= leg[2]
-        if leg_amp == 0.0:
-            continue
-
-        (vp1, a1, vd1, b1, left1), (vp2, a2, vd2, b2, left2) = lines
-        z1 = +1.0 if vp1 == 2 else -1.0
-        z2 = +1.0 if vp2 == 2 else -1.0
-        # gate products on the three time regions
-        def gates(zeta, left_is_psi):
-            g_plus = 1.0 if zeta > 0 else 0.0
-            g_minus = 1.0 if zeta < 0 else 0.0
-            gz = 1.0
-            if not left_is_psi:
-                g_plus, g_minus, gz = -g_plus, -g_minus, 0.0
-            return g_plus, g_minus, gz
-
-        gp1, gm1, gz1 = gates(z1, left1)
-        gp2, gm2, gz2 = gates(z2, left2)
-        c_plus = gp1 * gp2
-        c_minus = gm1 * gm2
-        c_zero = gz1 * gz2
-        if c_plus == 0.0 and c_minus == 0.0 and c_zero == 0.0:
-            continue
-
-        q2, omega_q2, alpha_q2 = q2_data(z2 * k_legs, z1 * z2)
-        for s_a in (+1, -1):
-            u1 = alpha_q1[s_a][a1] * alpha_q1[s_a][b1]
-            w1 = omega_q1[s_a]
-            for s_b in (+1, -1):
-                u2 = alpha_q2[s_b][a2] * alpha_q2[s_b][b2]
-                w2 = omega_q2[s_b]
-                weight = sign * leg_amp * u1 * u2
-                phi = -w_legs - z1 * w1 - z2 * w2
-                for i, eps in enumerate(EPS_SCHEDULE):
-                    acc = np.zeros(quad_n, dtype=complex)
-                    if c_zero:
-                        acc += c_zero
-                    if c_plus:
-                        acc += c_plus * _geometric_tail(phi, eps)
-                    if c_minus:
-                        acc += c_minus * _geometric_tail(-phi, eps)
-                    totals[i] += np.mean(weight * acc)
+    modes = _channel_modes(params, ch_in) + _channel_modes(params, ch_out)
+    zero, tails, omega2 = _fold_weights(d, modes, q1)
+    omega1 = d.omega(q1)
+    totals = np.full(len(EPS_SCHEDULE), zero, dtype=complex)
+    for (branch, const, s_a, s_b), weight in tails.items():
+        phi = const - s_a * omega1 - s_b * omega2[branch]
+        for i, eps in enumerate(EPS_SCHEDULE):
+            r = np.exp(1j * phi - eps)
+            totals[i] += np.mean(weight * (r / (1.0 - r)))
 
     ext = epsilon_extrapolate(totals, EPS_SCHEDULE)
     if ext.error > TAIL_TOL:
@@ -338,28 +299,6 @@ def second_order_amplitude(params: ThirringParams, ch_in: ThirringChannel,
     jac = _out_jacobian(params, ch_out)
     pref = LEG_NORM * (1j * params.chi) ** 2 / 2.0
     return complex(pref * ext.value / jac)
-
-
-def second_order_terms(params: ThirringParams, ch_in: ThirringChannel,
-                       ch_out: ThirringChannel) -> list[DysonTerm]:
-    """The nonvanishing second-order contraction patterns (for inspection).
-
-    Values are the per-pattern static weights sign * (leg alphas); the
-    shared time/momentum machinery of second_order_amplitude is not
-    repeated per term.
-    """
-    ins = _channel_modes(params, ch_in)
-    outs = _channel_modes(params, ch_out)
-    out = []
-    for in_slots, out_slots, lines, sign in _PATTERNS_ORDER2:
-        amp = 1.0
-        for leg, slot in zip(ins, in_slots):
-            amp *= leg[3][_PSI_SLOTS[slot][1]]
-        for leg, slot in zip(outs, out_slots):
-            amp *= leg[3][_PSIDAG_SLOTS[slot][1]]
-        out.append(DysonTerm(order=2, pattern=(in_slots, out_slots, lines),
-                             value=complex(sign * amp)))
-    return out
 
 
 def lambda_chi_reconcile(lambda_coeffs, order_n: int) -> np.ndarray:
@@ -376,10 +315,7 @@ def lambda_chi_reconcile(lambda_coeffs, order_n: int) -> np.ndarray:
         )
     # lam(chi) as a chi-polynomial up to chi^order_n (constant term zero)
     lam_poly = np.zeros(order_n + 1, dtype=complex)
-    fact = 1.0
-    for r in range(1, order_n + 1):
-        fact *= r
-        lam_poly[r] = 1j ** r / fact
+    lam_poly[1:] = [1j ** r / factorial(r) for r in range(1, order_n + 1)]
     result = np.zeros(order_n + 1, dtype=complex)
     power = np.zeros(order_n + 1, dtype=complex)
     power[0] = 1.0
@@ -387,10 +323,7 @@ def lambda_chi_reconcile(lambda_coeffs, order_n: int) -> np.ndarray:
         # power <- lam_poly^m truncated
         new = np.zeros(order_n + 1, dtype=complex)
         for i in range(order_n + 1):
-            if power[i] == 0.0:
-                continue
-            jmax = order_n - i
-            new[i:] += power[i] * lam_poly[: jmax + 1]
+            new[i:] += power[i] * lam_poly[: order_n - i + 1]
         power = new
         result += a[m - 1] * power
     return result[1:]

@@ -16,16 +16,6 @@ Everything is evaluated densely on a finite model; the reference model
 for sweeps is a nearest-neighbour hopping ring with a few-site potential
 (``hopping_ring_model``), which satisfies the bounded-spectrum and
 weak-potential assumptions exactly.
-
-A note on the recorded O(tau) benchmark: t_difference returns the
-reference prediction -i*tau*T*V this comparison was specified against.
-Empirically (and by expanding both factors of the stepped equation) the
-O(tau) pieces of W~ and G~0 cancel against each other, and the measured
-difference shrinks quadratically, with leading term
-(tau^2/12) * T (H0 + V - z) T.  convergence_sweep reports the honest
-fitted slope; acceptance criterion 5 pins the quadratic law (slope
-2.00 +- 0.05) and its tau^2/12 leading term (fitted prefactor within 10%
-of ||T (H0 + V - z) T|| / 12).
 """
 
 from __future__ import annotations
@@ -401,27 +391,23 @@ def secondary_comb_indices(model: DiscreteModel, omega_in: float) -> list[int]:
 
 @dataclass(frozen=True, eq=False)
 class TrotterDifference:
-    """Measured stepped-vs-continuous T gap and the recorded benchmarks.
+    """Measured stepped-vs-continuous T gap and its leading term.
 
     difference: dense T~(z) - T(z); element: its (kp, k) eigenmode element.
-    prediction / prediction_element: the -i*tau*T*V reference value this
-    comparison was specified against (the measured gap is empirically
-    O(tau^2); see module docstring).  weak_v_element: the S-convention
-    second-order-in-V benchmark -2*pi*tau*<kp|V^2|k>.
+    leading: (tau^2/12) * T (H0 + V - z) T.  The O(tau) pieces of W~ and
+    G~0 cancel against each other, so this is the gap's leading term.
     """
 
     tau: float
     z: complex
     difference: np.ndarray
-    prediction: np.ndarray
     element: complex
-    prediction_element: complex
-    weak_v_element: complex
+    leading: np.ndarray
 
 
 def t_difference(model: ContinuousModel, k: int, kp: int, tau: float,
                  eps: float) -> TrotterDifference:
-    """T~(z) - T(z) at z = omega_k + i*eps, with recorded benchmarks.
+    """T~(z) - T(z) at z = omega_k + i*eps, with its leading term.
 
     Steps larger than the certified threshold are computed anyway but
     flagged with an uncertified-regime warning.
@@ -438,17 +424,14 @@ def t_difference(model: ContinuousModel, k: int, kp: int, tau: float,
     disc = DiscreteModel(continuous=model, tau=tau)
     t_disc = t_discrete_operator(disc, z)
     difference = t_disc - t_cont
-    prediction = -1j * tau * (t_cont @ model.v)
     bra = model.evecs[:, kp].conj()
     ket = model.evecs[:, k]
-    v2 = model.v @ model.v
+    shifted = model.h0 + model.v - z * np.eye(model.dim)
     return TrotterDifference(
         tau=float(tau), z=z,
         difference=difference,
-        prediction=prediction,
         element=complex(bra @ difference @ ket),
-        prediction_element=complex(bra @ prediction @ ket),
-        weak_v_element=complex(-2.0 * np.pi * tau * (bra @ v2 @ ket)),
+        leading=(tau ** 2 / 12.0) * (t_cont @ shifted @ t_cont),
     )
 
 

@@ -107,6 +107,18 @@ def test_config_problems_exit_1(tmp_path, capsys):
     assert "nu must lie in [0, 1]" in capsys.readouterr().err
 
 
+def test_out_of_range_source_date_epoch_falls_back_to_zero(
+        tmp_path, monkeypatch, capsys):
+    out = tmp_path / "disp.json"
+    cfg = write_cfg(tmp_path, DISPERSION_CFG.format(path=out))
+    for epoch in ("99999999999999", "999999999999999999999"):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        assert cli.main(["--config", cfg]) == 0
+        assert capsys.readouterr().err == ""
+        generated = json.loads(out.read_text())["metadata"]["generated"]
+        assert generated == "1970-01-01T00:00:00Z"
+
+
 def test_usage_error_exit_1(capsys):
     assert cli.main([]) == 1
     assert cli.main(["--version"]) == 0
@@ -251,6 +263,8 @@ _BAD_INPUTS = [
     ("born", ("chi=nan",), 1, "chi must be finite"),
     ("dyson", ("chi=nan",), 1, "chi must be finite"),
     ("wavepacket", ("chi=nan",), 1, "chi must be finite"),
+    ("wavepacket", ("snapshot_every=-5",), 1,
+     "override: snapshot_every must be >= 0"),
 ]
 
 

@@ -27,17 +27,17 @@ def elastic(params):
 
 
 def test_retarded_propagator_identity_and_cone(params):
-    assert np.abs(dy.retarded_propagator(params, 0, 0).block - np.eye(2)).max() < 1e-14
+    assert np.abs(dy.retarded_propagator(params, 0, 0) - np.eye(2)).max() < 1e-14
     # strictly retarded and inside the unit-speed cone
-    assert np.abs(dy.retarded_propagator(params, 1, -1).block).max() == 0.0
+    assert np.abs(dy.retarded_propagator(params, 1, -1)).max() == 0.0
     for dx, dt in [(2, 1), (-2, 1), (4, 3), (-5, 2)]:
-        assert np.abs(dy.retarded_propagator(params, dx, dt).block).max() < 1e-13
+        assert np.abs(dy.retarded_propagator(params, dx, dt)).max() < 1e-13
 
 
 def test_retarded_propagator_one_step(params):
     # one step of the free walk: the coin mixes components with weight -i*mu
     mu = np.sqrt(1.0 - NU**2)
-    p01 = dy.retarded_propagator(params, 0, 1).block
+    p01 = dy.retarded_propagator(params, 0, 1)
     np.testing.assert_allclose(p01, [[0.0, -1j * mu], [-1j * mu, 0.0]], atol=1e-14)
 
 
@@ -46,7 +46,7 @@ def test_retarded_propagator_one_step(params):
 def test_retarded_propagator_vs_matrix_power(params, dx, dt):
     # the kernel's dx is the source-relative displacement:
     # P(dx, dt) = <x0 - dx| U0^dt |x0> on a ring large enough to avoid wrap
-    mine = dy.retarded_propagator(params, dx, dt).block
+    mine = dy.retarded_propagator(params, dx, dt)
     dense = oracles.propagator_matrix_power(NU, 64, -dx, dt)
     assert np.abs(mine - dense).max() < 1e-12
 
@@ -78,6 +78,16 @@ def test_second_order_elastic_coefficient(params, elastic):
     want = (1j * params.chi) ** 2 * A_REF**2
     assert abs(got - want) < 1e-10
     assert abs(got.imag) < 1e-10
+    # away from the reference point (p > pi/4, chi < 0, p < 0), to the
+    # route's own TAIL_TOL scale
+    for nu, chi, p, k in [(0.5, 2.5, 1.1, 0.4), (0.6, -1.3, 0.2, 1.2),
+                          (0.3, 0.4, -0.9, 0.2)]:
+        other = ThirringParams(nu=nu, chi=chi)
+        xy = xy_factors(other, p, k)
+        a = (xy.y - xy.x) / (2.0 * (xy.x + xy.y))
+        ch = channel(other, p, k, +1, +1)
+        got = dy.second_order_amplitude(other, ch, ch)
+        assert abs(got - (1j * chi) ** 2 * a**2) < 1e-6, (nu, chi, p, k)
 
 
 def test_second_order_underresolved_raises(params, elastic):
@@ -85,13 +95,6 @@ def test_second_order_underresolved_raises(params, elastic):
     # grid must be rejected by the extrapolation self-estimate, not smoothed
     with pytest.raises(TruncationError, match="increase quad_n"):
         dy.second_order_amplitude(params, elastic, elastic, quad_n=1024)
-
-
-def test_second_order_terms_inventory(params, elastic):
-    terms = dy.second_order_terms(params, elastic, elastic)
-    assert len(terms) == 80
-    assert all(t.order == 2 for t in terms)
-    assert all(np.isfinite(t.value) for t in terms)
 
 
 def test_lambda_chi_reconcile_identity():

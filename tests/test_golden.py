@@ -5,7 +5,9 @@ path; the file of that name beside it is the output the CLI produced with
 SOURCE_DATE_EPOCH=0.  A refactor that claims to leave the numbers alone
 must keep these files unchanged.  After an intended output change,
 regenerate them from inside ``tests/golden`` with
-``SOURCE_DATE_EPOCH=0 dtscatter --config <command>.cfg``.
+``SOURCE_DATE_EPOCH=0 dtscatter --config <command>.cfg`` when the package
+is installed, or in a checkout with
+``SOURCE_DATE_EPOCH=0 PYTHONPATH=../../src python -m dtscatter.cli --config <command>.cfg``.
 """
 
 import hashlib

@@ -97,7 +97,7 @@ def test_delta_evolution_matches_retarded_kernel():
         for _ in range(5):
             cur = wp.step(cur, m)
     for d in range(-6, 7):
-        blk = dy.retarded_propagator(params, -d, 5).block
+        blk = dy.retarded_propagator(params, -d, 5)
         np.testing.assert_allclose(cur.amplitudes[(32 + d) % 64], blk[:, 0],
                                    atol=1e-12)
     # strict cone: nothing beyond |dx| = t
