@@ -23,6 +23,8 @@ import os
 import sys
 import warnings
 
+import numpy as np
+
 from . import __version__
 from .config import RunConfig, parse_config
 from .dyson import first_order_amplitude, lambda_chi_reconcile, second_order_amplitude
@@ -32,6 +34,7 @@ from .tables import ResultTable, emit
 from .thirring import (
     ThirringParams,
     amplitude_pp,
+    amplitude_pp_grid,
     born_series_thirring,
     channel,
     jacobian_pp,
@@ -83,15 +86,15 @@ def _band_label(label: tuple) -> str:
 
 def _run_dispersion(cfg: RunConfig) -> ResultTable:
     d = make_dispersion(cfg.params["nu"])
+    k = np.array(cfg.grids["k"], dtype=float)
+    au, ad = d.alpha(+1, k)
     table = ResultTable(metadata=_metadata(cfg))
     table.declare(("k", "omega", "omega_prime", "alpha_up", "alpha_dn",
                    "flagged", "note"))
-    for k in cfg.grids["k"]:
-        au, ad = d.alpha(+1, k)
-        table.add_row(k=float(k), omega=float(d.omega(k)),
-                      omega_prime=float(d.omega_prime(k)),
-                      alpha_up=float(au), alpha_dn=float(ad),
-                      flagged=False, note="")
+    table.add_rows(k=k.tolist(), omega=d.omega(k).tolist(),
+                   omega_prime=d.omega_prime(k).tolist(),
+                   alpha_up=au.tolist(), alpha_dn=ad.tolist(),
+                   flagged=[False] * k.size, note=[""] * k.size)
     return table
 
 
@@ -278,23 +281,38 @@ def _run_wavepacket(cfg: RunConfig) -> ResultTable:
 
 
 def _run_sweep(cfg: RunConfig) -> ResultTable:
-    axes = ("nu", "chi", "p", "k")
-    values = [
+    nus, chis, ps, ks = (
         [float(v) for v in cfg.grids[a]] if a in cfg.grids
         else [float(cfg.params[a])]
-        for a in axes
-    ]
+        for a in ("nu", "chi", "p", "k")
+    )
+    # rows in itertools.product(nu, chi, p, k) order: one (p, k) block of
+    # n points per (nu, chi), evaluated in one array pass
+    p_col = [p for p in ps for _ in ks]
+    k_col = ks * len(ps)
+    n = len(p_col)
     table = ResultTable(metadata=_metadata(cfg))
     table.declare(("nu", "chi", "p", "k", "coefficient", "flagged", "note"),
                   complex_names=("coefficient",))
-    for nu, chi, p, k in itertools.product(*values):
+    for nu, chi in itertools.product(nus, chis):
         try:
-            c = amplitude_pp(ThirringParams(nu=nu, chi=chi), p, k).coefficient
-            flagged, note = False, ""
+            params = ThirringParams(nu=nu, chi=chi)
         except DtScatterError as exc:
-            c, flagged, note = _CNAN, True, str(exc)
-        table.add_row(nu=nu, chi=chi, p=p, k=k, coefficient=c,
-                      flagged=flagged, note=note)
+            coefficient, flagged, note = [_CNAN] * n, [True] * n, [str(exc)] * n
+        else:
+            coefficient = amplitude_pp_grid(params, p_col, k_col)
+            flagged, note = [False] * n, [""] * n
+            # the scalar closed form resolves what the pass left open, so
+            # its typed error is the one source of each note
+            for i, c in enumerate(coefficient):
+                if c is None:
+                    try:
+                        coefficient[i] = amplitude_pp(
+                            params, p_col[i], k_col[i]).coefficient
+                    except DtScatterError as exc:
+                        coefficient[i], flagged[i], note[i] = _CNAN, True, str(exc)
+        table.add_rows(nu=[nu] * n, chi=[chi] * n, p=p_col, k=k_col,
+                       coefficient=coefficient, flagged=flagged, note=note)
     return table
 
 

@@ -78,16 +78,17 @@ class Dispersion:
 
         Real unit vector (mu, g_s(k)) / |N_s(k)|.  At nu = 1 the walk
         matrix is diagonal and the canonical-basis convention applies.
+        k may be a scalar or an array; both give the same bits, which is
+        why g_s is squared by a product (on a numpy scalar ``**2`` calls
+        libm pow, on an array it is an exactly rounded square).
         """
         if self.nu == 1.0:
             # diagonal walk: e^{-i|k|} sits in the lower entry for k > 0,
             # in the upper entry for k < 0; k = 0 resolved as (0, 1).
-            plus_is_lower = float(k) > 0 or float(k) == 0.0
-            if (s == +1) == plus_is_lower:
-                return 0.0, 1.0
-            return 1.0, 0.0
+            lower = (s == +1) == (np.asarray(k) >= 0.0)
+            return np.where(lower, 0.0, 1.0)[()], np.where(lower, 1.0, 0.0)[()]
         gs = self.g(s, k)
-        norm = np.sqrt(self.mu**2 + gs**2)
+        norm = np.sqrt(self.mu**2 + gs * gs)
         return self.mu / norm, gs / norm
 
 

@@ -42,14 +42,20 @@ class ResultTable:
         self.columns = {name: [] for name in names}
         self.complex_columns = frozenset(complex_names)
 
-    def add_row(self, **kwargs):
-        if self.columns and set(kwargs) != set(self.columns):
+    def add_rows(self, **columns):
+        """Append rows given column-wise, one sequence per column."""
+        if self.columns and set(columns) != set(self.columns):
             raise DtScatterError(
-                f"row keys {sorted(kwargs)} do not match table columns "
+                f"row keys {sorted(columns)} do not match table columns "
                 f"{sorted(self.columns)}"
             )
-        for name, value in kwargs.items():
-            self.columns.setdefault(name, []).append(value)
+        if len({len(values) for values in columns.values()}) > 1:
+            raise DtScatterError("added columns differ in length")
+        for name, values in columns.items():
+            self.columns.setdefault(name, []).extend(values)
+
+    def add_row(self, **kwargs):
+        self.add_rows(**{name: (value,) for name, value in kwargs.items()})
 
 
 def _flat_columns(table: ResultTable):

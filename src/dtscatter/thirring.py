@@ -23,7 +23,8 @@ Key objects:
   (regularized quadrature) it must agree with; the scalar remainder
   entries of the pole route are validated against that route only.
 * ``t_closed_thirring`` / ``amplitude_pp`` -- closed forms obtained by
-  resumming the geometric Born series.
+  resumming the geometric Born series; ``amplitude_pp_grid`` evaluates
+  the latter over many points at once.
 * ``umklapp_amplitudes`` -- the elastic and band-flip records related by
   exact sign flips.
 * ``born_series_thirring`` -- the partial sums themselves, kept as an
@@ -113,11 +114,12 @@ class XYFactors:
 
     x = a_{+,up}(p+k) * a_{+,down}(p-k), y = a_{+,down}(p+k) * a_{+,up}(p-k)
     with a the band-eigenvector components.  k = 0 gives x = y, which is
-    why the antisymmetric state decouples there.
+    why the antisymmetric state decouples there.  Floats for one point,
+    arrays for arrays of points.
     """
 
-    x: float
-    y: float
+    x: float | np.ndarray
+    y: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -151,12 +153,18 @@ def com_inverse(p: float, k: float) -> tuple[float, float]:
     return float(wrap_momentum(p + k)), float(wrap_momentum(p - k))
 
 
-def _check_total_momentum(p: float) -> None:
-    r = p - _HALF_PI * np.round(p / _HALF_PI)
-    if abs(r) < DEGENERATE_P_TOL:
+def _degenerate_total_momentum(p):
+    """Where p sits on a multiple of pi/2 (elementwise for an array)."""
+    return np.abs(p - _HALF_PI * np.round(p / _HALF_PI)) < DEGENERATE_P_TOL
+
+
+def _check_total_momentum(p) -> None:
+    bad = _degenerate_total_momentum(p)
+    if np.any(bad):
         raise DegenerateMomentumError(
-            f"total momentum p = {p} sits on a multiple of pi/2 where the "
-            "relative-coordinate reduction degenerates"
+            f"total momentum p = {np.extract(bad, p)[0].item()} sits on a "
+            "multiple of pi/2 where the relative-coordinate reduction "
+            "degenerates"
         )
 
 
@@ -179,8 +187,12 @@ def channel(params: ThirringParams, p: float, k: float,
                            omega=two_particle_omega(params, p, k, s1, s2))
 
 
-def xy_factors(params: ThirringParams, p: float, k: float) -> XYFactors:
-    """Overlap products (x, y) for the upper-band pair at (p, k)."""
+def xy_factors(params: ThirringParams, p, k) -> XYFactors:
+    """Overlap products (x, y) for the upper-band pair at (p, k).
+
+    p and k may be arrays of one shape; x and y are then arrays holding
+    the bits of the pointwise calls.
+    """
     if params.nu >= 1.0:
         raise DomainError(
             "xy factors need a gapped band pair (nu < 1); the chiral point "
@@ -190,7 +202,10 @@ def xy_factors(params: ThirringParams, p: float, k: float) -> XYFactors:
     d = params.dispersion
     a_up_1, a_dn_1 = d.alpha(+1, p + k)
     a_up_2, a_dn_2 = d.alpha(+1, p - k)
-    return XYFactors(x=float(a_up_1 * a_dn_2), y=float(a_dn_1 * a_up_2))
+    x, y = a_up_1 * a_dn_2, a_dn_1 * a_up_2
+    if np.ndim(x) == 0:
+        x, y = float(x), float(y)
+    return XYFactors(x=x, y=y)
 
 
 def _pair_vector(d: Dispersion, s1: int, s2: int, p: float, k: float) -> np.ndarray:
@@ -425,14 +440,14 @@ def t_closed_thirring(params: ThirringParams, p: float, k: float) -> np.ndarray:
     return (lam / den) * np.array([[diag, off], [off, diag]], dtype=complex)
 
 
-def _amplitude_coefficient(params: ThirringParams, f: XYFactors) -> complex:
-    lam = params.lam
-    den = (lam + 1.0) * f.x + f.y
+def _amplitude_coefficient(lam: complex, x: float, y: float) -> complex:
+    # Python complex arithmetic: numpy's complex division rounds differently
+    den = (lam + 1.0) * x + y
     if abs(den) < 1e-12:
         raise ResonancePoleError(
             f"amplitude denominator (lam+1)x + y = {den} vanishes"
         )
-    return lam * (f.y - f.x) / (2.0 * den)
+    return lam * (y - x) / (2.0 * den)
 
 
 def amplitude_pp(params: ThirringParams, p: float, k: float) -> AmplitudeRecord:
@@ -447,10 +462,36 @@ def amplitude_pp(params: ThirringParams, p: float, k: float) -> AmplitudeRecord:
             f"relative momentum k = {k} outside the analyzed branch [0, pi/2]"
         )
     f = xy_factors(params, p, k)
-    c = _amplitude_coefficient(params, f)
+    c = _amplitude_coefficient(params.lam, f.x, f.y)
     ch = channel(params, p, k, +1, +1)
     return AmplitudeRecord(in_channel=ch, out_channel=ch, comb_index=0,
                            coefficient=c)
+
+
+def amplitude_pp_grid(params: ThirringParams, p, k) -> list:
+    """amplitude_pp's coefficient at every point (p[i], k[i]) in one pass.
+
+    p and k are 1-d sequences of one length.  Entry i holds the bits of
+    ``amplitude_pp(params, p[i], k[i]).coefficient``, or None where that
+    call raises: nu = 1, k outside [0, pi/2], p on a multiple of pi/2, or
+    a vanishing denominator.  The overlap products are evaluated as
+    arrays, the coefficient element by element.
+    """
+    p = np.asarray(p, dtype=float)
+    k = np.asarray(k, dtype=float)
+    out = [None] * p.size
+    if params.nu >= 1.0:
+        return out
+    valid = (0.0 <= k) & (k <= _HALF_PI) & ~_degenerate_total_momentum(p)
+    (index,) = np.nonzero(valid)
+    f = xy_factors(params, p[index], k[index])
+    lam = params.lam
+    for i, x, y in zip(index.tolist(), f.x.tolist(), f.y.tolist()):
+        try:
+            out[i] = _amplitude_coefficient(lam, x, y)
+        except ResonancePoleError:
+            pass
+    return out
 
 
 def umklapp_amplitudes(params: ThirringParams, p: float, k: float

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dtscatter import cli, wavepacket
-from dtscatter.config import _SCHEMAS, COMMANDS
+from dtscatter.config import _SCHEMAS, COMMANDS, parse_config
+from dtscatter.errors import DtScatterError
+from dtscatter.thirring import ThirringParams, amplitude_pp
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -217,6 +219,40 @@ path = {path}
     assert [r["k"] for r in doc["rows"]] == [0.9, 0.4, 1.2]  # grid order
 
 
+def test_batched_sweep_matches_pointwise_closed_form():
+    # every flag kind: nu out of range, nu = 1, k < 0, k > pi/2, p on a
+    # multiple of pi/2, and the resonance (lam+1)x + y = 0 at chi = pi, k = 0
+    cfg = parse_config(f"""\
+[run]
+command = sweep
+[grid]
+nu = 0.8, 1.0, 1.5, 0.3
+chi = 1.0, {math.pi!r}, -2.0
+p = 0.0, {math.pi / 2!r}, 0.3, -0.4, 1.1
+k = -0.2, 0.0, 0.35, 0.7, {math.pi / 2!r}, 2.0
+[output]
+path = unused.csv
+""")
+    cols = cli.run(cfg).columns
+    notes = set()
+    for i, point in enumerate(zip(cols["nu"], cols["chi"], cols["p"], cols["k"])):
+        nu, chi, p, k = point
+        try:
+            want = amplitude_pp(ThirringParams(nu=nu, chi=chi), p, k).coefficient
+            note = ""
+        except DtScatterError as exc:
+            want, note = None, str(exc)
+        assert cols["note"][i] == note, point
+        assert cols["flagged"][i] is (want is None), point
+        got = cols["coefficient"][i]
+        if want is None:
+            assert math.isnan(got.real) and math.isnan(got.imag), point
+        else:
+            assert got == want, point
+        notes.add(note.split(" ")[0])
+    assert notes == {"", "nu", "xy", "relative", "total", "amplitude"}
+
+
 def test_wavepacket_run_with_snapshots(tmp_path):
     wp = """\
 [run]
@@ -286,7 +322,8 @@ def test_bad_inputs_end_in_flags_or_one_error_line(
         assert rows and all(r["flagged"] and message in r["note"] for r in rows)
 
 
-EDGE_FLOATS = (0.0, math.pi / 2, -1.0, -0.3, math.nan, math.inf, -math.inf)
+EDGE_FLOATS = (0.0, math.pi / 2, 1.0, -1.0, -0.3, math.nan, math.inf,
+               -math.inf)
 EDGE_INTS = (-5, -1, 0, 40)
 
 # valid range per parameter; sizes capped to keep each example short

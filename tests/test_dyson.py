@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from dtscatter import dyson as dy
-from dtscatter.errors import DomainError, TruncationError
+from dtscatter.errors import DomainError, DtScatterError, TruncationError
 from dtscatter.thirring import ThirringParams, channel, xy_factors
 
 NU, P_TOT, K_REL = 0.8, 0.3, 0.7
@@ -95,6 +95,18 @@ def test_second_order_underresolved_raises(params, elastic):
     # grid must be rejected by the extrapolation self-estimate, not smoothed
     with pytest.raises(TruncationError, match="increase quad_n"):
         dy.second_order_amplitude(params, elastic, elastic, quad_n=1024)
+
+
+def test_second_order_at_chiral_point_ends_typed():
+    # nu = 1 evaluates alpha on the whole loop grid; the outcome must be a
+    # value or a typed error, never a raw TypeError
+    params = ThirringParams(nu=1.0, chi=1.0)
+    ch = channel(params, P_TOT, K_REL, +1, +1)
+    try:
+        value = dy.second_order_amplitude(params, ch, ch, quad_n=1024)
+    except DtScatterError:
+        return
+    assert np.isfinite(value)
 
 
 def test_lambda_chi_reconcile_identity():

@@ -45,6 +45,29 @@ def test_alpha_unit_norm_and_orthogonality():
         assert up1 * up2 + dn1 * dn2 == pytest.approx(0.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("nu", [0.0, 0.37, 0.8, 0.999, 1.0])
+def test_alpha_array_matches_scalar_bitwise(nu):
+    # the batched CLI routes evaluate alpha on arrays, the per-point
+    # routes on scalars: both must give the same bits
+    d = make_dispersion(nu)
+    kk = np.random.default_rng(7).uniform(-np.pi, np.pi, 4000)
+    kk[:3] = (0.0, -0.0, np.pi)
+    for s in (+1, -1):
+        up, dn = d.alpha(s, kk)
+        pointwise = np.array([d.alpha(s, k) for k in kk])
+        assert np.array_equal(up, pointwise[:, 0])
+        assert np.array_equal(dn, pointwise[:, 1])
+
+
+def test_alpha_at_chiral_point_takes_arrays():
+    # nu = 1: canonical basis, e^{-i|k|} in the lower entry for k >= 0
+    d = make_dispersion(1.0)
+    up, dn = d.alpha(+1, np.array([-0.5, 0.0, 0.5]))
+    assert up.tolist() == [1.0, 0.0, 0.0]
+    assert dn.tolist() == [0.0, 1.0, 1.0]
+    assert d.alpha(-1, 0.5) == (1.0, 0.0)
+
+
 def test_eigensystem_diagonalizes_walk_matrix():
     d = make_dispersion(0.8)
     for k in (0.3, -1.2, 2.9):

@@ -86,6 +86,16 @@ def test_add_row_key_mismatch():
         t.add_row(a=1.0, b=2.0, c=3.0)
 
 
+def test_add_rows_appends_columns():
+    t = ResultTable()
+    t.declare(("a", "b"))
+    t.add_rows(a=[1.0, 2.0], b=["x", "y"])
+    t.add_row(a=3.0, b="z")
+    assert t.columns == {"a": [1.0, 2.0, 3.0], "b": ["x", "y", "z"]}
+    with pytest.raises(DtScatterError, match="differ in length"):
+        t.add_rows(a=[1.0], b=[])
+
+
 def test_emit_writes_atomically(tmp_path):
     path = tmp_path / "out.csv"
     emit(small_table(), "csv", str(path))
