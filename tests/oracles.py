@@ -3,12 +3,20 @@
 Everything here is computed differently from the package: high-precision
 arithmetic (mpmath at 30 digits), bisection instead of library arccos,
 dense matrix powers instead of analytic propagators, explicit mode sums
-instead of FFTs.  Test files freeze the resulting numbers as literals
-and cite the oracle function that produced them.
+instead of FFTs, and `csv.writer` / one `json.dumps` instead of the
+package's column-wise table renderers.  Test files freeze the resulting
+numbers as literals and cite the oracle function that produced them.
 """
+
+import csv
+import io
+import json
+import math
 
 import mpmath as mp
 import numpy as np
+
+from dtscatter.errors import DtScatterError
 
 mp.mp.dps = 30
 
@@ -172,3 +180,61 @@ def geometric_bz_integral(a):
     f = lambda k: 1.0 / (1.0 - a * mp.e ** (-1j * k))
     val = mp.quad(f, [-mp.pi, mp.pi]) / (2 * mp.pi)
     return complex(val)
+
+
+# ---------------------------------------------------------------------------
+# table rendering, cell by cell
+# ---------------------------------------------------------------------------
+
+def _reference_columns(table):
+    """Output names and lazy value columns, complex columns split re/im."""
+    names, cols = [], []
+    for name, values in table.columns.items():
+        if (name in table.complex_columns
+                or any(isinstance(v, complex) for v in values)):
+            names += [f"{name}_re", f"{name}_im"]
+            cols += [(complex(v).real for v in values),
+                     (complex(v).imag for v in values)]
+        else:
+            names.append(name)
+            cols.append(values)
+    return names, cols
+
+
+def _reference_cell(v):
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
+def _reference_json_value(v):
+    if isinstance(v, bool) or isinstance(v, (int, str)) or v is None:
+        return v
+    if isinstance(v, float):
+        return None if math.isnan(v) else v
+    if isinstance(v, dict):
+        return {key: _reference_json_value(u) for key, u in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_reference_json_value(u) for u in v]
+    raise DtScatterError(f"unserializable cell {v!r}")
+
+
+def render_csv_reference(table):
+    """RFC 4180 through `csv.writer`, one formatted cell at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
+    names, cols = _reference_columns(table)
+    writer.writerow(names)
+    writer.writerows(zip(*(map(_reference_cell, col) for col in cols)))
+    return buf.getvalue()
+
+
+def render_json_reference(table):
+    """One dict per row, dumped with the metadata in one `json.dumps`."""
+    names, cols = _reference_columns(table)
+    rows = [dict(zip(names, map(_reference_json_value, row)))
+            for row in zip(*cols)]
+    obj = {"metadata": _reference_json_value(table.metadata), "rows": rows}
+    return json.dumps(obj, indent=1, sort_keys=False, allow_nan=False) + "\n"

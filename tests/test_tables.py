@@ -1,10 +1,15 @@
 """Result tables: deterministic CSV/JSON rendering and round-trips."""
 
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from dtscatter.errors import DtScatterError
+import oracles
+from dtscatter.errors import DtScatterError, OutputError
+from dtscatter import tables
 from dtscatter.tables import ResultTable, emit, parse_json_table, render_csv, render_json
 
 
@@ -137,3 +142,140 @@ def test_columns_table_renders_like_add_row_table():
     rows.add_row(site=1, re=-0.0)
     cols = ResultTable(columns={"site": [0, 1], "re": [0.5, -0.0]})
     assert render_csv(cols) == render_csv(rows)
+
+
+def test_emit_failure_leaves_no_temp_file(tmp_path):
+    # the rename fails when the target is a directory; the temp file it
+    # wrote must not be left beside it
+    target = tmp_path / "out.csv"
+    target.mkdir()
+    with pytest.raises(OutputError, match="out.csv"):
+        emit(small_table(), "csv", str(target))
+    assert not (tmp_path / "out.csv.tmp").exists()
+
+
+def test_negative_zero_keeps_its_sign():
+    t = ResultTable()
+    t.declare(("x", "c"), complex_names=("c",))
+    t.add_row(x=-0.0, c=complex(-0.0, -0.0))
+    assert render_csv(t).split("\r\n")[1] == "-0.0,-0.0,-0.0"
+    assert '"x": -0.0,' in render_json(t)
+    assert '"c_im": -0.0\n' in render_json(t)
+
+
+def test_single_empty_field_is_quoted():
+    t = ResultTable(columns={"note": ["", "x", ""]})
+    assert render_csv(t) == 'note\r\n""\r\nx\r\n""\r\n'
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf])
+def test_json_rejects_infinity(bad):
+    t = ResultTable(columns={"x": [1.0, bad]})
+    with pytest.raises(ValueError):
+        render_json(t)
+
+
+def test_json_without_rows_keeps_empty_list():
+    t = ResultTable(metadata={"command": "demo"})
+    t.declare(("k", "c"), complex_names=("c",))
+    text = render_json(t)
+    assert text == ('{\n "metadata": {\n  "command": "demo"\n },\n'
+                    ' "rows": []\n}\n')
+    assert json.loads(text)["rows"] == []
+
+
+# cells chosen for the byte-level corners of both formats
+_EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                2.2250738585072e-308, 1e-310, 0.1, 1.0 / 3.0, -1.5, 1e16,
+                1e22, 123456789.125]
+_FLOATS = st.sampled_from(_EDGE_FLOATS) | st.floats(width=64)
+_INTS = st.sampled_from([0, -1, 7, 2**63, -(2**70)]) | st.integers()
+_TEXTS = st.text(st.sampled_from(list(',"\r\n %\\x é中\U0001F600')),
+                 max_size=6)
+_COMPLEXES = st.builds(complex, _FLOATS, _FLOATS)
+_NESTED = st.recursive(
+    st.none() | st.booleans() | _FLOATS | _INTS | _TEXTS,
+    lambda inner: (st.lists(inner, max_size=2)
+                   | st.tuples(inner, inner)
+                   | st.dictionaries(_TEXTS, inner, max_size=2)),
+    max_leaves=4)
+_COLUMN_KINDS = {
+    "float": _FLOATS, "int": _INTS, "bool": st.booleans(), "text": _TEXTS,
+    "complex": _COMPLEXES, "nested": _NESTED,
+    "mixed": (_FLOATS | _INTS | st.booleans() | _TEXTS | _COMPLEXES
+              | st.none() | st.builds(np.float64, _FLOATS)),
+    # numpy scalars that are not Python numbers and a cell JSON cannot
+    # hold, beside a plain float
+    "odd": st.sampled_from([np.int64(3), np.bool_(True), np.complex128(1 - 2j),
+                            object(), 1.5]),
+}
+_NAMES = ["k", "c", "c_re", "x,y", 'q"t', "p%s", "é", ""]
+
+
+@st.composite
+def _tables(draw):
+    n_rows = draw(st.integers(0, 4))
+    names = draw(st.lists(st.sampled_from(_NAMES), max_size=4, unique=True))
+    columns, complex_names = {}, []
+    for name in names:
+        kind = draw(st.sampled_from(sorted(_COLUMN_KINDS)))
+        values = draw(st.lists(_COLUMN_KINDS[kind], min_size=n_rows,
+                               max_size=n_rows))
+        columns[name] = tuple(values) if draw(st.booleans()) else values
+        if kind in ("float", "complex", "mixed") and draw(st.booleans()):
+            complex_names.append(name)
+    metadata = draw(st.dictionaries(st.sampled_from(["command", "seed", "x"]),
+                                    _FLOATS | _TEXTS | _INTS, max_size=2))
+    return ResultTable(columns=columns, metadata=metadata,
+                       complex_columns=frozenset(complex_names))
+
+
+def _outcome(render, table):
+    try:
+        return render(table)
+    except Exception as exc:   # the exception type is part of the contract
+        return type(exc)
+
+
+def _faults(render, table):
+    """How many parts of the table (metadata, columns) fail on their own."""
+    parts = [ResultTable(metadata=table.metadata)] + [
+        ResultTable(columns={name: values},
+                    complex_columns=table.complex_columns & {name})
+        for name, values in table.columns.items()]
+    return sum(isinstance(_outcome(render, part), type) for part in parts)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_tables())
+# a split complex column whose name collides with a real column
+@example(ResultTable(columns={"c": [1j, 2.0], "c_re": [0.5, -0.0]}))
+def test_renderers_match_cell_by_cell_reference(table):
+    for render, reference in ((render_csv, oracles.render_csv_reference),
+                              (render_json, oracles.render_json_reference)):
+        new, old = _outcome(render, table), _outcome(reference, table)
+        if isinstance(old, type) and _faults(reference, table) > 1:
+            # which of two independent faults is met first is evaluation
+            # order (rows first in the reference, columns first here);
+            # either way the table must be refused
+            assert isinstance(new, type)
+        else:
+            assert new == old
+
+
+def test_rows_across_blocks_render_like_reference():
+    # more rows than one formatting block, with the special cells on and
+    # around the block seams
+    n = 2 * tables._BLOCK_ROWS + 3
+    x = [i / 7.0 for i in range(n)]
+    for i in (0, tables._BLOCK_ROWS - 1, tables._BLOCK_ROWS, n - 1):
+        x[i] = (math.nan, -0.0, 5e-324, -1.5)[i % 4]
+    note = ["" if i % 3 else "a, b" for i in range(n)]
+    t = ResultTable(columns={"site": list(range(n)), "x": x,
+                             "c": [complex(v, -v) for v in x],
+                             "flagged": [i % 2 == 0 for i in range(n)],
+                             "note": note})
+    assert render_csv(t) == oracles.render_csv_reference(t)
+    assert render_json(t) == oracles.render_json_reference(t)
+    one = ResultTable(columns={"note": note})
+    assert render_csv(one) == oracles.render_csv_reference(one)
