@@ -82,7 +82,9 @@ class ContinuousModel:
     potential.  gamma = ||G0(omega_ref + i*eps_ref) V|| is the Born
     contraction estimate at the reference point; the Born route needs
     gamma < 1.  An orthonormal eigenbasis of h0 may be supplied (e.g. the
-    analytic plane-wave basis of a ring); otherwise one is computed.
+    analytic plane-wave basis of a ring); otherwise one is computed.  The
+    eigensystem of v (v_evals, v_evecs) is kept for the stepped potential
+    W~ at every step size.
     """
 
     h0: np.ndarray
@@ -114,6 +116,9 @@ class ContinuousModel:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "evals", evals)
         object.__setattr__(self, "evecs", evecs)
+        v_evals, v_evecs = np.linalg.eigh(v)
+        object.__setattr__(self, "v_evals", v_evals)
+        object.__setattr__(self, "v_evecs", v_evecs)
         object.__setattr__(self, "omega_max", float(evals.max()))
         object.__setattr__(self, "v_norm", float(np.linalg.norm(v, 2)))
         g0v = self.green_continuous(self.omega_ref + 1j * self.eps_ref) @ v
@@ -129,23 +134,6 @@ class ContinuousModel:
         if zdist.min() < 1e-14:
             raise PoleError(f"z = {z} sits on the spectrum of h0")
         return np.linalg.inv(z * np.eye(self.dim) - self.h0)
-
-
-@dataclass(frozen=True, eq=False)
-class DiscreteModel:
-    """Stepped counterpart of a ContinuousModel at step tau.
-
-    The step is U = exp(-i*H0*tau) * exp(-i*V*tau); the eigendecomposition
-    of V is kept for the stepped potential W~.
-    """
-
-    continuous: ContinuousModel
-    tau: float
-
-    def __post_init__(self):
-        if not self.tau > 0.0:
-            raise DomainError(f"tau must be positive, got {self.tau}")
-        object.__setattr__(self, "_v_eig", np.linalg.eigh(self.continuous.v))
 
 
 def hopping_ring_model(n: int = 128, omega_max: float = 2.0,
@@ -220,26 +208,30 @@ def t_continuous(model: ContinuousModel, k: int, kp: int,
 
 
 # ---------------------------------------------------------------------------
-# stepped side
+# stepped side: U = exp(-i*H0*tau) * exp(-i*V*tau) at step tau > 0
 # ---------------------------------------------------------------------------
 
-def green_discrete(model: DiscreteModel, z: complex,
-                   omega_grid=None) -> np.ndarray:
+def _check_tau(tau: float) -> None:
+    if not tau > 0.0:
+        raise DomainError(f"tau must be positive, got {tau}")
+
+
+def green_discrete(model: ContinuousModel, tau: float,
+                   z: complex) -> np.ndarray:
     """Stepped Green multipliers -i*tau/(exp(-i*(z-omega)*tau) - 1).
 
-    Evaluated per spectral point omega (default: the model spectrum).
-    The stepped evolution folds energies modulo 2*pi/tau, so the step
-    must satisfy tau*omega_M < 2*pi to keep the physical band clear of
-    its own replicas.
+    Evaluated per point omega of the model spectrum.  The stepped
+    evolution folds energies modulo 2*pi/tau, so the step must satisfy
+    tau*omega_M < 2*pi to keep the physical band clear of its own
+    replicas.
     """
-    c = model.continuous
-    tau = model.tau
-    if tau * c.omega_max >= 2.0 * np.pi:
+    _check_tau(tau)
+    if tau * model.omega_max >= 2.0 * np.pi:
         raise DomainError(
-            f"tau*omega_M = {tau * c.omega_max:.3f} >= 2*pi: the spectrum "
+            f"tau*omega_M = {tau * model.omega_max:.3f} >= 2*pi: the spectrum "
             "wraps around the quasi-energy circle"
         )
-    omega = c.evals if omega_grid is None else np.asarray(omega_grid, dtype=float)
+    omega = model.evals
     den = np.exp(-1j * (z - omega) * tau) - 1.0
     bad = np.abs(den) < 1e-14
     if np.any(bad):
@@ -262,8 +254,7 @@ def bernoulli_split(tau: float, omega_k, omega_grid):
     fixes its sign, which the reconstruction-vs-green_discrete check pins
     to 1e-12.
     """
-    if not tau > 0.0:
-        raise DomainError(f"tau must be positive, got {tau}")
+    _check_tau(tau)
     omega = np.asarray(omega_grid, dtype=float)
     u = omega_k - omega
     x = u * tau / 2.0
@@ -277,39 +268,41 @@ def bernoulli_split(tau: float, omega_k, omega_grid):
     return g0_part, 0.5j * tau, f_part
 
 
-def w_tilde(model: DiscreteModel):
+def w_tilde(model: ContinuousModel, tau: float):
     """Split W~ = V + tau * Q * V^2 of the stepped potential.
 
     Returns (V_part, Q_part) as dense matrices; Q is q_kernel applied to
     the eigenvalues of V*tau, so ||Q|| <= 1/2 with equality approached at
     tau -> 0.
     """
-    c = model.continuous
-    vvals, vvecs = model._v_eig
-    q = (vvecs * q_kernel(vvals * model.tau)) @ vvecs.conj().T
-    return c.v.copy(), q
+    _check_tau(tau)
+    vvals, vvecs = model.v_evals, model.v_evecs
+    q = (vvecs * q_kernel(vvals * tau)) @ vvecs.conj().T
+    return model.v.copy(), q
 
 
-def w_tilde_direct(model: DiscreteModel) -> np.ndarray:
+def w_tilde_direct(model: ContinuousModel, tau: float) -> np.ndarray:
     """W~ = (i/tau)(exp(-i*V*tau) - I) by exact diagonalization of V."""
-    vvals, vvecs = model._v_eig
-    phases = np.exp(-1j * vvals * model.tau)
-    return (1j / model.tau) * ((vvecs * phases) @ vvecs.conj().T
-                               - np.eye(model.continuous.dim))
+    _check_tau(tau)
+    vvals, vvecs = model.v_evals, model.v_evecs
+    phases = np.exp(-1j * vvals * tau)
+    return (1j / tau) * ((vvecs * phases) @ vvecs.conj().T
+                         - np.eye(model.dim))
 
 
-def green_discrete_operator(model: DiscreteModel, z: complex) -> np.ndarray:
+def green_discrete_operator(model: ContinuousModel, tau: float,
+                            z: complex) -> np.ndarray:
     """Dense stepped Green operator from the multipliers."""
-    c = model.continuous
-    mult = green_discrete(model, z)
-    return (c.evecs * mult) @ c.evecs.conj().T
+    mult = green_discrete(model, tau, z)
+    return (model.evecs * mult) @ model.evecs.conj().T
 
 
-def t_discrete_operator(model: DiscreteModel, z: complex) -> np.ndarray:
+def t_discrete_operator(model: ContinuousModel, tau: float,
+                        z: complex) -> np.ndarray:
     """Dense stepped T~(z) = (I - W~ G~0(z))^{-1} W~."""
-    wt = w_tilde_direct(model)
-    gd = green_discrete_operator(model, z)
-    lhs = np.eye(model.continuous.dim) - wt @ gd
+    wt = w_tilde_direct(model, tau)
+    gd = green_discrete_operator(model, tau, z)
+    lhs = np.eye(model.dim) - wt @ gd
     return np.linalg.solve(lhs, wt)
 
 
@@ -367,20 +360,21 @@ def tau_threshold(model: ContinuousModel, tau: float | None = None) -> BoundRepo
                        verdict=bool(tau <= m_star))
 
 
-def secondary_comb_indices(model: DiscreteModel, omega_in: float) -> list[int]:
+def secondary_comb_indices(model: ContinuousModel, tau: float,
+                           omega_in: float) -> list[int]:
     """Folded-energy replicas of omega_in that land back on the band.
 
     Returns the list of nonzero integers l with omega_in + 2*pi*l/tau in
     [0, omega_M].  Empty whenever tau < 2*pi/(omega_M*(1 + margin)) --
     the step regime where no replica channel can be on-shell.
     """
-    c = model.continuous
-    step = 2.0 * np.pi / model.tau
+    _check_tau(tau)
+    step = 2.0 * np.pi / tau
     out = []
     l_min = int(np.floor((0.0 - omega_in) / step))
-    l_max = int(np.ceil((c.omega_max - omega_in) / step))
+    l_max = int(np.ceil((model.omega_max - omega_in) / step))
     for l in range(l_min, l_max + 1):
-        if l != 0 and -1e-12 <= omega_in + step * l <= c.omega_max + 1e-12:
+        if l != 0 and -1e-12 <= omega_in + step * l <= model.omega_max + 1e-12:
             out.append(l)
     return out
 
@@ -421,8 +415,7 @@ def t_difference(model: ContinuousModel, k: int, kp: int, tau: float,
         )
     z = complex(model.evals[k] + 1j * eps)
     t_cont = t_continuous_operator(model, z)
-    disc = DiscreteModel(continuous=model, tau=tau)
-    t_disc = t_discrete_operator(disc, z)
+    t_disc = t_discrete_operator(model, tau, z)
     difference = t_disc - t_cont
     bra = model.evecs[:, kp].conj()
     ket = model.evecs[:, k]
@@ -462,11 +455,10 @@ class SweepReport:
     prefactor: float
 
 
-def convergence_sweep(model: ContinuousModel, tau_grid,
-                      eps: float | None = None) -> SweepReport:
+def convergence_sweep(model: ContinuousModel, tau_grid) -> SweepReport:
     """Fit the decay exponent of the stepped-vs-continuous T gap.
 
-    Evaluates ||T~(z) - T(z)|| (dense 2-norm) at z = omega_ref + i*eps
+    Evaluates ||T~(z) - T(z)|| (dense 2-norm) at z = omega_ref + i*eps_ref
     over the given geometric grid of steps (>= 4 points required) and
     returns the log-log slope and prefactor.
     """
@@ -475,16 +467,13 @@ def convergence_sweep(model: ContinuousModel, tau_grid,
         ratios = taus[1:] / taus[:-1]
         if np.abs(ratios - ratios[0]).max() > 1e-8:
             raise DomainError("tau grid must be geometric")
-    if eps is None:
-        eps = model.eps_ref
-    z = complex(model.omega_ref + 1j * eps)
+    z = complex(model.omega_ref + 1j * model.eps_ref)
     t_cont = t_continuous_operator(model, z)
     gaps = []
     valid = []
     for tau in taus:
         try:
-            disc = DiscreteModel(continuous=model, tau=float(tau))
-            t_disc = t_discrete_operator(disc, z)
+            t_disc = t_discrete_operator(model, float(tau), z)
         except (PoleError, DomainError):
             continue
         gap = float(np.linalg.norm(t_disc - t_cont, 2))

@@ -1,6 +1,7 @@
 """Direct wave-packet scattering simulator on a ring.
 
-Two model kinds share one machinery:
+Two model kinds share one machinery, and a state is a complex
+``(sites, components)`` array:
 
 * single particle: two-component walk on a ring with an on-site phase
   exp(i*chi) at the center site;
@@ -19,8 +20,9 @@ step diagonalization), the middle leg runs the local stepper.
 
 from __future__ import annotations
 
+import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,8 +70,9 @@ class WalkModel:
 
     @property
     def mu(self) -> float:
-        return float(np.sqrt(1.0 - self.nu ** 2))
+        return self.dispersion.mu
 
+    @functools.cached_property
     def step_entries(self):
         """Local update table: (out_comp, in_comp, coefficient, shift).
 
@@ -90,6 +93,7 @@ class WalkModel:
                 entries.append((a1 * 2 + a2, b1 * 2 + b2, coef, s1 - s2))
         return tuple(entries)
 
+    @functools.cached_property
     def mode_data(self):
         """Band decomposition on the FFT momentum grid.
 
@@ -127,27 +131,19 @@ def thirring_com_model(params: ThirringParams, p: float,
                      total_momentum=float(wrap_momentum(p)))
 
 
-@dataclass
-class LatticeState:
-    """Amplitudes over (site, internal component) with a cached norm."""
+def _lattice(amps) -> np.ndarray:
+    """The state as a contiguous complex (sites, components) array."""
+    amps = np.ascontiguousarray(amps, dtype=complex)
+    if amps.ndim != 2:
+        raise DomainError("amplitudes must have shape (sites, components)")
+    return amps
 
-    amplitudes: np.ndarray
-    norm: float = field(default=0.0)
 
-    def __post_init__(self):
-        self.amplitudes = np.ascontiguousarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.ndim != 2:
-            raise DomainError("amplitudes must have shape (sites, components)")
-        self.norm = float(np.linalg.norm(self.amplitudes))
-
-    @property
-    def length(self) -> int:
-        return self.amplitudes.shape[0]
-
-    def normalized(self) -> "LatticeState":
-        if self.norm == 0.0:
-            raise DomainError("cannot normalize the zero state")
-        return LatticeState(self.amplitudes / self.norm)
+def _normalized(amps: np.ndarray) -> np.ndarray:
+    norm = float(np.linalg.norm(amps))
+    if norm == 0.0:
+        raise DomainError("cannot normalize the zero state")
+    return amps / norm
 
 
 @dataclass(frozen=True)
@@ -167,7 +163,7 @@ class GaussianPacketSpec:
             raise DomainError(f"band labels must be +-1, got {self.band}")
 
 
-def build_packet(model: WalkModel, spec: GaussianPacketSpec) -> LatticeState:
+def build_packet(model: WalkModel, spec: GaussianPacketSpec) -> np.ndarray:
     if len(spec.band) != (1 if model.total_momentum is None else 2):
         raise DomainError(
             f"band tuple length {len(spec.band)} does not match the model kind"
@@ -190,55 +186,48 @@ def build_packet(model: WalkModel, spec: GaussianPacketSpec) -> LatticeState:
         u2 = np.array(d.alpha(spec.band[1], p - spec.k0))
         u = np.kron(u1, u2)
     amps = (envelope * carrier)[:, None] * u[None, :]
-    return LatticeState(amps).normalized()
+    return _normalized(amps)
 
 
-def band_project(model: WalkModel, state: LatticeState,
-                 label: tuple) -> LatticeState:
+def band_project(model: WalkModel, amps, label: tuple) -> np.ndarray:
     """Keep only the chosen band's (band pair's) component of the state.
 
     The fixed-internal-vector packet carries O(1/sigma_x) admixtures of
     the other bands, which travel at different group velocities; a clean
     scattering asymptote needs them removed exactly.
     """
-    _, bands = model.mode_data()
+    _, bands = model.mode_data
     if label not in bands:
         raise DomainError(f"unknown band label {label}")
     _, vec = bands[label]
-    ft = np.fft.fft(state.amplitudes, axis=0)
+    ft = np.fft.fft(_lattice(amps), axis=0)
     proj = np.einsum("ck,kc->k", vec, ft)
-    return LatticeState(np.fft.ifft(proj[:, None] * vec.T, axis=0))
+    return np.fft.ifft(proj[:, None] * vec.T, axis=0)
 
 
-def exchange(model: WalkModel, state: LatticeState) -> LatticeState:
+def exchange(model: WalkModel, amps) -> np.ndarray:
     """Particle exchange on the relative coordinate: reflect y about the
     interaction center and swap the internal tensor factors."""
     if model.total_momentum is None:
         raise DomainError("exchange is defined for the fixed-p two-particle model")
     idx = (2 * model.center - np.arange(model.length)) % model.length
-    swapped = state.amplitudes[idx][:, np.array([0, 2, 1, 3])]
-    return LatticeState(swapped)
+    return _lattice(amps)[idx][:, np.array([0, 2, 1, 3])]
 
 
-def antisymmetrize(model: WalkModel, state: LatticeState) -> LatticeState:
+def antisymmetrize(model: WalkModel, amps) -> np.ndarray:
     """Project onto the fermionic (exchange-odd) sector and renormalize."""
-    odd = state.amplitudes - exchange(model, state).amplitudes
-    return LatticeState(odd).normalized()
+    amps = _lattice(amps)
+    return _normalized(amps - exchange(model, amps))
 
 
-def _step(amps: np.ndarray, model: WalkModel, entries) -> np.ndarray:
-    """The step kernel on a bare (sites, components) array."""
-    amps = amps.copy()
+def step(amps, model: WalkModel) -> np.ndarray:
+    """One discrete step: the local interaction phase, then the free walk."""
+    amps = np.array(amps, dtype=complex)
     amps[model.center] *= np.exp(1j * model.chi)
     out = np.zeros_like(amps)
-    for a, b, coef, shift in entries:
+    for a, b, coef, shift in model.step_entries:
         out[:, a] += coef * np.roll(amps[:, b], -shift)
     return out
-
-
-def step(state: LatticeState, model: WalkModel) -> LatticeState:
-    """One discrete step: the local interaction phase, then the free walk."""
-    return LatticeState(_step(state.amplitudes, model, model.step_entries()))
 
 
 def _boundary_mass(amps: np.ndarray) -> float:
@@ -247,8 +236,8 @@ def _boundary_mass(amps: np.ndarray) -> float:
     return float(dens[:w].sum() + dens[-w:].sum())
 
 
-def evolve(state: LatticeState, model: WalkModel, t_steps: int,
-           on_step=None) -> LatticeState:
+def evolve(amps, model: WalkModel, t_steps: int,
+           on_step=None) -> np.ndarray:
     """t_steps local steps with boundary-leakage monitoring.
 
     Amplitude mass within BOUNDARY_WINDOW sites of the ring seam above
@@ -257,13 +246,12 @@ def evolve(state: LatticeState, model: WalkModel, t_steps: int,
     """
     if t_steps < 0:
         raise DomainError(f"t_steps must be >= 0, got {t_steps}")
-    entries = model.step_entries()
-    amps = state.amplitudes
+    amps = _lattice(amps)
     observe = on_step or (lambda n, amps: None)
     observe(0, amps)
     warned = False
     for n in range(1, t_steps + 1):
-        amps = _step(amps, model, entries)
+        amps = step(amps, model)
         if (n % 64 == 0 or n == t_steps) and not warned:
             mass = _boundary_mass(amps)
             if mass > LEAKAGE_TOL:
@@ -271,19 +259,19 @@ def evolve(state: LatticeState, model: WalkModel, t_steps: int,
                               BoundaryLeakageWarning)
                 warned = True
         observe(n, amps)
-    return LatticeState(amps)
+    return amps
 
 
-def free_evolve(state: LatticeState, model: WalkModel, t_steps: int) -> LatticeState:
+def free_evolve(amps, model: WalkModel, t_steps: int) -> np.ndarray:
     """Exact free evolution by any integer number of steps (negative =
     inverse), applied in the band basis on the FFT grid."""
-    ft = np.fft.fft(state.amplitudes, axis=0)
-    _, bands = model.mode_data()
+    ft = np.fft.fft(_lattice(amps), axis=0)
+    _, bands = model.mode_data
     out = np.zeros_like(ft)
     for _, (wsum, vec) in bands.items():
         proj = np.einsum("ck,kc->k", vec, ft)
         out += (np.exp(-1j * wsum * t_steps) * proj)[:, None] * vec.T
-    return LatticeState(np.fft.ifft(out, axis=0))
+    return np.fft.ifft(out, axis=0)
 
 
 @dataclass(frozen=True)
@@ -311,14 +299,14 @@ def extract_smatrix(model: WalkModel, spec_in: GaussianPacketSpec,
     fully cleared the interaction region on either asymptotic leg.
     """
     packet = build_packet(model, spec_in)
-    packet = band_project(model, packet, tuple(spec_in.band)).normalized()
+    packet = _normalized(band_project(model, packet, tuple(spec_in.band)))
     if model.total_momentum is not None:
         packet = antisymmetrize(model, packet)
 
     past = free_evolve(packet, model, -t_steps)
     window = np.arange(model.center - BOUNDARY_WINDOW,
                        model.center + BOUNDARY_WINDOW + 1) % model.length
-    mass_in = float(np.sum(np.abs(past.amplitudes[window]) ** 2))
+    mass_in = float(np.sum(np.abs(past[window]) ** 2))
     if mass_in > TRAVERSAL_TOL:
         raise ScatteringInconclusiveError(
             f"backward-evolved packet keeps {mass_in:.2e} mass at the "
@@ -326,7 +314,7 @@ def extract_smatrix(model: WalkModel, spec_in: GaussianPacketSpec,
         )
 
     middle = evolve(past, model, 2 * t_steps, on_step=on_step)
-    mass_out = float(np.sum(np.abs(middle.amplitudes[window]) ** 2))
+    mass_out = float(np.sum(np.abs(middle[window]) ** 2))
     if mass_out > TRAVERSAL_TOL:
         raise ScatteringInconclusiveError(
             f"packet has not traversed the interaction region "
@@ -334,10 +322,10 @@ def extract_smatrix(model: WalkModel, spec_in: GaussianPacketSpec,
         )
     out = free_evolve(middle, model, -t_steps)
 
-    diag = complex(np.vdot(packet.amplitudes, out.amplitudes)) - 1.0
+    diag = complex(np.vdot(packet, out)) - 1.0
 
-    _, bands = model.mode_data()
-    ft = np.fft.fft(out.amplitudes, axis=0) / np.sqrt(model.length)
+    _, bands = model.mode_data
+    ft = np.fft.fft(out, axis=0) / np.sqrt(model.length)
     weights = {
         label: float(np.sum(np.abs(np.einsum("ck,kc->k", vec, ft)) ** 2))
         for label, (_, vec) in bands.items()
@@ -345,11 +333,11 @@ def extract_smatrix(model: WalkModel, spec_in: GaussianPacketSpec,
     return SMatrixMeasurement(
         diagonal_coefficient=diag,
         channel_weights=weights,
-        boundary_mass=_boundary_mass(out.amplitudes),
+        boundary_mass=_boundary_mass(out),
     )
 
 
-def transmission_reflection(out_state: LatticeState, model: WalkModel,
+def transmission_reflection(out_amps, model: WalkModel,
                             k0: float, band: int = +1) -> tuple[float, float]:
     """Forward/backward probabilities of a single-particle out-state.
 
@@ -361,8 +349,8 @@ def transmission_reflection(out_state: LatticeState, model: WalkModel,
         raise DomainError("transmission_reflection applies to the "
                           "single-particle model")
     d = model.dispersion
-    kk, bands = model.mode_data()
-    ft = np.fft.fft(out_state.amplitudes, axis=0) / np.sqrt(model.length)
+    kk, bands = model.mode_data
+    ft = np.fft.fft(_lattice(out_amps), axis=0) / np.sqrt(model.length)
     _, vec = bands[(band,)]
     dens = np.abs(np.einsum("ck,kc->k", vec, ft)) ** 2
     v = band * d.omega_prime(kk)

@@ -170,13 +170,13 @@ def test_unwritable_snapshot_prefix_exit_3(tmp_path, monkeypatch, capsys):
 def test_snapshot_run_steps_the_interacting_leg_once(tmp_path, monkeypatch):
     # T = 240 in the golden config: 2T = 480 steps, not one leg per view
     calls = []
-    kernel = wavepacket._step
+    kernel = wavepacket.step
 
     def counted(*args):
         calls.append(None)
         return kernel(*args)
 
-    monkeypatch.setattr(wavepacket, "_step", counted)
+    monkeypatch.setattr(wavepacket, "step", counted)
     monkeypatch.chdir(tmp_path)
     args = ["--config", str(GOLDEN / "wavepacket.cfg"),
             "--set", "snapshot_every=50", "--set", "snapshot_prefix=snap_"]

@@ -121,9 +121,9 @@ def test_certified_inequality_at_threshold(ring):
     """Directly computed ||W~ G~0|| at tau = m* sits inside the bound chain."""
     rep = tr.tau_threshold(ring)
     tau = rep.m_star
-    disc = tr.DiscreteModel(continuous=ring, tau=tau)
     z = ring.omega_ref + 1j * ring.eps_ref
-    wg = np.linalg.norm(tr.w_tilde_direct(disc) @ tr.green_discrete_operator(disc, z), 2)
+    wg = np.linalg.norm(tr.w_tilde_direct(ring, tau)
+                        @ tr.green_discrete_operator(ring, tau, z), 2)
     assert wg == pytest.approx(WG_NORM_REF, rel=1e-10)
     report_bound = rep.gamma + tau * rep.gamma_prime + tau**2 * rep.gamma_double_prime
     aconst_bound = (rep.gamma + tr.A1_BOUND * tau * ring.v_norm
@@ -135,17 +135,16 @@ def test_certified_inequality_at_threshold(ring):
 
 
 def test_w_tilde_split_matches_direct(ring):
-    disc = tr.DiscreteModel(continuous=ring, tau=0.3)
-    v_part, q_part = tr.w_tilde(disc)
-    direct = tr.w_tilde_direct(disc)
-    recon = v_part + disc.tau * (q_part @ ring.v @ ring.v)
+    tau = 0.3
+    v_part, q_part = tr.w_tilde(ring, tau)
+    direct = tr.w_tilde_direct(ring, tau)
+    recon = v_part + tau * (q_part @ ring.v @ ring.v)
     assert np.abs(recon - direct).max() < 1e-14
     assert np.linalg.norm(q_part, 2) <= 0.5 + 1e-12
 
 
 def test_w_tilde_small_tau_limit(ring):
-    disc = tr.DiscreteModel(continuous=ring, tau=1e-6)
-    gap = np.linalg.norm(tr.w_tilde_direct(disc) - ring.v, 2)
+    gap = np.linalg.norm(tr.w_tilde_direct(ring, 1e-6) - ring.v, 2)
     # W~ - V = tau*Q*V^2, so the gap is <= tau*|V|^2/2
     assert gap <= 1e-6 * ring.v_norm**2 * 0.5 * (1 + 1e-9)
     assert gap > 0.0
@@ -153,9 +152,8 @@ def test_w_tilde_small_tau_limit(ring):
 
 def test_bernoulli_split_reconstructs_multiplier(ring):
     tau = 0.3
-    disc = tr.DiscreteModel(continuous=ring, tau=tau)
     z = ring.omega_ref + 1j * ring.eps_ref
-    mult = tr.green_discrete(disc, z)
+    mult = tr.green_discrete(ring, tau, z)
     g0_part, const, f_part = tr.bernoulli_split(tau, z, ring.evals)
     recon = g0_part + const - (tau / 2.0) * f_part
     assert const == 0.5j * tau
@@ -172,14 +170,13 @@ def test_bernoulli_split_domain():
 
 def test_green_discrete_guards(ring):
     with pytest.raises(DomainError):
-        tr.green_discrete(tr.DiscreteModel(continuous=ring, tau=np.pi), 1.0 + 0.2j)
-    disc = tr.DiscreteModel(continuous=ring, tau=0.5)
+        tr.green_discrete(ring, np.pi, 1.0 + 0.2j)
     with pytest.raises(PoleError, match=r"hits 2\*pi\*Z at omega = "):
-        tr.green_discrete(disc, complex(ring.evals[32]))
+        tr.green_discrete(ring, 0.5, complex(ring.evals[32]))
     with pytest.raises(PoleError, match="sits on the spectrum of h0"):
         tr.hopping_ring_model(n=16, mode_index=4, eps_ref=0.0)
     with pytest.raises(DomainError):
-        tr.DiscreteModel(continuous=ring, tau=-0.1)
+        tr.t_discrete_operator(ring, -0.1, ring.omega_ref + 1j * ring.eps_ref)
 
 
 def test_t_continuous_fixed_point(ring):
@@ -235,13 +232,10 @@ def test_convergence_sweep_validation(ring):
 
 
 def test_secondary_comb_indices(ring):
-    assert tr.secondary_comb_indices(
-        tr.DiscreteModel(continuous=ring, tau=0.5), ring.omega_ref) == []
-    assert tr.secondary_comb_indices(
-        tr.DiscreteModel(continuous=ring, tau=3.1), ring.omega_ref) == []
+    assert tr.secondary_comb_indices(ring, 0.5, ring.omega_ref) == []
+    assert tr.secondary_comb_indices(ring, 3.1, ring.omega_ref) == []
     # at tau = 2*pi the quasi-energy step is 1, so both band edges fold back on
-    replicas = tr.secondary_comb_indices(
-        tr.DiscreteModel(continuous=ring, tau=2.0 * np.pi), ring.omega_ref)
+    replicas = tr.secondary_comb_indices(ring, 2.0 * np.pi, ring.omega_ref)
     assert replicas == [-1, 1]
 
 
