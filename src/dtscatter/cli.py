@@ -213,6 +213,7 @@ def _run_trotter(cfg: RunConfig) -> ResultTable:
         table.metadata["slope"] = report.slope
         table.metadata["intercept"] = report.intercept
         table.metadata["prefactor"] = report.prefactor
+        table.metadata["predicted_prefactor"] = report.predicted_prefactor
         gap_of = {float(t): float(g) for t, g in zip(report.taus, report.gaps)}
         for tau in taus:
             if tau in gap_of:
@@ -227,6 +228,7 @@ def _run_trotter(cfg: RunConfig) -> ResultTable:
         table.metadata["slope"] = None
         table.metadata["intercept"] = None
         table.metadata["prefactor"] = None
+        table.metadata["predicted_prefactor"] = None
         for tau in taus:
             table.add_row(tau=tau, gap=_NAN, certified=tau <= bound.m_star,
                           flagged=True, note=str(exc))

@@ -28,6 +28,11 @@ from json.encoder import encode_basestring_ascii
 from .errors import DtScatterError, OutputError
 
 
+def _check_lengths(columns: dict) -> None:
+    if len({len(values) for values in columns.values()}) > 1:
+        raise DtScatterError("columns differ in length")
+
+
 @dataclass
 class ResultTable:
     """Named columns of equal length plus run metadata.
@@ -39,6 +44,9 @@ class ResultTable:
     columns: dict = field(default_factory=dict)   # str name -> list of values
     metadata: dict = field(default_factory=dict)
     complex_columns: frozenset = frozenset()
+
+    def __post_init__(self):
+        _check_lengths(self.columns)
 
     @property
     def n_rows(self) -> int:
@@ -58,8 +66,7 @@ class ResultTable:
                 f"row keys {sorted(columns)} do not match table columns "
                 f"{sorted(self.columns)}"
             )
-        if len({len(values) for values in columns.values()}) > 1:
-            raise DtScatterError("added columns differ in length")
+        _check_lengths(columns)
         for name, values in columns.items():
             self.columns.setdefault(name, []).extend(values)
 
@@ -99,9 +106,8 @@ def _reprs(col) -> list:
 _BLOCK_ROWS = 1024   # rows per formatting pass: bounds the cell texts alive
 
 
-def _blocks(cols):
+def _blocks(cols, n_rows: int):
     """The columns cut into aligned slices of at most _BLOCK_ROWS rows."""
-    n_rows = min(map(len, cols), default=0)
     for start in range(0, n_rows, _BLOCK_ROWS):
         yield [col[start:start + _BLOCK_ROWS] for col in cols]
 
@@ -136,7 +142,7 @@ def render_csv(table: ResultTable) -> str:
     names, cols, typed = _flat_columns(table)
     one_field = len(names) == 1
     parts = [_csv_records([map(_csv_field, names)], one_field)]
-    for block in _blocks(cols):
+    for block in _blocks(cols, table.n_rows):
         cells = [_reprs(col) if t
                  else [_csv_field(_format_cell(v)) for v in col]
                  for t, col in zip(typed, block)]
@@ -197,7 +203,7 @@ def render_json(table: ResultTable) -> str:
         _ROW_INDENT + json.dumps(name).replace("%", "%%") + ": %s"
         for name in last) + "\n  }"
     blocks = []
-    for block in _blocks([values[i] for i in last.values()]):
+    for block in _blocks([values[i] for i in last.values()], table.n_rows):
         cells = [_json_cells(typed[i], col)
                  for i, col in zip(last.values(), block)]
         blocks.append(",\n".join(template % row for row in zip(*cells)))

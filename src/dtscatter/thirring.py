@@ -33,7 +33,7 @@ Key objects:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,14 +75,13 @@ class ThirringParams:
 
     nu: float
     chi: float
+    dispersion: Dispersion = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.chi):
             raise DomainError(f"coupling phase must be finite, got {self.chi}")
         object.__setattr__(self, "chi", float(wrap_momentum(self.chi)))
         object.__setattr__(self, "dispersion", make_dispersion(self.nu))
-
-    dispersion: Dispersion = None  # set in __post_init__
 
     @property
     def mu(self) -> float:

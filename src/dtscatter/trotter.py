@@ -399,6 +399,13 @@ class TrotterDifference:
     leading: np.ndarray
 
 
+def _leading_coefficient(model: ContinuousModel, t_cont: np.ndarray,
+                         z: complex) -> np.ndarray:
+    """T (H0 + V - z) T / 12: the tau^2 coefficient of T~(z) - T(z)."""
+    shifted = model.h0 + model.v - z * np.eye(model.dim)
+    return (t_cont @ shifted @ t_cont) / 12.0
+
+
 def t_difference(model: ContinuousModel, k: int, kp: int, tau: float,
                  eps: float) -> TrotterDifference:
     """T~(z) - T(z) at z = omega_k + i*eps, with its leading term.
@@ -419,12 +426,11 @@ def t_difference(model: ContinuousModel, k: int, kp: int, tau: float,
     difference = t_disc - t_cont
     bra = model.evecs[:, kp].conj()
     ket = model.evecs[:, k]
-    shifted = model.h0 + model.v - z * np.eye(model.dim)
     return TrotterDifference(
         tau=float(tau), z=z,
         difference=difference,
         element=complex(bra @ difference @ ket),
-        leading=(tau ** 2 / 12.0) * (t_cont @ shifted @ t_cont),
+        leading=tau ** 2 * _leading_coefficient(model, t_cont, z),
     )
 
 
@@ -445,7 +451,9 @@ class SweepReport:
     """Fitted scaling of ||T~ - T|| over a geometric tau grid.
 
     prefactor = exp(intercept) is the fitted constant c in
-    gap ~ c * tau^slope.
+    gap ~ c * tau^slope; predicted_prefactor = ||T (H0 + V - z) T|| / 12
+    is the constant the derived law gap ~ c * tau^2 predicts at the
+    sweep's z.
     """
 
     taus: np.ndarray
@@ -453,6 +461,7 @@ class SweepReport:
     slope: float
     intercept: float
     prefactor: float
+    predicted_prefactor: float
 
 
 def convergence_sweep(model: ContinuousModel, tau_grid) -> SweepReport:
@@ -460,7 +469,7 @@ def convergence_sweep(model: ContinuousModel, tau_grid) -> SweepReport:
 
     Evaluates ||T~(z) - T(z)|| (dense 2-norm) at z = omega_ref + i*eps_ref
     over the given geometric grid of steps (>= 4 points required) and
-    returns the log-log slope and prefactor.
+    returns the log-log slope and prefactor beside the predicted one.
     """
     taus = np.asarray(tau_grid, dtype=float)
     if taus.size >= 2:
@@ -485,6 +494,8 @@ def convergence_sweep(model: ContinuousModel, tau_grid) -> SweepReport:
             f"only {len(valid)} valid sweep points; need at least 4"
         )
     slope, intercept = fit_loglog_slope(valid, gaps)
+    predicted = np.linalg.norm(_leading_coefficient(model, t_cont, z), 2)
     return SweepReport(taus=np.asarray(valid), gaps=np.asarray(gaps),
                        slope=slope, intercept=intercept,
-                       prefactor=float(np.exp(intercept)))
+                       prefactor=float(np.exp(intercept)),
+                       predicted_prefactor=float(predicted))

@@ -97,8 +97,9 @@ class WalkModel:
     def mode_data(self):
         """Band decomposition on the FFT momentum grid.
 
-        Returns (momenta, omegas[band], vectors[band]) where vectors has
-        shape (ncomp, L) per band and omegas is the signed quasi-energy.
+        (momenta, {band: (omegas, vectors)}) where vectors has shape
+        (ncomp, L) per band and omegas is the signed quasi-energy.  Built
+        once per model and shared by every caller, so it is read only.
         """
         d = self.dispersion
         kk = 2.0 * np.pi * np.fft.fftfreq(self.length)

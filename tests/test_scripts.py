@@ -1,16 +1,20 @@
-"""Each study script loads against the current package.
+"""Each study script, and the benchmark's tracer, loads against the
+current package.
 
 The scripts run their work only under ``__main__``, so loading them
 executes nothing but their imports and definitions; a public name removed
-from under a script fails here.
+from under a script fails here.  The tracer wraps package functions by
+name, so a renamed one fails here too.
 """
 
+import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = sorted((Path(__file__).parent.parent / "scripts").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def test_scripts_exist():
@@ -23,3 +27,14 @@ def test_script_loads(path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+def test_bench_tracer_targets_resolve():
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [(module, name) for module, name in tracer.TARGETS
+               if not callable(getattr(
+                   importlib.import_module(f"dtscatter.{module}"), name, None))]
+    assert missing == []

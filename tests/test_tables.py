@@ -101,6 +101,12 @@ def test_add_rows_appends_columns():
         t.add_rows(a=[1.0], b=[])
 
 
+def test_columns_of_unequal_length_are_refused():
+    # n_rows reads the first column; a shorter one would drop rows silently
+    with pytest.raises(DtScatterError, match="differ in length"):
+        ResultTable(columns={"a": [1.0, 2.0], "b": [3.0]})
+
+
 def test_emit_writes_atomically(tmp_path):
     path = tmp_path / "out.csv"
     emit(small_table(), "csv", str(path))

@@ -12,6 +12,7 @@ from dtscatter.errors import (
     PoleError,
     StationaryPointError,
 )
+from dtscatter.spectral import make_dispersion
 from dtscatter.thirring import (
     ThirringParams,
     amplitude_pp,
@@ -205,3 +206,15 @@ def test_channel_consistency():
     ch = channel(params, 0.3, 0.7, +1, +1)
     assert ch.omega == pytest.approx(
         two_particle_omega(params, 0.3, 0.7, +1, +1), abs=1e-15)
+
+
+def test_dispersion_is_derived_not_passed():
+    # the dispersion follows from nu; a third argument used to be accepted
+    # and silently replaced
+    with pytest.raises(TypeError):
+        ThirringParams(0.8, 1.0, make_dispersion(0.3))
+    with pytest.raises(TypeError):
+        ThirringParams(nu=0.8, chi=1.0, dispersion=make_dispersion(0.3))
+    params = ThirringParams(nu=0.8, chi=1.0)
+    assert params.dispersion == make_dispersion(0.8)
+    assert params.mu == params.dispersion.mu

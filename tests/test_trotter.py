@@ -224,6 +224,35 @@ def test_convergence_sweep_frozen(ring):
     assert np.all(np.diff(rep.gaps) < 0)
 
 
+def test_sweep_reuses_the_potential_eigensystem(ring, monkeypatch):
+    # eigh(V) belongs to the model: no step size decomposes V again
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    tr.convergence_sweep(ring, [np.pi / 2 * 0.5**j for j in range(5)])
+    assert calls == []
+
+
+def test_sweep_predicts_the_leading_prefactor(ring):
+    rep = tr.convergence_sweep(ring, [np.pi / 2 * 0.5**j for j in range(5)])
+    z = ring.omega_ref + 1j * ring.eps_ref
+    t_cont = tr.t_continuous_operator(ring, z)
+    lead = t_cont @ (ring.h0 + ring.v - z * np.eye(ring.dim)) @ t_cont
+    assert rep.predicted_prefactor == pytest.approx(
+        np.linalg.norm(lead, 2) / 12.0, rel=1e-12)
+    # t_difference's leading term is the same law at its step
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UncertifiedRegimeWarning)
+        d = tr.t_difference(ring, 32, 32, 0.1, ring.eps_ref)
+    assert np.linalg.norm(d.leading, 2) == pytest.approx(
+        0.1**2 * rep.predicted_prefactor, rel=1e-12)
+
+
 def test_convergence_sweep_validation(ring):
     with pytest.raises(DomainError):
         tr.convergence_sweep(ring, [0.4, 0.2, 0.15, 0.05])

@@ -221,3 +221,16 @@ def test_snapshot_rows_schema():
     assert list(cols) == ["site", "component", "re", "im"]
     assert all(len(c) == 8 for c in cols.values())
     assert tuple(c[5] for c in cols.values()) == (2, 1, 0.25, -0.5)
+
+
+def test_state_guards():
+    m = wp.single_particle_model(0.8, 1.0, length=128)
+    with pytest.raises(DomainError, match=r"shape \(sites, components\)"):
+        wp.evolve(np.ones(128, dtype=complex), m, 1)
+    # a state on the interaction center in the uu component is its own
+    # exchange image, so its fermionic part is zero
+    mc = wp.thirring_com_model(ThirringParams(nu=0.8, chi=1.0), 0.3, length=128)
+    even = np.zeros((128, 4), dtype=complex)
+    even[mc.center, 0] = 1.0
+    with pytest.raises(DomainError, match="cannot normalize the zero state"):
+        wp.antisymmetrize(mc, even)
