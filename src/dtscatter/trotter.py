@@ -38,8 +38,6 @@ from .lippmann import TMatrixEval
 # (pi+2)/(4pi) from the half/half-f/half-q coefficient bookkeeping
 A1_BOUND = (3.0 * np.pi + 4.0) / (4.0 * np.pi)
 A2_BOUND = (np.pi + 2.0) / (4.0 * np.pi)
-# margin delta = 0.1*omega_M used in the comb-collapse condition
-COMB_DELTA_FACTOR = 0.1
 
 
 def bernoulli_f(x):
@@ -365,8 +363,8 @@ def secondary_comb_indices(model: ContinuousModel, tau: float,
     """Folded-energy replicas of omega_in that land back on the band.
 
     Returns the list of nonzero integers l with omega_in + 2*pi*l/tau in
-    [0, omega_M].  Empty whenever tau < 2*pi/(omega_M*(1 + margin)) --
-    the step regime where no replica channel can be on-shell.
+    [0, omega_M].  Empty whenever tau < 2*pi/omega_M -- the step regime
+    where no replica channel can be on-shell.
     """
     _check_tau(tau)
     step = 2.0 * np.pi / tau

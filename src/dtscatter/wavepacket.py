@@ -133,14 +133,16 @@ def thirring_com_model(params: ThirringParams, p: float,
 
 
 def _lattice(amps) -> np.ndarray:
-    """The state as a contiguous complex (sites, components) array."""
+    """The state as a C-contiguous complex (sites, components) array; every
+    state returned here passes through it, so reductions sum in one order."""
     amps = np.ascontiguousarray(amps, dtype=complex)
     if amps.ndim != 2:
         raise DomainError("amplitudes must have shape (sites, components)")
     return amps
 
 
-def _normalized(amps: np.ndarray) -> np.ndarray:
+def _normalized(amps) -> np.ndarray:
+    amps = _lattice(amps)
     norm = float(np.linalg.norm(amps))
     if norm == 0.0:
         raise DomainError("cannot normalize the zero state")
@@ -203,7 +205,7 @@ def band_project(model: WalkModel, amps, label: tuple) -> np.ndarray:
     _, vec = bands[label]
     ft = np.fft.fft(_lattice(amps), axis=0)
     proj = np.einsum("ck,kc->k", vec, ft)
-    return np.fft.ifft(proj[:, None] * vec.T, axis=0)
+    return _lattice(np.fft.ifft(proj[:, None] * vec.T, axis=0))
 
 
 def exchange(model: WalkModel, amps) -> np.ndarray:
@@ -212,7 +214,7 @@ def exchange(model: WalkModel, amps) -> np.ndarray:
     if model.total_momentum is None:
         raise DomainError("exchange is defined for the fixed-p two-particle model")
     idx = (2 * model.center - np.arange(model.length)) % model.length
-    return _lattice(amps)[idx][:, np.array([0, 2, 1, 3])]
+    return _lattice(amps)[idx[:, None], [0, 2, 1, 3]]
 
 
 def antisymmetrize(model: WalkModel, amps) -> np.ndarray:
@@ -223,7 +225,7 @@ def antisymmetrize(model: WalkModel, amps) -> np.ndarray:
 
 def step(amps, model: WalkModel) -> np.ndarray:
     """One discrete step: the local interaction phase, then the free walk."""
-    amps = np.array(amps, dtype=complex)
+    amps = np.array(amps, dtype=complex, order="C")
     amps[model.center] *= np.exp(1j * model.chi)
     out = np.zeros_like(amps)
     for a, b, coef, shift in model.step_entries:
@@ -272,7 +274,7 @@ def free_evolve(amps, model: WalkModel, t_steps: int) -> np.ndarray:
     for _, (wsum, vec) in bands.items():
         proj = np.einsum("ck,kc->k", vec, ft)
         out += (np.exp(-1j * wsum * t_steps) * proj)[:, None] * vec.T
-    return np.fft.ifft(out, axis=0)
+    return _lattice(np.fft.ifft(out, axis=0))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ from under a script fails here.  The tracer wraps package functions by
 name, so a renamed one fails here too.
 """
 
-import importlib
 import importlib.util
 from pathlib import Path
 

@@ -234,3 +234,15 @@ def test_state_guards():
     even[mc.center, 0] = 1.0
     with pytest.raises(DomainError, match="cannot normalize the zero state"):
         wp.antisymmetrize(mc, even)
+
+
+def test_returned_states_are_c_contiguous():
+    # norms and overlaps of a state must sum in one memory order; the
+    # band projector's product with vec.T is F-ordered before the copy
+    mc = wp.thirring_com_model(ThirringParams(nu=0.8, chi=1.0), 0.3, length=256)
+    st = wp.build_packet(mc, wp.GaussianPacketSpec(k0=0.7, sigma_x=10.0, x0=128,
+                                                   band=(1, 1)))
+    for out in (st, wp.band_project(mc, st, (1, 1)), wp.exchange(mc, st),
+                wp.antisymmetrize(mc, st), wp.free_evolve(st, mc, 3),
+                wp.evolve(st, mc, 3), wp.step(st, mc)):
+        assert out.dtype == complex and out.flags["C_CONTIGUOUS"]
