@@ -118,7 +118,8 @@ class ContinuousModel:
         object.__setattr__(self, "v_evals", v_evals)
         object.__setattr__(self, "v_evecs", v_evecs)
         object.__setattr__(self, "omega_max", float(evals.max()))
-        object.__setattr__(self, "v_norm", float(np.linalg.norm(v, 2)))
+        # V is Hermitian, so its spectral norm is its largest |eigenvalue|
+        object.__setattr__(self, "v_norm", float(np.abs(v_evals).max()))
         g0v = self.green_continuous(self.omega_ref + 1j * self.eps_ref) @ v
         object.__setattr__(self, "gamma", float(np.linalg.norm(g0v, 2)))
 

@@ -15,7 +15,9 @@ per step for each factor), so two-particle steps move the relative
 coordinate by at most two sites.  Scattering amplitudes come from the
 finite-time sandwich U0^{-T} U^{2T} U0^{-T} applied to a band-projected
 Gaussian packet; the free legs are applied spectrally (exact integer-
-step diagonalization), the middle leg runs the local stepper.
+step diagonalization), the middle leg runs the local stepper.  ``step``
+is the reference kernel; ``evolve`` runs a component-major copy of its
+arithmetic on preallocated buffers and agrees with it bit for bit.
 """
 
 from __future__ import annotations
@@ -239,30 +241,61 @@ def _boundary_mass(amps: np.ndarray) -> float:
     return float(dens[:w].sum() + dens[-w:].sum())
 
 
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
+
+
 def evolve(amps, model: WalkModel, t_steps: int,
            on_step=None) -> np.ndarray:
     """t_steps local steps with boundary-leakage monitoring.
 
     Amplitude mass within BOUNDARY_WINDOW sites of the ring seam above
     LEAKAGE_TOL raises a boundary-contamination warning (once).
-    on_step(n, amplitudes), if given, sees the array after n = 0..t_steps.
+    on_step(n, amplitudes), if given, sees the state after n = 0..t_steps
+    as a read-only (sites, components) view of the stepping buffer; the
+    view is valid only during the call, so copy what must outlive it.
+
+    The steps run on a component-major (components, sites) copy with the
+    arithmetic of ``step`` in the same order (phase, zero fill, then one
+    multiply-add per ``step_entries`` row, the roll done as two slices),
+    so the result is bit-identical to t_steps applications of ``step``.
     """
     if t_steps < 0:
         raise DomainError(f"t_steps must be >= 0, got {t_steps}")
-    amps = _lattice(amps)
+    cur = np.array(_lattice(amps).T, order="C")
+    nxt = np.empty_like(cur)
+    length = cur.shape[1]
+    tmp = np.empty(length, dtype=complex)
+    phase = np.exp(1j * model.chi)
+    center = model.center
+    # roll(row, -shift) is row[k:] followed by row[:k], k = shift mod L;
+    # coef stays the Python or numpy scalar step() multiplies by, because
+    # real and complex scalars can round signed zeros differently
+    entries = [(a, b, coef, shift % length)
+               for a, b, coef, shift in model.step_entries]
     observe = on_step or (lambda n, amps: None)
-    observe(0, amps)
+    observe(0, _read_only(cur.T))
     warned = False
     for n in range(1, t_steps + 1):
-        amps = step(amps, model)
+        cur[:, center] *= phase
+        nxt.fill(0)
+        for a, b, coef, k in entries:
+            row = cur[b]
+            np.multiply(coef, row[k:], out=tmp[:length - k])
+            if k:
+                np.multiply(coef, row[:k], out=tmp[length - k:])
+            out = nxt[a]
+            np.add(out, tmp, out=out)
+        cur, nxt = nxt, cur
         if (n % 64 == 0 or n == t_steps) and not warned:
-            mass = _boundary_mass(amps)
+            mass = _boundary_mass(cur.T)
             if mass > LEAKAGE_TOL:
                 warnings.warn(f"boundary mass {mass:.2e} after {n} steps",
                               BoundaryLeakageWarning)
                 warned = True
-        observe(n, amps)
-    return amps
+        observe(n, _read_only(cur.T))
+    return _lattice(cur.T)
 
 
 def free_evolve(amps, model: WalkModel, t_steps: int) -> np.ndarray:
@@ -296,7 +329,8 @@ def extract_smatrix(model: WalkModel, spec_in: GaussianPacketSpec,
     result back.  For the fixed-p model the packet is projected onto the
     exchange-odd sector first, so the diagonal coefficient approximates
     the fermionic elastic amplitude (S_diag = 1 + c).  on_step is passed
-    to the interacting leg's evolve (n = 0 .. 2T).
+    to the interacting leg's evolve (n = 0 .. 2T): each array it receives
+    is a read-only (sites, components) view, valid only during the call.
 
     Raises the inconclusive-scattering error when the packet has not
     fully cleared the interaction region on either asymptotic leg.

@@ -168,20 +168,27 @@ def test_unwritable_snapshot_prefix_exit_3(tmp_path, monkeypatch, capsys):
 
 
 def test_snapshot_run_steps_the_interacting_leg_once(tmp_path, monkeypatch):
-    # T = 240 in the golden config: 2T = 480 steps, not one leg per view
-    calls = []
-    kernel = wavepacket.step
+    # T = 240 in the golden config: one evolve of 2T = 480 steps, not one
+    # leg per view
+    legs, seen = [], []
+    leg = wavepacket.evolve
 
-    def counted(*args):
-        calls.append(None)
-        return kernel(*args)
+    def counted(amps, model, t_steps, on_step=None):
+        legs.append(t_steps)
 
-    monkeypatch.setattr(wavepacket, "step", counted)
+        def observe(n, view):
+            seen.append(n)
+            on_step(n, view)
+
+        return leg(amps, model, t_steps, on_step=observe)
+
+    monkeypatch.setattr(wavepacket, "evolve", counted)
     monkeypatch.chdir(tmp_path)
     args = ["--config", str(GOLDEN / "wavepacket.cfg"),
             "--set", "snapshot_every=50", "--set", "snapshot_prefix=snap_"]
     assert cli.main(args) == 0
-    assert len(calls) == 480
+    assert legs == [480]
+    assert seen == list(range(481))
     written = sorted(p.name for p in tmp_path.glob("snap_*.csv"))
     assert written == [f"snap_{n:05d}.csv" for n in (*range(0, 480, 50), 480)]
 

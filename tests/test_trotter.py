@@ -81,6 +81,17 @@ def test_ring_model_reference_point(ring):
     np.testing.assert_allclose(ring.h0 @ vec, ring.evals[m] * vec, atol=1e-12)
 
 
+def test_v_norm_is_the_spectral_norm():
+    # v_norm comes from eigh(V); a non-diagonal Hermitian V checks it
+    # against the SVD norm
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
+    v = 0.05 * (a + a.conj().T)
+    model = tr.ContinuousModel(h0=np.diag(np.linspace(0.0, 2.0, 24)), v=v,
+                               omega_ref=1.0, eps_ref=0.2)
+    assert model.v_norm == pytest.approx(np.linalg.norm(v, 2), rel=1e-12)
+
+
 def test_ring_model_validation():
     with pytest.raises(DomainError):
         tr.hopping_ring_model(v_sites=(0, 1, 2, 3, 4),

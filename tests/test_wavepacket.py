@@ -83,6 +83,45 @@ def test_free_stepper_matches_mode_sum():
     np.testing.assert_allclose(cur, wp.free_evolve(st, m, 40), atol=1e-13)
 
 
+def _bits(amps):
+    # raw bits, because -0.0 == 0.0 would hide a flipped signed zero
+    return np.array(amps, order="C").view(np.uint64)
+
+
+def test_evolve_matches_step_bitwise():
+    # evolve's component-major leg repeats step's arithmetic in step's
+    # order, so every state it reaches agrees with step bit for bit
+    rng = np.random.default_rng(0)
+    params = ThirringParams(nu=0.8, chi=1.0)
+    cases = ((wp.single_particle_model(0.8, 1.0, length=128),
+              wp.GaussianPacketSpec(k0=0.5, sigma_x=8.0, x0=64)),
+             (wp.thirring_com_model(params, 0.3, length=256),
+              wp.GaussianPacketSpec(k0=0.7, sigma_x=8.0, x0=128, band=(1, 1))))
+    for m, spec in cases:
+        # centered on the ring seam and cut to 24 sites either side; zeros
+        # of random sign ahead of the light cone make the sums' signed
+        # zeros depend on starting each row from +0
+        st = np.roll(wp.build_packet(m, spec), -m.length // 2, axis=0)
+        cut = st[24:-24]
+        cut.real = np.copysign(0.0, rng.standard_normal(cut.shape))
+        cut.imag = np.copysign(0.0, rng.standard_normal(cut.shape))
+        seen = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryLeakageWarning)
+            out = wp.evolve(st, m, 300,
+                            on_step=lambda n, amps: seen.append(_bits(amps)))
+        assert len(seen) == 301
+        cur, center_mass = st, 0.0
+        assert np.array_equal(seen[0], _bits(cur))
+        for n in range(1, 301):
+            cur = wp.step(cur, m)
+            assert np.array_equal(seen[n], _bits(cur)), f"step {n}"
+            near = cur[m.center - 4:m.center + 5]
+            center_mass = max(center_mass, float(np.sum(np.abs(near) ** 2)))
+        assert np.array_equal(_bits(out), _bits(cur))
+        assert center_mass > 0.1  # the packet crossed the interaction center
+
+
 def test_delta_evolution_matches_retarded_kernel():
     # column of U0^t against the quadrature kernel (source-relative dx)
     params = ThirringParams(nu=0.8, chi=1.0)
@@ -212,6 +251,24 @@ def test_extract_smatrix_reports_each_interacting_step_once():
     # observing the leg leaves the measurement bit for bit
     plain = wp.extract_smatrix(m, spec, 300)
     assert meas.diagonal_coefficient == plain.diagonal_coefficient
+
+
+def test_on_step_view_is_read_only():
+    # the callback sees the stepping buffer itself; a write would change
+    # the evolution, so it is refused and the measurement stays the same
+    m = wp.single_particle_model(0.8, 1.0, length=1024)
+    spec = wp.GaussianPacketSpec(k0=0.5, sigma_x=16.0, x0=512)
+    refused = []
+
+    def scribble(n, amps):
+        assert amps.shape == (1024, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            amps[m.center] = 0.0
+        refused.append(n)
+
+    meas = wp.extract_smatrix(m, spec, 300, on_step=scribble)
+    assert refused == list(range(601))
+    assert meas == wp.extract_smatrix(m, spec, 300)
 
 
 def test_snapshot_rows_schema():
