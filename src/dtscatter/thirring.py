@@ -55,10 +55,11 @@ STATIONARY_TOL = 1e-8
 # Proximity to p = n*pi/2 (where the relative-coordinate reduction
 # degenerates) that is rejected outright.
 DEGENERATE_P_TOL = 1e-12
-# Residue route: scan cells per band pair, and the bisection width of
-# each crossing.
+# Residue route: scan cells per band pair, the bisection width of each
+# crossing, and the (s1, s2) band pairs in Gamma's order.
 ROOT_SCAN_N = 2048
 ROOT_BISECT_TOL = 1e-13
+_BAND_PAIRS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
 # Quadrature route: zone grid and the regulators extrapolated to zero.
 GAMMA_QUAD_N = 8192
 GAMMA_EPS = tuple(0.1 * 0.5 ** j for j in range(5))
@@ -238,61 +239,65 @@ def jacobian_pp(params: ThirringParams, p: float, k: float) -> float:
 # Gamma(z): pole-bookkeeping route
 # ---------------------------------------------------------------------------
 
-def _band_pair_roots(d: Dispersion, s1: int, s2: int, p: float,
-                     omega_target: float) -> list[float]:
+def _band_pair_roots(d: Dispersion, p: float, omega_target: float) -> list:
     """All k in (-pi, pi] with s1*w(p+k) + s2*w(p-k) = omega_target mod 2pi.
 
-    The combination is smooth and 2pi-periodic in k, so its level crossings
-    of omega_target + 2*pi*Z are found by tracking the integer part of
-    (omega^{s1s2}(k) - omega_target)/(2pi) on a dense scan and bisecting
-    each bracket.
+    One entry per (s1, s2) of _BAND_PAIRS.  The combination is smooth and
+    2pi-periodic in k, so its crossings of omega_target + 2*pi*Z are found by
+    tracking the integer part of (omega^{s1s2}(k) - omega_target)/(2pi) on a
+    dense scan, one bracket per integer level in a scan cell.  All brackets
+    are bisected at once, each by the steps of a scalar bisection.  A pair
+    whose bisection misses a crossing gets its RootEnumerationError in place
+    of its roots, for the caller to raise in pair order.
     """
+    signs = np.array(_BAND_PAIRS, dtype=float)
 
-    def level(k: float | np.ndarray) -> float | np.ndarray:
+    def level(s1, s2, k):
         return (s1 * d.omega(p + k) + s2 * d.omega(p - k) - omega_target) / (2.0 * np.pi)
 
     ks = -np.pi + 2.0 * np.pi * np.arange(ROOT_SCAN_N + 1) / ROOT_SCAN_N
-    vals = level(ks)
-    roots: list[float] = []
-    for i in range(ROOT_SCAN_N):
-        a, b = ks[i], ks[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        lo, hi = (fa, fb) if fa <= fb else (fb, fa)
-        # integer levels strictly inside (lo, hi], one bisection per level
-        for m in range(int(np.ceil(lo)), int(np.floor(hi)) + 1):
-            if fa == m:
-                roots.append(float(a))  # exact hit at the left endpoint
-                continue
-            ga, gb = fa - m, fb - m
-            if ga * gb > 0.0:
-                continue
-            x0, x1, g0 = a, b, ga
-            for _ in range(200):
-                if x1 - x0 <= ROOT_BISECT_TOL:
-                    break
-                xm = 0.5 * (x0 + x1)
-                gm = level(xm) - m
-                if gm == 0.0:
-                    x0 = x1 = xm
-                    break
-                if g0 * gm < 0.0:
-                    x1 = xm
-                else:
-                    x0, g0 = xm, gm
-            root = 0.5 * (x0 + x1)
-            resid = level(root) - m
-            if abs(resid) > 1e-9:
-                raise RootEnumerationError(
-                    f"bisection failed to pin a band crossing near k = {root} "
-                    f"(residual {resid:.3e})"
-                )
-            roots.append(float(root))
-    # de-duplicate brackets (and exact node hits) that found the same crossing
-    roots.sort()
-    out: list[float] = []
-    for r in roots:
-        if not out or abs(r - out[-1]) > 1e-10:
-            out.append(r)
+    vals = level(signs[:, :1], signs[:, 1:], ks)
+    lo = np.ceil(np.minimum(vals[:, :-1], vals[:, 1:]))
+    count = np.maximum(np.floor(np.maximum(vals[:, :-1], vals[:, 1:])) - lo + 1.0, 0.0)
+    # one bracket per (pair, cell, integer level), in that order
+    pair, cell = np.nonzero(count)
+    n = count[pair, cell].astype(int)
+    offset = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    pair, cell = np.repeat(pair, n), np.repeat(cell, n)
+    m = lo[pair, cell] + offset
+    s1, s2 = signs[pair, 0], signs[pair, 1]
+    x0, g0 = ks[cell], vals[pair, cell] - m
+    x1 = np.where(g0 == 0.0, x0, ks[cell + 1])  # exact hit at the left endpoint
+    run = np.ones(m.size, dtype=bool)
+    for _ in range(200):
+        run &= x1 - x0 > ROOT_BISECT_TOL
+        if not run.any():
+            break
+        xm = 0.5 * (x0 + x1)
+        gm = level(s1, s2, xm) - m
+        left = run & (g0 * gm < 0.0)
+        right = run & ~left
+        x1 = np.where(left | (right & (gm == 0.0)), xm, x1)
+        x0 = np.where(right, xm, x0)
+        g0 = np.where(right, gm, g0)
+        run &= gm != 0.0
+    root = 0.5 * (x0 + x1)
+    resid = level(s1, s2, root) - m
+    out: list = []
+    for j in range(len(_BAND_PAIRS)):
+        mine = pair == j
+        bad = np.flatnonzero(mine & (np.abs(resid) > 1e-9))
+        if bad.size:
+            out.append(RootEnumerationError(
+                f"bisection failed to pin a band crossing near k = {root[bad[0]]} "
+                f"(residual {resid[bad[0]]:.3e})"))
+            continue
+        # de-duplicate brackets (and exact node hits) that found the same crossing
+        kept: list[float] = []
+        for r in np.sort(root[mine]).tolist():
+            if not kept or abs(r - kept[-1]) > 1e-10:
+                kept.append(r)
+        out.append(kept)
     return out
 
 
@@ -333,22 +338,23 @@ def gamma_matrix(params: ThirringParams, p: float,
 
     total = np.zeros((4, 4), dtype=complex)
     kept: list[tuple[float, int, int]] = []
-    for s1 in (+1, -1):
-        for s2 in (+1, -1):
-            for kr in _band_pair_roots(d, s1, s2, p, omega_c):
-                s2k = np.sin(2.0 * kr)
-                keep = (s2k >= -1e-12) if positive else (s2k < 1e-12)
-                if not keep:
-                    continue
-                slope = float(s1 * d.omega_prime(p + kr) - s2 * d.omega_prime(p - kr))
-                if abs(slope) < STATIONARY_TOL:
-                    raise StationaryPointError(
-                        f"band pair ({s1:+d},{s2:+d}) crosses omega = {omega_c} "
-                        f"with near-zero slope at k = {kr}"
-                    )
-                v = _pair_vector(d, s1, s2, p, kr)
-                total += np.outer(v, v) / slope
-                kept.append((float(kr), s1, s2))
+    for (s1, s2), roots in zip(_BAND_PAIRS, _band_pair_roots(d, p, omega_c)):
+        if isinstance(roots, RootEnumerationError):
+            raise roots
+        for kr in roots:
+            s2k = np.sin(2.0 * kr)
+            keep = (s2k >= -1e-12) if positive else (s2k < 1e-12)
+            if not keep:
+                continue
+            slope = float(s1 * d.omega_prime(p + kr) - s2 * d.omega_prime(p - kr))
+            if abs(slope) < STATIONARY_TOL:
+                raise StationaryPointError(
+                    f"band pair ({s1:+d},{s2:+d}) crosses omega = {omega_c} "
+                    f"with near-zero slope at k = {kr}"
+                )
+            v = _pair_vector(d, s1, s2, p, kr)
+            total += np.outer(v, v) / slope
+            kept.append((float(kr), s1, s2))
 
     h_plus = omega_c + 2.0 * p
     h_minus = omega_c - 2.0 * p

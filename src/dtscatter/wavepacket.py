@@ -134,12 +134,16 @@ def thirring_com_model(params: ThirringParams, p: float,
                      total_momentum=float(wrap_momentum(p)))
 
 
-def _lattice(amps) -> np.ndarray:
+def _lattice(amps, model: WalkModel | None = None) -> np.ndarray:
     """The state as a C-contiguous complex (sites, components) array; every
-    state returned here passes through it, so reductions sum in one order."""
+    state returned here passes through it, so reductions sum in one order.
+    Given a model, the shape must be (model.length, model.ncomp)."""
     amps = np.ascontiguousarray(amps, dtype=complex)
     if amps.ndim != 2:
         raise DomainError("amplitudes must have shape (sites, components)")
+    if model is not None and amps.shape != (model.length, model.ncomp):
+        raise DomainError(f"state shape {amps.shape} does not match the model's "
+                          f"(sites, components) = {(model.length, model.ncomp)}")
     return amps
 
 
@@ -205,7 +209,7 @@ def band_project(model: WalkModel, amps, label: tuple) -> np.ndarray:
     if label not in bands:
         raise DomainError(f"unknown band label {label}")
     _, vec = bands[label]
-    ft = np.fft.fft(_lattice(amps), axis=0)
+    ft = np.fft.fft(_lattice(amps, model), axis=0)
     proj = np.einsum("ck,kc->k", vec, ft)
     return _lattice(np.fft.ifft(proj[:, None] * vec.T, axis=0))
 
@@ -216,7 +220,7 @@ def exchange(model: WalkModel, amps) -> np.ndarray:
     if model.total_momentum is None:
         raise DomainError("exchange is defined for the fixed-p two-particle model")
     idx = (2 * model.center - np.arange(model.length)) % model.length
-    return _lattice(amps)[idx[:, None], [0, 2, 1, 3]]
+    return _lattice(amps, model)[idx[:, None], [0, 2, 1, 3]]
 
 
 def antisymmetrize(model: WalkModel, amps) -> np.ndarray:
@@ -227,7 +231,7 @@ def antisymmetrize(model: WalkModel, amps) -> np.ndarray:
 
 def step(amps, model: WalkModel) -> np.ndarray:
     """One discrete step: the local interaction phase, then the free walk."""
-    amps = np.array(amps, dtype=complex, order="C")
+    amps = np.array(_lattice(amps, model))
     amps[model.center] *= np.exp(1j * model.chi)
     out = np.zeros_like(amps)
     for a, b, coef, shift in model.step_entries:
@@ -263,7 +267,7 @@ def evolve(amps, model: WalkModel, t_steps: int,
     """
     if t_steps < 0:
         raise DomainError(f"t_steps must be >= 0, got {t_steps}")
-    cur = np.array(_lattice(amps).T, order="C")
+    cur = np.array(_lattice(amps, model).T, order="C")
     nxt = np.empty_like(cur)
     length = cur.shape[1]
     tmp = np.empty(length, dtype=complex)
@@ -301,7 +305,7 @@ def evolve(amps, model: WalkModel, t_steps: int,
 def free_evolve(amps, model: WalkModel, t_steps: int) -> np.ndarray:
     """Exact free evolution by any integer number of steps (negative =
     inverse), applied in the band basis on the FFT grid."""
-    ft = np.fft.fft(_lattice(amps), axis=0)
+    ft = np.fft.fft(_lattice(amps, model), axis=0)
     _, bands = model.mode_data
     out = np.zeros_like(ft)
     for _, (wsum, vec) in bands.items():

@@ -16,7 +16,8 @@ import math
 import mpmath as mp
 import numpy as np
 
-from dtscatter.errors import DtScatterError
+from dtscatter.errors import DtScatterError, RootEnumerationError
+from dtscatter.thirring import ROOT_BISECT_TOL, ROOT_SCAN_N
 
 mp.mp.dps = 30
 
@@ -238,3 +239,62 @@ def render_json_reference(table):
             for row in zip(*cols)]
     obj = {"metadata": _reference_json_value(table.metadata), "rows": rows}
     return json.dumps(obj, indent=1, sort_keys=False, allow_nan=False) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Gamma band crossings, one scan cell and one bisection at a time
+# ---------------------------------------------------------------------------
+
+def band_pair_roots(d, s1, s2, p, omega_target):
+    """All k in (-pi, pi] with s1*w(p+k) + s2*w(p-k) = omega_target mod 2pi.
+
+    The scalar form of the package's batched crossing solve: a Python loop
+    over the scan cells, one bracket per integer level of
+    (omega^{s1s2}(k) - omega_target)/(2pi) in each cell, each bisected on
+    its own.  The package must return these roots bit for bit.
+    """
+    def level(k):
+        return (s1 * d.omega(p + k) + s2 * d.omega(p - k) - omega_target) / (2.0 * np.pi)
+
+    ks = -np.pi + 2.0 * np.pi * np.arange(ROOT_SCAN_N + 1) / ROOT_SCAN_N
+    vals = level(ks)
+    roots = []
+    for i in range(ROOT_SCAN_N):
+        a, b = ks[i], ks[i + 1]
+        fa, fb = vals[i], vals[i + 1]
+        lo, hi = (fa, fb) if fa <= fb else (fb, fa)
+        for m in range(int(np.ceil(lo)), int(np.floor(hi)) + 1):
+            if fa == m:
+                roots.append(float(a))  # exact hit at the left endpoint
+                continue
+            ga, gb = fa - m, fb - m
+            if ga * gb > 0.0:
+                continue
+            x0, x1, g0 = a, b, ga
+            for _ in range(200):
+                if x1 - x0 <= ROOT_BISECT_TOL:
+                    break
+                xm = 0.5 * (x0 + x1)
+                gm = level(xm) - m
+                if gm == 0.0:
+                    x0 = x1 = xm
+                    break
+                if g0 * gm < 0.0:
+                    x1 = xm
+                else:
+                    x0, g0 = xm, gm
+            root = 0.5 * (x0 + x1)
+            resid = level(root) - m
+            if abs(resid) > 1e-9:
+                raise RootEnumerationError(
+                    f"bisection failed to pin a band crossing near k = {root} "
+                    f"(residual {resid:.3e})"
+                )
+            roots.append(float(root))
+    # de-duplicate brackets (and exact node hits) that found the same crossing
+    roots.sort()
+    out = []
+    for r in roots:
+        if not out or abs(r - out[-1]) > 1e-10:
+            out.append(r)
+    return out

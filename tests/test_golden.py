@@ -49,3 +49,22 @@ def test_wavepacket_snapshots_match_digests(tmp_path, monkeypatch):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.glob("snap_*.csv")}
     assert digests == SNAPSHOT_SHA256
+
+
+# sha256 of the `wavepacket` table at the default ring and run length
+# (sigma_x = 64, length = 4096, t_steps = 900), where the golden config's
+# length = 1024 leaves last-bit drift in the longer run unseen
+DEFAULT_WAVEPACKET_SHA256 = (
+    "e5e4a2bdc8ecd57fa7c80610db4ba14e0f0dd866366d69cf24572a09aef07ad6")
+
+
+def test_wavepacket_default_config_matches_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    cfg = tmp_path / "default.cfg"
+    cfg.write_text("[run]\ncommand = wavepacket\n"
+                   "[params]\nnu = 0.8\nchi = 1.0\np = 0.3\nk0 = 0.7\n"
+                   "[output]\npath = wavepacket.json\n")
+    assert cli.main(["--config", str(cfg)]) == 0
+    digest = hashlib.sha256((tmp_path / "wavepacket.json").read_bytes())
+    assert digest.hexdigest() == DEFAULT_WAVEPACKET_SHA256

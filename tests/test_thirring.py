@@ -4,16 +4,20 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
+from dtscatter import thirring
 from dtscatter.errors import (
     DegenerateMomentumError,
     DomainError,
     PoleError,
+    RootEnumerationError,
     StationaryPointError,
 )
 from dtscatter.spectral import make_dispersion
 from dtscatter.thirring import (
+    ROOT_SCAN_N,
     ThirringParams,
     amplitude_pp,
     born_series_thirring,
@@ -193,6 +197,60 @@ def test_flat_band_rejected_quickly():
     with pytest.raises(StationaryPointError):
         born_series_thirring(ThirringParams(1e-300, 1.0), 0.3, 0.7, 12)
     assert time.monotonic() - t0 < 0.25
+
+
+# omegas whose scan holds an exact level hit at nu = 0.8, p = 0.3: the
+# (+,-) level is zero on scan node 1300, and on node 1536 (k = pi/2), where
+# the (+,-) pair is stationary, so the crossing is a tangency
+_D08 = make_dispersion(0.8)
+_NODE_K = [-np.pi + 2.0 * np.pi * i / ROOT_SCAN_N for i in (1300, 1536)]
+NODE_HIT_OMEGA, TANGENT_HIT_OMEGA = (
+    float(_D08.omega(0.3 + k) - _D08.omega(0.3 - k)) for k in _NODE_K)
+REF_OMEGA_PP = two_particle_omega(ThirringParams(nu=0.8, chi=1.0), 0.3, 0.7, +1, +1)
+
+
+def _off_degenerate_p(p):
+    return abs(p - 0.5 * np.pi * round(p / (0.5 * np.pi))) >= 1e-3
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(nu=st.floats(min_value=0.05, max_value=0.99),
+       p=st.floats(min_value=-np.pi, max_value=np.pi,
+                   exclude_min=True).filter(_off_degenerate_p),
+       omega=st.floats(min_value=-np.pi, max_value=np.pi, exclude_min=True))
+@example(nu=0.8, p=0.3, omega=NODE_HIT_OMEGA)
+@example(nu=0.8, p=0.3, omega=TANGENT_HIT_OMEGA)
+@example(nu=0.8, p=0.3, omega=REF_OMEGA_PP)
+def test_band_pair_roots_match_scalar_oracle(nu, p, omega):
+    """The batched crossing solve returns the scalar bisection's roots (or
+    its error) bit for bit, band pair by band pair."""
+    d = make_dispersion(nu)
+    for (s1, s2), got in zip(thirring._BAND_PAIRS,
+                             thirring._band_pair_roots(d, p, omega)):
+        try:
+            want = oracles.band_pair_roots(d, s1, s2, p, omega)
+        except RootEnumerationError as exc:
+            assert isinstance(got, RootEnumerationError)
+            assert str(got) == str(exc)
+            continue
+        assert [r.hex() for r in got] == [r.hex() for r in want]
+
+
+def test_earlier_pair_failure_takes_precedence(monkeypatch):
+    # a point reports the first failure in pair order: the (+,+) roots, then
+    # the (+,+) slopes, before anything of the (+,-) pair
+    params = ThirringParams(nu=0.8, chi=1.0)
+    omega = two_particle_omega(params, 0.3, 0.0, +1, +1)  # (+,+) flat at k = 0
+    solve = thirring._band_pair_roots
+    stub = RootEnumerationError("stub")
+    monkeypatch.setattr(thirring, "_band_pair_roots",
+                        lambda d, p, w: solve(d, p, w)[:1] + [stub] * 3)
+    with pytest.raises(StationaryPointError, match=r"band pair \(\+1,\+1\)"):
+        gamma_matrix(params, 0.3, omega)
+    monkeypatch.setattr(thirring, "_band_pair_roots",
+                        lambda d, p, w: [stub] + solve(d, p, w)[1:])
+    with pytest.raises(RootEnumerationError, match="stub"):
+        gamma_matrix(params, 0.3, omega)
 
 
 def test_degenerate_total_momentum_rejected():

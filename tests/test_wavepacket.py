@@ -293,6 +293,19 @@ def test_state_guards():
         wp.antisymmetrize(mc, even)
 
 
+# without the check these ran: (128, 2) to an IndexError, (512, 2) with the
+# phase on the model's center instead of the state's, (256, 4) zeroing two
+# components, which is not unitary
+@pytest.mark.parametrize("shape", [(128, 2), (512, 2), (256, 4)])
+def test_state_shape_must_match_model(shape):
+    m = wp.single_particle_model(0.8, 1.0, length=256)
+    amps = np.ones(shape, dtype=complex)
+    for run in (lambda: wp.step(amps, m), lambda: wp.evolve(amps, m, 1),
+                lambda: wp.free_evolve(amps, m, 1)):
+        with pytest.raises(DomainError, match=r"does not match the model's"):
+            run()
+
+
 def test_returned_states_are_c_contiguous():
     # norms and overlaps of a state must sum in one memory order; the
     # band projector's product with vec.T is F-ordered before the copy
