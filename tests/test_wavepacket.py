@@ -293,9 +293,9 @@ def test_state_guards():
         wp.antisymmetrize(mc, even)
 
 
-# without the check these ran: (128, 2) to an IndexError, (512, 2) with the
-# phase on the model's center instead of the state's, (256, 4) zeroing two
-# components, which is not unitary
+# each mismatch breaks a step differently: too few sites index past the
+# state, too many put the phase off the model's center, and two extra
+# components are dropped, which is not unitary
 @pytest.mark.parametrize("shape", [(128, 2), (512, 2), (256, 4)])
 def test_state_shape_must_match_model(shape):
     m = wp.single_particle_model(0.8, 1.0, length=256)
