@@ -12,8 +12,21 @@ approaches the continuous one T(z) = (I - V G0)^{-1} V as tau -> 0, and
 certifies a step threshold m* below which the stepped Born series is a
 contraction.
 
-Everything is evaluated densely on a finite model; the reference model
-for sweeps is a nearest-neighbour hopping ring with a few-site potential
+The potential is local: it acts on r sites of an n-site model, so
+V = U Lambda U^H with r orthonormal columns U.  With B = U^H E (E the
+eigenbasis of H0, energies e) and A(m) = B diag(m) B^H, both T operators
+live on the support,
+
+    T  = U X U^H,   X  = (I - Lambda A(1/(z - e)))^{-1} Lambda,
+    T~ = U X~ U^H,  X~ = (I - D A(m~))^{-1} D,
+
+with D = (i/tau)(exp(-i*Lambda*tau) - 1) and m~ the stepped Green
+multipliers.  So the sweep's gap ||T~ - T|| = ||X~ - X|| and its
+predicted prefactor are r x r algebra after one O(n r^2) product per
+step.  The dense n x n operators (``t_continuous_operator``,
+``t_discrete_operator``, ``t_difference``) are kept as the reference the
+support form is tested against.  The reference model for sweeps is a
+nearest-neighbour hopping ring with a few-site potential
 (``hopping_ring_model``), which satisfies the bounded-spectrum and
 weak-potential assumptions exactly.
 """
@@ -80,9 +93,14 @@ class ContinuousModel:
     potential.  gamma = ||G0(omega_ref + i*eps_ref) V|| is the Born
     contraction estimate at the reference point; the Born route needs
     gamma < 1.  An orthonormal eigenbasis of h0 may be supplied (e.g. the
-    analytic plane-wave basis of a ring); otherwise one is computed.  The
-    eigensystem of v (v_evals, v_evecs) is kept for the stepped potential
-    W~ at every step size.
+    analytic plane-wave basis of a ring); otherwise one is computed.
+
+    The support of v is the set of its nonzero rows and columns (r sites).
+    Only that r x r block is diagonalized: v_evals (length r) and v_evecs
+    (n x r, orthonormal columns U) give V = U diag(v_evals) U^H, and
+    v_basis = U^H E (r x n) is the potential's eigenvectors in the
+    eigenbasis E of h0.  These serve the stepped potential W~ at every
+    step size and the r x r form of both T operators.
     """
 
     h0: np.ndarray
@@ -114,24 +132,43 @@ class ContinuousModel:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "evals", evals)
         object.__setattr__(self, "evecs", evecs)
-        v_evals, v_evecs = np.linalg.eigh(v)
+        nonzero = v != 0
+        support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+        v_evals, block_evecs = np.linalg.eigh(v[np.ix_(support, support)])
+        v_evecs = np.zeros((h0.shape[0], support.size), dtype=complex)
+        v_evecs[support] = block_evecs
+        v_basis = block_evecs.conj().T @ evecs[support]
         object.__setattr__(self, "v_evals", v_evals)
         object.__setattr__(self, "v_evecs", v_evecs)
+        object.__setattr__(self, "v_basis", v_basis)
         object.__setattr__(self, "omega_max", float(evals.max()))
         # V is Hermitian, so its spectral norm is its largest |eigenvalue|
-        object.__setattr__(self, "v_norm", float(np.abs(v_evals).max()))
-        g0v = self.green_continuous(self.omega_ref + 1j * self.eps_ref) @ v
+        object.__setattr__(self, "v_norm",
+                           float(np.abs(v_evals).max(initial=0.0)))
+        # G0 V = E diag(g) B^H Lambda U^H with E unitary and U orthonormal
+        g = self.resolvent_multipliers(self.omega_ref + 1j * self.eps_ref)
+        g0v = g[:, None] * (v_basis.conj().T * v_evals)
         object.__setattr__(self, "gamma", float(np.linalg.norm(g0v, 2)))
 
     @property
     def dim(self) -> int:
         return self.h0.shape[0]
 
-    def green_continuous(self, z: complex) -> np.ndarray:
-        """Dense resolvent G0(z) = (z - H0)^{-1}."""
+    def resolvent_multipliers(self, z: complex) -> np.ndarray:
+        """1/(z - e) over the spectrum e of h0, the eigenvalues of G0(z)."""
         zdist = np.abs(z - self.evals)
         if zdist.min() < 1e-14:
             raise PoleError(f"z = {z} sits on the spectrum of h0")
+        return 1.0 / (z - self.evals)
+
+    def on_support(self, mult: np.ndarray) -> np.ndarray:
+        """r x r compression U^H (E diag(mult) E^H) U = B diag(mult) B^H."""
+        b = self.v_basis
+        return (b * mult) @ b.conj().T
+
+    def green_continuous(self, z: complex) -> np.ndarray:
+        """Dense resolvent G0(z) = (z - H0)^{-1}."""
+        self.resolvent_multipliers(z)  # PoleError on the spectrum of h0
         return np.linalg.inv(z * np.eye(self.dim) - self.h0)
 
 
@@ -143,9 +180,9 @@ def hopping_ring_model(n: int = 128, omega_max: float = 2.0,
     """Reference sweep model: nearest-neighbour ring plus few-site potential.
 
     H0 = 2J(1 - cos k) with J = omega_max/4, so the spectrum fills
-    [0, omega_max] exactly; V is diagonal on at most four sites, weak
-    enough that the Born contraction at the reference energy stays below
-    one half.  The analytic plane-wave basis is attached so mode indices
+    [0, omega_max] exactly; V is diagonal on at most four distinct sites,
+    weak enough that the Born contraction at the reference energy stays
+    below one half.  The analytic plane-wave basis is attached so mode indices
     mean momentum numbers m (k_m = 2*pi*m/n, energies sorted by |m|
     pairs as produced here, not by magnitude).
     """
@@ -154,6 +191,11 @@ def hopping_ring_model(n: int = 128, omega_max: float = 2.0,
     if not all(0 <= s < n for s in v_sites):
         raise DomainError(f"potential sites {v_sites} do not fit a ring of "
                           f"{n} sites")
+    if len(set(v_sites)) != len(v_sites):
+        raise DomainError(f"potential sites {v_sites} repeat a site")
+    if not 0 <= mode_index < n:
+        raise DomainError(f"mode_index must lie in [0, n) = [0, {n}), "
+                          f"got {mode_index}")
     j_hop = omega_max / 4.0
     x = np.arange(n)
     h0 = np.zeros((n, n))
@@ -272,21 +314,29 @@ def w_tilde(model: ContinuousModel, tau: float):
 
     Returns (V_part, Q_part) as dense matrices; Q is q_kernel applied to
     the eigenvalues of V*tau, so ||Q|| <= 1/2 with equality approached at
-    tau -> 0.
+    tau -> 0.  Off the support V has eigenvalue 0, where Q is q(0) = -i/2.
     """
     _check_tau(tau)
-    vvals, vvecs = model.v_evals, model.v_evecs
-    q = (vvecs * q_kernel(vvals * tau)) @ vvecs.conj().T
+    vvecs = model.v_evecs
+    q0 = q_kernel(0.0)
+    q = ((vvecs * (q_kernel(model.v_evals * tau) - q0)) @ vvecs.conj().T
+         + q0 * np.eye(model.dim))
     return model.v.copy(), q
 
 
 def w_tilde_direct(model: ContinuousModel, tau: float) -> np.ndarray:
-    """W~ = (i/tau)(exp(-i*V*tau) - I) by exact diagonalization of V."""
+    """W~ = (i/tau)(exp(-i*V*tau) - I) by exact diagonalization of V.
+
+    Zero eigenvalues of V map to zero, so W~ = U D U^H on the support.
+    """
+    vvecs = model.v_evecs
+    return (vvecs * _stepped_potential(model, tau)) @ vvecs.conj().T
+
+
+def _stepped_potential(model: ContinuousModel, tau: float) -> np.ndarray:
+    """Eigenvalues D = (i/tau)(exp(-i*Lambda*tau) - 1) of W~ on the support."""
     _check_tau(tau)
-    vvals, vvecs = model.v_evals, model.v_evecs
-    phases = np.exp(-1j * vvals * tau)
-    return (1j / tau) * ((vvecs * phases) @ vvecs.conj().T
-                         - np.eye(model.dim))
+    return (1j / tau) * (np.exp(-1j * model.v_evals * tau) - 1.0)
 
 
 def green_discrete_operator(model: ContinuousModel, tau: float,
@@ -344,8 +394,9 @@ def tau_threshold(model: ContinuousModel, tau: float | None = None) -> BoundRepo
         raise AssumptionViolationError(
             f"Born contraction gamma = {gamma:.3f} >= 1; no step is certified"
         )
-    m_star = min((np.sqrt(2.0 - gamma) - 1.0) / v_norm,
-                 np.pi / model.omega_max)
+    # with V = 0 the weak-potential branch puts no limit on the step
+    weak = (np.sqrt(2.0 - gamma) - 1.0) / v_norm if v_norm > 0.0 else np.inf
+    m_star = min(weak, np.pi / model.omega_max)
     if tau is None:
         tau = m_star
     f_bound = float(np.real(bernoulli_f(model.omega_max * tau / 2.0)))
@@ -466,9 +517,12 @@ class SweepReport:
 def convergence_sweep(model: ContinuousModel, tau_grid) -> SweepReport:
     """Fit the decay exponent of the stepped-vs-continuous T gap.
 
-    Evaluates ||T~(z) - T(z)|| (dense 2-norm) at z = omega_ref + i*eps_ref
+    Evaluates ||T~(z) - T(z)||_2 = ||X~ - X||_2 at z = omega_ref + i*eps_ref
     over the given geometric grid of steps (>= 4 points required) and
     returns the log-log slope and prefactor beside the predicted one.
+    Every norm and solve is r x r on the support of V (module docstring);
+    ``t_continuous_operator`` and ``t_discrete_operator`` are the dense
+    reference for the same numbers.
     """
     taus = np.asarray(tau_grid, dtype=float)
     if taus.size >= 2:
@@ -476,15 +530,24 @@ def convergence_sweep(model: ContinuousModel, tau_grid) -> SweepReport:
         if np.abs(ratios - ratios[0]).max() > 1e-8:
             raise DomainError("tau grid must be geometric")
     z = complex(model.omega_ref + 1j * model.eps_ref)
-    t_cont = t_continuous_operator(model, z)
+    lam = model.v_evals
+    eye = np.eye(lam.size)
+
+    def t_on_support(w, g):
+        # (I - W G)^{-1} W for W = diag(w) and G = A(g), both r x r
+        return np.linalg.solve(eye - w[:, None] * model.on_support(g),
+                               np.diag(w))
+
+    x_cont = t_on_support(lam, model.resolvent_multipliers(z))
     gaps = []
     valid = []
     for tau in taus:
         try:
-            t_disc = t_discrete_operator(model, float(tau), z)
+            x_disc = t_on_support(_stepped_potential(model, float(tau)),
+                                  green_discrete(model, float(tau), z))
         except (PoleError, DomainError):
             continue
-        gap = float(np.linalg.norm(t_disc - t_cont, 2))
+        gap = float(np.linalg.norm(x_disc - x_cont, 2))
         if np.isfinite(gap) and gap > 0.0:
             valid.append(float(tau))
             gaps.append(gap)
@@ -493,7 +556,9 @@ def convergence_sweep(model: ContinuousModel, tau_grid) -> SweepReport:
             f"only {len(valid)} valid sweep points; need at least 4"
         )
     slope, intercept = fit_loglog_slope(valid, gaps)
-    predicted = np.linalg.norm(_leading_coefficient(model, t_cont, z), 2)
+    # U^H (H0 + V - z) U = B diag(e) B^H + Lambda - z
+    shifted = model.on_support(model.evals) + np.diag(lam) - z * eye
+    predicted = np.linalg.norm(x_cont @ shifted @ x_cont, 2) / 12.0
     return SweepReport(taus=np.asarray(valid), gaps=np.asarray(gaps),
                        slope=slope, intercept=intercept,
                        prefactor=float(np.exp(intercept)),

@@ -181,6 +181,26 @@ def test_criterion_5_trotter_slope_and_prefactor():
         f"outside 10%")
 
 
+def test_criterion_5_law_at_n_1024():
+    """Criterion 5's law on a 1024-site ring (mode 256, k = pi/2) within 1 s.
+
+    The sweep runs on the four-site support of V, so the ring size costs
+    only the model's O(n^2) setup; predicted_prefactor is the support form
+    of ||T (H0 + V - z) T|| / 12, tied to the dense operators at n = 128
+    by test_trotter.py::test_support_route_matches_dense_operators.
+    """
+    t_start = time.monotonic()
+    model = tr.hopping_ring_model(n=1024, mode_index=256)
+    m_star = tr.tau_threshold(model).m_star
+    report = tr.convergence_sweep(model, [m_star * 0.5**j for j in range(5)])
+    elapsed = time.monotonic() - t_start
+    assert elapsed < 1.0, f"budget 1 s exceeded: {elapsed:.2f} s"
+    assert abs(report.slope - 2.0) <= 0.05, report.slope
+    predicted = report.predicted_prefactor
+    assert abs(report.prefactor - predicted) <= 0.1 * predicted, (
+        report.prefactor, predicted)
+
+
 def test_criterion_6_bound_certification():
     """At tau = m*: computed ||W~ G~0|| < 1 and within the two-term bound."""
     model = tr.hopping_ring_model()

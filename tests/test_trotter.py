@@ -104,6 +104,36 @@ def test_ring_model_validation():
                            omega_ref=0.5, eps_ref=0.1)
 
 
+def test_ring_model_rejects_repeated_sites_and_foreign_modes():
+    # a repeated site would let the later value overwrite the earlier one
+    with pytest.raises(DomainError, match="repeat a site"):
+        tr.hopping_ring_model(v_sites=(0, 0), v_values=(0.1, 0.2))
+    for mode in (16, 17, -1):
+        with pytest.raises(DomainError, match=r"must lie in \[0, n\)"):
+            tr.hopping_ring_model(n=16, mode_index=mode)
+
+
+def test_zero_potential_has_empty_support():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model in (tr.hopping_ring_model(n=32, v_sites=(), v_values=(),
+                                            mode_index=8),
+                      tr.ContinuousModel(h0=np.diag(np.linspace(0.0, 2.0, 8)),
+                                         v=np.zeros((8, 8)), omega_ref=0.9,
+                                         eps_ref=0.2)):
+            assert model.v_evals.shape == (0,)
+            assert model.v_evecs.shape == (model.dim, 0)
+            assert model.v_norm == 0.0
+            assert model.gamma == 0.0
+            # the weak-potential branch is unbounded; the band bound binds
+            rep = tr.tau_threshold(model)
+            assert rep.m_star == pytest.approx(np.pi / model.omega_max,
+                                               rel=1e-15)
+            assert np.all(tr.w_tilde_direct(model, 0.3) == 0.0)
+            with pytest.raises(InsufficientDataError):
+                tr.convergence_sweep(model, [0.4, 0.2, 0.1, 0.05, 0.025])
+
+
 def test_threshold_report_frozen(ring):
     rep = tr.tau_threshold(ring)
     assert rep.m_star == pytest.approx(np.pi / 2, rel=1e-15)
@@ -247,6 +277,93 @@ def test_sweep_reuses_the_potential_eigensystem(ring, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     tr.convergence_sweep(ring, [np.pi / 2 * 0.5**j for j in range(5)])
     assert calls == []
+
+
+def _nondiagonal_model():
+    """64-site ring with a Hermitian V coupling sites 3, 4 and 10."""
+    base = tr.hopping_ring_model(n=64, mode_index=16)
+    v = np.zeros((64, 64), dtype=complex)
+    v[3, 3], v[4, 4], v[10, 10] = 0.05, -0.04, 0.03
+    v[3, 4], v[3, 10], v[4, 10] = 0.02 + 0.01j, -0.015j, 0.01
+    v = v + np.triu(v, 1).conj().T
+    return tr.ContinuousModel(h0=base.h0, v=v, omega_ref=base.omega_ref,
+                              eps_ref=0.2, basis=(base.evals, base.evecs))
+
+
+def _full_rank_model():
+    """Random full-rank Hermitian V (support r = n) and random complex H0.
+
+    A complex H0 is not symmetric, so a support basis B = U^H E with a
+    missing conjugate changes the gaps (on a real ring it only transposes
+    X and X~, which keeps every norm).
+    """
+    rng = np.random.default_rng(12)
+
+    def hermitian(scale):
+        a = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+        return scale * (a + a.conj().T)
+
+    h0 = hermitian(0.05)
+    h0 -= np.linalg.eigvalsh(h0)[0] * np.eye(40)
+    return tr.ContinuousModel(h0=h0, v=hermitian(0.01), omega_ref=1.0,
+                              eps_ref=0.2)
+
+
+@pytest.mark.parametrize("make", [tr.hopping_ring_model, _full_rank_model,
+                                  _nondiagonal_model],
+                         ids=["criterion5_ring", "full_rank", "nondiagonal"])
+def test_support_route_matches_dense_operators(make):
+    model = make()
+    z = model.omega_ref + 1j * model.eps_ref
+    if make is _full_rank_model:
+        assert model.v_evals.size == model.dim
+    elif make is _nondiagonal_model:
+        assert model.v_evals.size == 3
+    gamma = np.linalg.norm(model.green_continuous(z) @ model.v, 2)
+    assert model.gamma == pytest.approx(gamma, rel=1e-9)
+    taus = [tr.tau_threshold(model).m_star * 0.5**j for j in range(5)]
+    rep = tr.convergence_sweep(model, taus)
+    t_cont = tr.t_continuous_operator(model, z)
+    gaps = [np.linalg.norm(tr.t_discrete_operator(model, tau, z) - t_cont, 2)
+            for tau in taus]
+    np.testing.assert_allclose(rep.taus, taus, rtol=0.0)
+    np.testing.assert_allclose(rep.gaps, gaps, rtol=1e-9)
+    slope, _ = tr.fit_loglog_slope(taus, gaps)
+    assert rep.slope == pytest.approx(slope, rel=1e-9)
+    lead = np.linalg.norm(tr._leading_coefficient(model, t_cont, z), 2)
+    assert rep.predicted_prefactor == pytest.approx(lead, rel=1e-9)
+
+
+def test_stepped_potential_matches_full_diagonalization():
+    model = _nondiagonal_model()
+    vals, vecs = np.linalg.eigh(model.v)
+    for tau in (0.05, 0.3, 1.2):
+        phases = np.exp(-1j * vals * tau)
+        direct = (1j / tau) * ((vecs * phases) @ vecs.conj().T
+                               - np.eye(model.dim))
+        # the dense reference subtracts I and divides by tau: eps/tau noise
+        np.testing.assert_allclose(tr.w_tilde_direct(model, tau), direct,
+                                   rtol=0.0, atol=1e-14 / tau)
+        # Q is q(0) = -i/2 on the null space of V, not 0
+        q_dense = (vecs * tr.q_kernel(vals * tau)) @ vecs.conj().T
+        np.testing.assert_allclose(tr.w_tilde(model, tau)[1], q_dense,
+                                   rtol=0.0, atol=1e-13)
+
+
+def test_sweep_stays_on_the_support(ring, monkeypatch):
+    # every solve and norm of the sweep is r x r (r = 4 here), so the sweep
+    # cannot quietly fall back to n x n algebra
+    rows = []
+    for name in ("solve", "norm"):
+        original = getattr(np.linalg, name)
+
+        def recorded(a, *args, _original=original, **kwargs):
+            rows.append(np.shape(a)[0])
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    tr.convergence_sweep(ring, [np.pi / 2 * 0.5**j for j in range(5)])
+    assert rows and max(rows) <= ring.v_evals.size == 4
 
 
 def test_sweep_predicts_the_leading_prefactor(ring):
