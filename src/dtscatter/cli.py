@@ -32,9 +32,11 @@ from .errors import DtScatterError, OutputError
 from .spectral import make_dispersion
 from .tables import ResultTable, emit
 from .thirring import (
+    ROOT_BLOCK,
     ThirringParams,
     amplitude_pp,
     amplitude_pp_grid,
+    born_series_grid,
     born_series_thirring,
     channel,
     jacobian_pp,
@@ -105,19 +107,38 @@ def _run_amplitude(cfg: RunConfig) -> ResultTable:
     table = ResultTable(metadata=_metadata(cfg))
     table.declare(("k", "coefficient", "born", "born_gap", "converged",
                    "flagged", "note"), complex_names=("coefficient", "born"))
-    for k in cfg.grids["k"]:
+    ks = [float(k) for k in cfg.grids["k"]]
+    # each point's note comes from its first failing call: the closed form,
+    # then the Born route (one crossing solve for the whole grid), then the
+    # slope
+    rows: list = [None] * len(ks)
+    for i, k in enumerate(ks):
         try:
-            c = amplitude_pp(params, p, k).coefficient
-            series = born_series_thirring(params, p, k, born_n)
-            jac = jacobian_pp(params, p, k)
-            born_c = complex(series.partial_sums[-1] / jac)
-            table.add_row(k=float(k), coefficient=c, born=born_c,
-                          born_gap=abs(born_c - c),
-                          converged=series.converged, flagged=False, note="")
+            rows[i] = amplitude_pp(params, p, k).coefficient
         except DtScatterError as exc:
-            table.add_row(k=float(k), coefficient=_CNAN, born=_CNAN,
-                          born_gap=_NAN, converged=False, flagged=True,
-                          note=str(exc))
+            rows[i] = exc
+    todo = [i for i, c in enumerate(rows) if not isinstance(c, DtScatterError)]
+    for start in range(0, len(todo), ROOT_BLOCK):
+        block = todo[start:start + ROOT_BLOCK]
+        grid = born_series_grid(params, p, [ks[i] for i in block], born_n)
+        for i, series in zip(block, grid):
+            try:
+                if isinstance(series, DtScatterError):
+                    raise series
+                c = rows[i]
+                born_c = complex(series.partial_sums[-1]
+                                 / jacobian_pp(params, p, ks[i]))
+                rows[i] = (c, born_c, abs(born_c - c), series.converged)
+            except DtScatterError as exc:
+                rows[i] = exc
+    for k, row in zip(ks, rows):
+        if isinstance(row, DtScatterError):
+            table.add_row(k=k, coefficient=_CNAN, born=_CNAN, born_gap=_NAN,
+                          converged=False, flagged=True, note=str(row))
+        else:
+            c, born_c, gap, converged = row
+            table.add_row(k=k, coefficient=c, born=born_c, born_gap=gap,
+                          converged=converged, flagged=False, note="")
     return table
 
 

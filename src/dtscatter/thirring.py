@@ -28,7 +28,8 @@ Key objects:
 * ``umklapp_amplitudes`` -- the elastic and band-flip records related by
   exact sign flips.
 * ``born_series_thirring`` -- the partial sums themselves, kept as an
-  independent route to the closed forms.
+  independent route to the closed forms; ``born_series_grid`` computes
+  them at many k with one crossing solve.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import numpy as np
 from .errors import (
     DegenerateMomentumError,
     DomainError,
+    DtScatterError,
     PoleError,
     ResonancePoleError,
     RootEnumerationError,
@@ -56,10 +58,15 @@ STATIONARY_TOL = 1e-8
 # degenerates) that is rejected outright.
 DEGENERATE_P_TOL = 1e-12
 # Residue route: scan cells per band pair, the bisection width of each
-# crossing, and the (s1, s2) band pairs in Gamma's order.
+# crossing, and the (s1, s2) band pairs in Gamma's order, also as signs;
+# the scan nodes include both zone ends.
 ROOT_SCAN_N = 2048
 ROOT_BISECT_TOL = 1e-13
 _BAND_PAIRS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+_PAIR_SIGNS = np.array(_BAND_PAIRS, dtype=float)
+_SCAN_K = -np.pi + 2.0 * np.pi * np.arange(ROOT_SCAN_N + 1) / ROOT_SCAN_N
+# Targets per block of the crossing solve: about 32 kB of scan per target.
+ROOT_BLOCK = 32
 # Quadrature route: zone grid and the regulators extrapolated to zero.
 GAMMA_QUAD_N = 8192
 GAMMA_EPS = tuple(0.1 * 0.5 ** j for j in range(5))
@@ -212,7 +219,7 @@ def _pair_vector(d: Dispersion, s1: int, s2: int, p: float, k: float) -> np.ndar
     """Product eigenvector u^{s1}(p+k) (x) u^{s2}(p-k) as a real 4-vector."""
     u1 = np.array(d.alpha(s1, p + k))
     u2 = np.array(d.alpha(s2, p - k))
-    return np.kron(u1, u2)
+    return np.multiply.outer(u1, u2).ravel()  # np.kron's products, less overhead
 
 
 def w_vector(params: ThirringParams, p: float, k: float) -> np.ndarray:
@@ -239,42 +246,68 @@ def jacobian_pp(params: ThirringParams, p: float, k: float) -> float:
 # Gamma(z): pole-bookkeeping route
 # ---------------------------------------------------------------------------
 
-def _band_pair_roots(d: Dispersion, p: float, omega_target: float) -> list:
-    """All k in (-pi, pi] with s1*w(p+k) + s2*w(p-k) = omega_target mod 2pi.
+def _band_pair_roots(d: Dispersion, p: float, omegas) -> list:
+    """All k in (-pi, pi] with s1*w(p+k) + s2*w(p-k) = omega mod 2pi, per target.
 
-    One entry per (s1, s2) of _BAND_PAIRS.  The combination is smooth and
-    2pi-periodic in k, so its crossings of omega_target + 2*pi*Z are found by
-    tracking the integer part of (omega^{s1s2}(k) - omega_target)/(2pi) on a
-    dense scan, one bracket per integer level in a scan cell.  All brackets
-    are bisected at once, each by the steps of a scalar bisection.  A pair
-    whose bisection misses a crossing gets its RootEnumerationError in place
-    of its roots, for the caller to raise in pair order.
+    Entry t holds one item per (s1, s2) of _BAND_PAIRS for the target
+    omegas[t]: the sorted crossings, or the RootEnumerationError of a pair
+    whose bisection missed one, for the caller to raise in pair order.  The
+    combination is smooth and 2pi-periodic in k, so its crossings of
+    omega + 2*pi*Z are found by tracking the integer part of
+    (omega^{s1s2}(k) - omega)/(2pi) on a dense scan, one bracket per integer
+    level in a scan cell.  The band sums on the scan are shared by every
+    target.  Targets are taken ROOT_BLOCK at a time, which bounds the working
+    set: their cells are scanned one band pair at a time, and all their
+    brackets are bisected at once, each by the steps of a scalar bisection,
+    so a target's roots do not depend on the other targets.
     """
-    signs = np.array(_BAND_PAIRS, dtype=float)
+    band = (_PAIR_SIGNS[:, :1] * d.omega(p + _SCAN_K)
+            + _PAIR_SIGNS[:, 1:] * d.omega(p - _SCAN_K))
+    omegas = np.asarray(omegas, dtype=float)
+    out = []
+    for start in range(0, omegas.size, ROOT_BLOCK):
+        out += _block_roots(d, p, band, omegas[start:start + ROOT_BLOCK])
+    return out
 
-    def level(s1, s2, k):
-        return (s1 * d.omega(p + k) + s2 * d.omega(p - k) - omega_target) / (2.0 * np.pi)
 
-    ks = -np.pi + 2.0 * np.pi * np.arange(ROOT_SCAN_N + 1) / ROOT_SCAN_N
-    vals = level(signs[:, :1], signs[:, 1:], ks)
-    lo = np.ceil(np.minimum(vals[:, :-1], vals[:, 1:]))
-    count = np.maximum(np.floor(np.maximum(vals[:, :-1], vals[:, 1:])) - lo + 1.0, 0.0)
-    # one bracket per (pair, cell, integer level), in that order
-    pair, cell = np.nonzero(count)
-    n = count[pair, cell].astype(int)
-    offset = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-    pair, cell = np.repeat(pair, n), np.repeat(cell, n)
-    m = lo[pair, cell] + offset
-    s1, s2 = signs[pair, 0], signs[pair, 1]
-    x0, g0 = ks[cell], vals[pair, cell] - m
-    x1 = np.where(g0 == 0.0, x0, ks[cell + 1])  # exact hit at the left endpoint
+def _block_roots(d: Dispersion, p: float, band: np.ndarray,
+                 omegas: np.ndarray) -> list:
+    """_band_pair_roots for one block of targets, given the band sums."""
+    # (x - omega)/(2pi) rounds monotonically in x, so the level range of a
+    # cell is that of the lower and the upper band sum at its ends
+    low = np.minimum(band[:, :-1], band[:, 1:])
+    high = np.maximum(band[:, :-1], band[:, 1:])
+    # one bracket per (pair, target, cell, integer level), in that order
+    found = []
+    lo, hi = (np.empty((omegas.size, ROOT_SCAN_N)) for _ in range(2))
+    for j in range(len(_BAND_PAIRS)):
+        np.subtract(low[j], omegas[:, None], out=lo)
+        lo /= 2.0 * np.pi
+        np.ceil(lo, out=lo)
+        np.subtract(high[j], omegas[:, None], out=hi)
+        hi /= 2.0 * np.pi
+        np.floor(hi, out=hi)
+        target, cell = np.nonzero(hi >= lo)
+        n = (hi[target, cell] - lo[target, cell]).astype(int) + 1
+        offset = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        target, cell = np.repeat(target, n), np.repeat(cell, n)
+        found.append((target, np.full(target.size, j), cell,
+                      lo[target, cell] + offset))
+    target, pair, cell, m = (np.concatenate(a) for a in zip(*found))
+    s1, s2, om = _PAIR_SIGNS[pair, 0], _PAIR_SIGNS[pair, 1], omegas[target]
+
+    def level(k):
+        return (s1 * d.omega(p + k) + s2 * d.omega(p - k) - om) / (2.0 * np.pi)
+
+    x0, g0 = _SCAN_K[cell], (band[pair, cell] - om) / (2.0 * np.pi) - m
+    x1 = np.where(g0 == 0.0, x0, _SCAN_K[cell + 1])  # exact hit at the left endpoint
     run = np.ones(m.size, dtype=bool)
     for _ in range(200):
         run &= x1 - x0 > ROOT_BISECT_TOL
         if not run.any():
             break
         xm = 0.5 * (x0 + x1)
-        gm = level(s1, s2, xm) - m
+        gm = level(xm) - m
         left = run & (g0 * gm < 0.0)
         right = run & ~left
         x1 = np.where(left | (right & (gm == 0.0)), xm, x1)
@@ -282,22 +315,22 @@ def _band_pair_roots(d: Dispersion, p: float, omega_target: float) -> list:
         g0 = np.where(right, gm, g0)
         run &= gm != 0.0
     root = 0.5 * (x0 + x1)
-    resid = level(s1, s2, root) - m
-    out: list = []
-    for j in range(len(_BAND_PAIRS)):
-        mine = pair == j
-        bad = np.flatnonzero(mine & (np.abs(resid) > 1e-9))
-        if bad.size:
-            out.append(RootEnumerationError(
-                f"bisection failed to pin a band crossing near k = {root[bad[0]]} "
-                f"(residual {resid[bad[0]]:.3e})"))
-            continue
-        # de-duplicate brackets (and exact node hits) that found the same crossing
-        kept: list[float] = []
-        for r in np.sort(root[mine]).tolist():
-            if not kept or abs(r - kept[-1]) > 1e-10:
-                kept.append(r)
-        out.append(kept)
+    resid = level(root) - m
+    out = [[[] for _ in _BAND_PAIRS] for _ in omegas]
+    # de-duplicate brackets (and exact node hits) that found the same crossing
+    order = np.lexsort((root, pair, target))
+    for t, j, r in zip(target[order].tolist(), pair[order].tolist(),
+                       root[order].tolist()):
+        kept = out[t][j]
+        if not kept or abs(r - kept[-1]) > 1e-10:
+            kept.append(r)
+    # a pair's first bracket in scan order that missed names its failure
+    for b in np.flatnonzero(np.abs(resid) > 1e-9).tolist():
+        t, j = target[b], pair[b]
+        if not isinstance(out[t][j], RootEnumerationError):
+            out[t][j] = RootEnumerationError(
+                f"bisection failed to pin a band crossing near k = {root[b]} "
+                f"(residual {resid[b]:.3e})")
     return out
 
 
@@ -326,27 +359,54 @@ def gamma_matrix(params: ThirringParams, p: float,
     selection below (keep sin(2k) >= 0 when omega >= 0, sin(2k) < 0 when
     omega < 0) is only valid on that branch -- other representatives of
     the same z select the mirrored crossings and give a different, wrong
-    matrix.  Each kept crossing contributes its projector over the signed
-    slope of the band-pair energy; the slope-independent remainder is a
-    fixed diagonal in the corner entries, with scalar form validated
-    against the quadrature route.
+    matrix.  A crossing on sin(2k) = 0 (at k = 0, +-pi/2 or pi, where it
+    meets its mirror at -k or k + pi) takes the side it moves to as omega
+    moves toward the middle of its branch, +-pi/2, so that it counts once,
+    as on either side of that omega; a crossing found at both zone ends
+    counts once too.  Each kept crossing contributes its projector over
+    the signed slope of the band-pair energy; the slope-independent
+    remainder is a fixed diagonal in the corner entries, with scalar form
+    validated against the quadrature route.
     """
     _check_gamma_args(params, p, omega_target)
     d = params.dispersion
     omega_c = float(wrap_momentum(omega_target))
-    positive = omega_c >= 0.0
+    return _gamma_from_roots(d, p, omega_c, _band_pair_roots(d, p, [omega_c])[0])
 
+
+def _pair_slope(d: Dispersion, s1: int, s2: int, p: float, k: float) -> float:
+    """d/dk of the band-pair energy s1*w(p+k) + s2*w(p-k)."""
+    return float(s1 * d.omega_prime(p + k) - s2 * d.omega_prime(p - k))
+
+
+def _gamma_from_roots(d: Dispersion, p: float, omega_c: float,
+                      pair_roots: list) -> GammaMatrix:
+    """gamma_matrix's block from one target's ``_band_pair_roots`` entry.
+
+    omega_c is already on the principal branch.  Raises, in pair order, a
+    pair's RootEnumerationError or the StationaryPointError of a kept
+    crossing, then the PoleError of a diverging remainder entry.
+    """
+    positive = omega_c >= 0.0
+    toward = 1.0 if omega_c < (_HALF_PI if positive else -_HALF_PI) else -1.0
     total = np.zeros((4, 4), dtype=complex)
     kept: list[tuple[float, int, int]] = []
-    for (s1, s2), roots in zip(_BAND_PAIRS, _band_pair_roots(d, p, omega_c)):
+    for (s1, s2), roots in zip(_BAND_PAIRS, pair_roots):
         if isinstance(roots, RootEnumerationError):
             raise roots
+        if len(roots) > 1 and roots[0] + 2.0 * np.pi - roots[-1] <= 1e-10:
+            roots = roots[1:]  # one crossing, found at -pi and at pi
         for kr in roots:
             s2k = np.sin(2.0 * kr)
+            if abs(s2k) <= 1e-12:
+                slope = _pair_slope(d, s1, s2, p, kr)
+                if abs(slope) >= STATIONARY_TOL:
+                    # sign of sin(2k) after omega moves by `toward`
+                    s2k = np.cos(2.0 * kr) * toward * slope
             keep = (s2k >= -1e-12) if positive else (s2k < 1e-12)
             if not keep:
                 continue
-            slope = float(s1 * d.omega_prime(p + kr) - s2 * d.omega_prime(p - kr))
+            slope = _pair_slope(d, s1, s2, p, kr)
             if abs(slope) < STATIONARY_TOL:
                 raise StationaryPointError(
                     f"band pair ({s1:+d},{s2:+d}) crosses omega = {omega_c} "
@@ -547,28 +607,61 @@ def born_series_thirring(params: ThirringParams, p: float, k: float,
     Uses the full 4x4 pole-route Gamma at the pair energy; the
     antisymmetric weight w is an eigenvector of Gamma, so the terms are
     exactly geometric and the sums converge to <w|T|w> with T the closed
-    form (divide by the band-pair slope to recover the amplitude).
+    form (divide by the band-pair slope to recover the amplitude).  The
+    one-point case of ``born_series_grid``.
+    """
+    (series,) = born_series_grid(params, p, [k], n_max)
+    if isinstance(series, DtScatterError):
+        raise series
+    return series
+
+
+def born_series_grid(params: ThirringParams, p: float, ks,
+                     n_max: int) -> list:
+    """Born partial sums at every relative momentum of ks, at one total p.
+
+    Entry i is the BornSeries of ``born_series_thirring(params, p, ks[i],
+    n_max)``, or the DtScatterError that call raises; n_max < 1 raises
+    DomainError for the whole grid.  One ``_band_pair_roots`` call finds
+    the crossings of every point's pair energy; the Gamma assembly and the
+    power loop run point by point.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    w = w_vector(params, p, k)
-    omega = two_particle_omega(params, p, k, +1, +1)
-    g = gamma_matrix(params, p, omega).block
+    d = params.dispersion
+    out: list = [None] * len(ks)
+    pending = []
+    for i, k in enumerate(ks):
+        omega = two_particle_omega(params, p, k, +1, +1)
+        try:
+            _check_gamma_args(params, p, omega)
+        except DtScatterError as exc:
+            out[i] = exc
+        else:
+            pending.append((i, k, float(wrap_momentum(omega))))
+    solved = _band_pair_roots(d, p, [omega_c for _, _, omega_c in pending])
     # Gamma commutes exactly with swapping the two coin factors (k -> -k in
     # the defining integral), which is what makes w an eigenvector and the
     # terms geometric.  The evaluated block carries O(root-tolerance)
     # asymmetry that power iteration would amplify, so enforce the symmetry.
     sw = [0, 2, 1, 3]
-    g = 0.5 * (g + g[np.ix_(sw, sw)])
     lam = params.lam
-
-    terms = np.empty(n_max + 1, dtype=complex)
-    vec = w.astype(complex)
-    for n in range(n_max + 1):
-        terms[n] = lam ** (n + 1) * (w @ vec)
-        vec = g @ vec
-    sums = np.cumsum(terms)
-    mags = np.abs(terms)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(mags[:-1] > 0.0, mags[1:] / mags[:-1], 0.0)
-    return BornSeries(partial_sums=sums, term_ratios=ratios)
+    for (i, k, omega_c), roots in zip(pending, solved):
+        try:
+            g = _gamma_from_roots(d, p, omega_c, roots).block
+        except DtScatterError as exc:
+            out[i] = exc
+            continue
+        g = 0.5 * (g + g[np.ix_(sw, sw)])
+        w = w_vector(params, p, k)
+        terms = np.empty(n_max + 1, dtype=complex)
+        vec = w.astype(complex)
+        for n in range(n_max + 1):
+            terms[n] = lam ** (n + 1) * (w @ vec)
+            vec = g @ vec
+        sums = np.cumsum(terms)
+        mags = np.abs(terms)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(mags[:-1] > 0.0, mags[1:] / mags[:-1], 0.0)
+        out[i] = BornSeries(partial_sums=sums, term_ratios=ratios)
+    return out

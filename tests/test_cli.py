@@ -5,15 +5,21 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dtscatter import cli, wavepacket
+from dtscatter import cli, thirring, wavepacket
 from dtscatter.config import _SCHEMAS, COMMANDS, parse_config
 from dtscatter.errors import DtScatterError
-from dtscatter.thirring import ThirringParams, amplitude_pp
+from dtscatter.thirring import (
+    ThirringParams,
+    amplitude_pp,
+    born_series_thirring,
+    jacobian_pp,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -258,6 +264,88 @@ path = unused.csv
             assert got == want, point
         notes.add(note.split(" ")[0])
     assert notes == {"", "nu", "xy", "relative", "total", "amplitude"}
+
+
+def _amplitude_cfg(nu, chi, p, ks, born_n=12):
+    grid = ", ".join(repr(float(k)) for k in ks)
+    return parse_config(f"""\
+[run]
+command = amplitude
+[params]
+nu = {nu!r}
+chi = {chi!r}
+p = {p!r}
+born_n = {born_n}
+[grid]
+k = {grid}
+[output]
+path = unused.csv
+""")
+
+
+def test_batched_amplitude_matches_pointwise_routes():
+    # every note the command writes comes from the first failing pointwise
+    # call: k > pi/2 (closed form), the resonance at chi = pi, k = 0 (closed
+    # form), the flat (+,+) crossing at k = 0 and 1e-9 (Born route), and a
+    # degenerate p; the grid spans more than one block of the crossing solve
+    ks = [0.0, 1e-9, 1.6, math.pi / 2] + [0.05 * i for i in range(1, 40)]
+    assert len(ks) > thirring.ROOT_BLOCK
+    notes = set()
+    for nu, chi, p in ((0.8, 1.0, 0.3), (0.5, 2.5, 1.1), (0.3, math.pi, -0.4),
+                       (0.8, 1.0, 0.0)):
+        params = ThirringParams(nu=nu, chi=chi)
+        cols = cli.run(_amplitude_cfg(nu, chi, p, ks)).columns
+        for i, k in enumerate(ks):
+            try:
+                c = amplitude_pp(params, p, k).coefficient
+                series = born_series_thirring(params, p, k, 12)
+                born = complex(series.partial_sums[-1] / jacobian_pp(params, p, k))
+                want = (c, born, abs(born - c), series.converged, False, "")
+            except DtScatterError as exc:
+                nan = complex(math.nan, math.nan)
+                want = (nan, nan, math.nan, False, True, str(exc))
+            got = tuple(cols[name][i] for name in (
+                "coefficient", "born", "born_gap", "converged", "flagged", "note"))
+            assert repr(got) == repr(want), (nu, chi, p, k)
+            notes.add(want[-1].split(" ")[0])
+    assert notes == {"", "relative", "band", "amplitude", "total"}
+
+
+@pytest.mark.parametrize("p", [0.3, 0.7])
+def test_amplitude_and_born_at_half_pi(p):
+    # k = pi/2 puts the (+,+) crossing and its mirror at -pi/2 on omega = pi;
+    # counting both once each used to leave a born_gap of 0.17 unflagged
+    cols = cli.run(_amplitude_cfg(0.8, 1.0, p, [math.pi / 2], born_n=40)).columns
+    assert cols["flagged"] == [False]
+    assert cols["born_gap"][0] < 1e-8
+    cfg = parse_config(f"[run]\ncommand = born\n[params]\nnu = 0.8\n"
+                       f"chi = 1.0\np = {p!r}\nk = {math.pi / 2!r}\n"
+                       "[output]\npath = unused.csv\n")
+    cols = cli.run(cfg).columns
+    assert not any(cols["flagged"])
+    assert cols["closed_gap"][-1] < 1e-8
+
+
+def test_amplitude_solves_crossings_once_per_block(monkeypatch):
+    calls = []
+    solve = thirring._band_pair_roots
+    monkeypatch.setattr(thirring, "_band_pair_roots",
+                        lambda d, p, ws: calls.append(len(ws)) or solve(d, p, ws))
+    cli.run(_amplitude_cfg(0.8, 1.0, 0.3, [0.1 + 0.04 * i for i in range(32)]))
+    assert sum(calls) == 32
+    assert len(calls) <= -(-32 // thirring.ROOT_BLOCK)
+
+
+def test_amplitude_working_set_is_bounded():
+    cfg = _amplitude_cfg(0.8, 1.0, 0.3, [0.1 + 1.4 * i / 255 for i in range(256)],
+                         born_n=40)
+    tracemalloc.start()
+    try:
+        cli.run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_wavepacket_run_with_snapshots(tmp_path):

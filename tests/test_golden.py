@@ -68,3 +68,28 @@ def test_wavepacket_default_config_matches_digest(tmp_path, monkeypatch):
     assert cli.main(["--config", str(cfg)]) == 0
     digest = hashlib.sha256((tmp_path / "wavepacket.json").read_bytes())
     assert digest.hexdigest() == DEFAULT_WAVEPACKET_SHA256
+
+
+# sha256 of perfbench's seed-0 `series` amplitude tables (32 k points each,
+# more than the golden config's 4), as the per-point crossing solve wrote
+# them; the batched solve must reproduce them byte for byte
+SERIES_AMPLITUDE_SHA256 = {
+    "amplitude_ref.csv": (
+        "7d89e387911eac591199530eaf7872891b344bc268197486e79a1b3bad706a42",
+        "nu = 0.8\nchi = 1.0\np = 0.3\nborn_n = 40\n"),
+    "amplitude_slow.json": (
+        "46e7df067d09573bbd4e9565bbfb804f26f0c7cba4d598d68d7049bb191c2379",
+        "nu = 0.5\nchi = 2.5\np = 1.1\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_AMPLITUDE_SHA256))
+def test_series_amplitude_tables_match_digests(name, tmp_path, monkeypatch):
+    digest, params = SERIES_AMPLITUDE_SHA256[name]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    cfg = tmp_path / "series.cfg"
+    cfg.write_text(f"[run]\ncommand = amplitude\n\n[params]\n{params}\n"
+                   f"[grid]\nk = 0.1:1.5:32\n\n[output]\npath = {name}\n")
+    assert cli.main(["--config", str(cfg)]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

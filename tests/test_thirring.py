@@ -213,6 +213,27 @@ def _off_degenerate_p(p):
     return abs(p - 0.5 * np.pi * round(p / (0.5 * np.pi))) >= 1e-3
 
 
+# a target whose levels (omega - band)/(2pi) are too coarse to pin a (+,+)
+# crossing at nu = 0.8, p = 0.3: the scalar bisection raises for that pair
+FAILING_OMEGA = 826920240935.2672
+
+
+def _oracle_roots(d, p, omega):
+    """Per pair: the scalar roots as hex strings, or the error's text."""
+    out = []
+    for s1, s2 in thirring._BAND_PAIRS:
+        try:
+            out.append([r.hex() for r in oracles.band_pair_roots(d, s1, s2, p, omega)])
+        except RootEnumerationError as exc:
+            out.append(str(exc))
+    return out
+
+
+def _as_oracle(got):
+    return [str(r) if isinstance(r, RootEnumerationError) else
+            [x.hex() for x in r] for r in got]
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(nu=st.floats(min_value=0.05, max_value=0.99),
        p=st.floats(min_value=-np.pi, max_value=np.pi,
@@ -222,18 +243,30 @@ def _off_degenerate_p(p):
 @example(nu=0.8, p=0.3, omega=TANGENT_HIT_OMEGA)
 @example(nu=0.8, p=0.3, omega=REF_OMEGA_PP)
 def test_band_pair_roots_match_scalar_oracle(nu, p, omega):
-    """The batched crossing solve returns the scalar bisection's roots (or
-    its error) bit for bit, band pair by band pair."""
+    """The crossing solve returns the scalar bisection's roots (or its
+    error) bit for bit, band pair by band pair."""
     d = make_dispersion(nu)
-    for (s1, s2), got in zip(thirring._BAND_PAIRS,
-                             thirring._band_pair_roots(d, p, omega)):
-        try:
-            want = oracles.band_pair_roots(d, s1, s2, p, omega)
-        except RootEnumerationError as exc:
-            assert isinstance(got, RootEnumerationError)
-            assert str(got) == str(exc)
-            continue
-        assert [r.hex() for r in got] == [r.hex() for r in want]
+    (got,) = thirring._band_pair_roots(d, p, [omega])
+    assert _as_oracle(got) == _oracle_roots(d, p, omega)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(drawn=st.lists(st.floats(min_value=-np.pi, max_value=np.pi,
+                                exclude_min=True), max_size=8))
+def test_band_pair_roots_batch_matches_scalar_oracle(drawn):
+    """Every target of a batch that spans more than one block gets its
+    scalar roots; one target's RootEnumerationError leaves its neighbours'
+    roots alone."""
+    d = make_dispersion(0.8)
+    distinct = [NODE_HIT_OMEGA, FAILING_OMEGA, TANGENT_HIT_OMEGA,
+                REF_OMEGA_PP] + drawn
+    omegas = distinct * (thirring.ROOT_BLOCK // len(distinct) + 1)
+    want = {omega: _oracle_roots(d, 0.3, omega) for omega in distinct}
+    assert isinstance(want[FAILING_OMEGA][0], str)
+    got = thirring._band_pair_roots(d, 0.3, omegas)
+    assert len(got) == len(omegas) > thirring.ROOT_BLOCK
+    for omega, roots in zip(omegas, got):
+        assert _as_oracle(roots) == want[omega]
 
 
 def test_earlier_pair_failure_takes_precedence(monkeypatch):
@@ -244,13 +277,27 @@ def test_earlier_pair_failure_takes_precedence(monkeypatch):
     solve = thirring._band_pair_roots
     stub = RootEnumerationError("stub")
     monkeypatch.setattr(thirring, "_band_pair_roots",
-                        lambda d, p, w: solve(d, p, w)[:1] + [stub] * 3)
+                        lambda d, p, ws: [r[:1] + [stub] * 3
+                                          for r in solve(d, p, ws)])
     with pytest.raises(StationaryPointError, match=r"band pair \(\+1,\+1\)"):
         gamma_matrix(params, 0.3, omega)
     monkeypatch.setattr(thirring, "_band_pair_roots",
-                        lambda d, p, w: [stub] + solve(d, p, w)[1:])
+                        lambda d, p, ws: [[stub] + r[1:]
+                                          for r in solve(d, p, ws)])
     with pytest.raises(RootEnumerationError, match="stub"):
         gamma_matrix(params, 0.3, omega)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.7])
+@pytest.mark.parametrize("omega", [0.0, 1e-13, -1e-13, np.pi, np.pi - 1e-13])
+def test_gamma_counts_crossings_on_sin2k_zero_once(p, omega):
+    # at omega = 0 the (+,-) and (-,+) pairs cross at k = 0 and k = +-pi, at
+    # omega = pi the (+,+) and (-,-) pairs at k = +-pi/2: each crossing and
+    # its mirror sit on sin 2k = 0, and only one of them counts
+    params = ThirringParams(nu=0.8, chi=1.0)
+    res = gamma_matrix(params, p, omega)
+    quad = gamma_quadrature(params, p, omega)
+    assert np.abs(res.block - quad.block).max() < 1e-6
 
 
 def test_degenerate_total_momentum_rejected():
