@@ -109,8 +109,7 @@ def _run_amplitude(cfg: RunConfig) -> ResultTable:
                    "flagged", "note"), complex_names=("coefficient", "born"))
     ks = [float(k) for k in cfg.grids["k"]]
     # each point's note comes from its first failing call: the closed form,
-    # then the Born route (one crossing solve for the whole grid), then the
-    # slope
+    # then the Born route (one crossing solve per block of points)
     rows: list = [None] * len(ks)
     for i, k in enumerate(ks):
         try:
@@ -122,15 +121,13 @@ def _run_amplitude(cfg: RunConfig) -> ResultTable:
         block = todo[start:start + ROOT_BLOCK]
         grid = born_series_grid(params, p, [ks[i] for i in block], born_n)
         for i, series in zip(block, grid):
-            try:
-                if isinstance(series, DtScatterError):
-                    raise series
-                c = rows[i]
-                born_c = complex(series.partial_sums[-1]
-                                 / jacobian_pp(params, p, ks[i]))
-                rows[i] = (c, born_c, abs(born_c - c), series.converged)
-            except DtScatterError as exc:
-                rows[i] = exc
+            if isinstance(series, DtScatterError):
+                rows[i] = series
+                continue
+            c = rows[i]
+            born_c = complex(series.partial_sums[-1]
+                             / jacobian_pp(params, p, ks[i]))
+            rows[i] = (c, born_c, abs(born_c - c), series.converged)
     for k, row in zip(ks, rows):
         if isinstance(row, DtScatterError):
             table.add_row(k=k, coefficient=_CNAN, born=_CNAN, born_gap=_NAN,
