@@ -253,6 +253,168 @@ def _run_trotter(cfg: RunConfig) -> ResultTable:
     return table
 
 
+def _snapshot_steps(t_steps: int, every: int) -> list:
+    """Interacting-leg steps n = 0 .. 2T that write a snapshot."""
+    return [*range(0, 2 * t_steps, every), 2 * t_steps] if every > 0 else []
+
+
+def _write_snapshot(path: str, amps) -> None:
+    emit(ResultTable(columns=snapshot_columns(amps)), "csv", path)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _send(fd: int, data: np.ndarray) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_all(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 65536):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class _SnapshotWriter:
+    """The interacting leg's on_step callback: writes the snapshots.
+
+    With at least two snapshots, ``os.fork`` and two usable CPUs, every
+    other snapshot goes, as the raw complex128 bytes of its (sites,
+    components) array, down a pipe to one forked worker that renders and
+    writes it while this process keeps stepping; otherwise each is written
+    inline.  The worker answers each snapshot on a second pipe: a zero
+    byte once it is written, or a one byte and the error message, after
+    which it exits.  A snapshot is sent only after the previous one was
+    answered, so at most one is in flight and a worker failure stops the
+    leg at the next hand-off.  Leaving the ``with`` block waits for the
+    last answer, reaps the worker and raises the OutputError of the
+    earliest snapshot not written, whichever process was to write it.
+    """
+
+    def __init__(self, prefix: str, steps: list, shape: tuple):
+        self.paths = {n: f"{prefix}{n:05d}.csv" for n in steps}
+        self.failures: dict = {}   # step -> OutputError
+        self.offloaded = frozenset()   # the worker's steps; empty: none
+        self.pid = self.pending = None
+        fork = getattr(os, "fork", None)
+        if len(steps) < 2 or fork is None or _usable_cpus() < 2:
+            return
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            self.pid = fork()
+        except OSError:   # no pipe or process to spare: write inline
+            for fd in fds:
+                os.close(fd)
+            return
+        data_r, self.data, self.status, status_w = fds
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(self.data)
+                os.close(self.status)
+                self._serve(data_r, status_w, steps[1::2], shape)
+                code = 0
+            finally:
+                os._exit(code)   # never return into the caller's stack
+        os.close(data_r)
+        os.close(status_w)
+        self.offloaded = frozenset(steps[1::2])
+
+    def _serve(self, data_fd: int, status_fd: int, steps: list,
+               shape: tuple) -> None:
+        """The worker's loop: receive, write and answer its snapshots."""
+        amps = np.empty(shape, dtype=complex)
+        raw = memoryview(amps).cast("B")
+        for n in steps:
+            got = 0
+            while got < len(raw):
+                size = os.readv(data_fd, [raw[got:]])
+                if not size:
+                    return   # the leg ended early: nothing more is sent
+                got += size
+            path = self.paths[n]
+            try:
+                _write_snapshot(path, amps)
+            except Exception as exc:   # reported to the parent, then exit
+                message = (str(exc) if isinstance(exc, OutputError)
+                           else f"cannot write {path}: {exc!r}")
+                os.write(status_fd, b"\1" + message.encode())
+                return
+            os.write(status_fd, b"\0")
+
+    def __call__(self, n: int, amps) -> None:
+        path = self.paths.get(n)
+        if path is None:
+            return
+        if n not in self.offloaded:
+            try:
+                _write_snapshot(path, amps)
+            except OutputError as exc:
+                self.failures[n] = exc
+                raise
+            return
+        self._answer()
+        try:
+            # the view is strided: its bytes are copied out during the call
+            _send(self.data, np.ascontiguousarray(amps))
+        except BrokenPipeError:
+            self._lost(n)
+        self.pending = n
+
+    def _answer(self) -> None:
+        """Wait for the answer on the snapshot in flight; raise its failure."""
+        if self.pending is None:
+            return
+        n, self.pending = self.pending, None
+        head = os.read(self.status, 1)
+        if head == b"\0":
+            return
+        if head == b"\1":
+            message = _read_all(self.status).decode("utf-8", "replace")
+            self.failures[n] = OutputError(message)
+            raise self.failures[n]
+        self._lost(n)
+
+    def _lost(self, n: int) -> None:
+        """The worker is gone before it answered on snapshot n."""
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        self.failures[n] = OutputError(
+            f"cannot write {self.paths[n]}: the snapshot writer process ended "
+            f"before writing it (exit code {os.waitstatus_to_exitcode(status)})")
+        raise self.failures[n]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if self.offloaded:
+            try:
+                self._answer()
+            except OutputError:
+                pass   # kept in self.failures
+            finally:
+                os.close(self.data)   # the worker reads EOF and exits
+                os.close(self.status)
+                if self.pid is not None:
+                    os.waitpid(self.pid, 0)
+                    self.pid = None
+        if self.failures and (exc is None or isinstance(exc, Exception)):
+            earliest = self.failures[min(self.failures)]
+            if earliest is not exc:
+                raise earliest
+        return False
+
+
 def _run_wavepacket(cfg: RunConfig) -> ResultTable:
     pr = cfg.params
     params = ThirringParams(nu=pr["nu"], chi=pr["chi"])
@@ -273,16 +435,11 @@ def _run_wavepacket(cfg: RunConfig) -> ResultTable:
         model = thirring_com_model(params, p, length=length)
         spec = GaussianPacketSpec(k0=k0, sigma_x=pr["sigma_x"],
                                   x0=length // 2, band=(1, 1))
-        every = pr["snapshot_every"]
+        steps = _snapshot_steps(t_steps, pr["snapshot_every"])
         prefix = pr["snapshot_prefix"] or "snapshot_"
-
-        def snapshot(n, amps):
-            if n % every == 0 or n == 2 * t_steps:
-                emit(ResultTable(columns=snapshot_columns(amps)), "csv",
-                     f"{prefix}{n:05d}.csv")
-
-        meas = extract_smatrix(model, spec, t_steps,
-                               on_step=snapshot if every > 0 else None)
+        with _SnapshotWriter(prefix, steps, (length, model.ncomp)) as writer:
+            meas = extract_smatrix(model, spec, t_steps,
+                                   on_step=writer if steps else None)
         diag = meas.diagonal_coefficient
         table.metadata["diagonal_coefficient_re"] = diag.real
         table.metadata["diagonal_coefficient_im"] = diag.imag

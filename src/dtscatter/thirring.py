@@ -263,6 +263,9 @@ def _band_pair_roots(d: Dispersion, p: float, omegas) -> list:
     """
     band = (_PAIR_SIGNS[:, :1] * d.omega(p + _SCAN_K)
             + _PAIR_SIGNS[:, 1:] * d.omega(p - _SCAN_K))
+    # k = pi is k = -pi: one value at both zone ends, so a crossing on the
+    # seam is bracketed at one end even when the two evaluations differ
+    band[:, -1] = band[:, 0]
     omegas = np.asarray(omegas, dtype=float)
     out = []
     for start in range(0, omegas.size, ROOT_BLOCK):

@@ -260,46 +260,56 @@ def evolve(amps, model: WalkModel, t_steps: int,
     as a read-only (sites, components) view of the stepping buffer; the
     view is valid only during the call, so copy what must outlive it.
 
-    The steps run on a component-major (components, sites) copy with the
-    arithmetic of ``step`` in the same order (phase, zero fill, then one
-    multiply-add per ``step_entries`` row, the roll done as two slices),
-    so the result is bit-identical to t_steps applications of ``step``.
+    The steps run on a component-major (components, h + sites + h) copy,
+    h = max |shift| of ``step_entries``, whose first and last h columns
+    repeat the ring's last and first h sites.  The arithmetic is that of
+    ``step`` in the same order (phase, zero fill, then one multiply-add
+    per ``step_entries`` row, the roll read as one shifted slice), so the
+    result is bit-identical to t_steps applications of ``step``.
     """
     if t_steps < 0:
         raise DomainError(f"t_steps must be >= 0, got {t_steps}")
-    cur = np.array(_lattice(amps, model).T, order="C")
+    state = _lattice(amps, model)
+    length = model.length
+    halo = max(abs(shift) for _, _, _, shift in model.step_entries)
+    cur = np.empty((model.ncomp, length + 2 * halo), dtype=complex)
+    cur[:, halo:halo + length] = state.T
     nxt = np.empty_like(cur)
-    length = cur.shape[1]
     tmp = np.empty(length, dtype=complex)
     phase = np.exp(1j * model.chi)
-    center = model.center
-    # roll(row, -shift) is row[k:] followed by row[:k], k = shift mod L;
-    # coef stays the Python or numpy scalar step() multiplies by, because
-    # real and complex scalars can round signed zeros differently
-    entries = [(a, b, coef, shift % length)
-               for a, b, coef, shift in model.step_entries]
+    center = halo + model.center
+    # roll(row, -shift)[y] is row[(y + shift) mod L], the padded row's
+    # column halo + y + shift; coef stays the Python or numpy scalar
+    # step() multiplies by, because real and complex scalars can round
+    # signed zeros differently
+    def rows(src, dst):
+        """(coef, shifted source row, output row) views of one step."""
+        return [(coef, src[b, halo + shift:halo + shift + length],
+                 dst[a, halo:halo + length])
+                for a, b, coef, shift in model.step_entries]
+
+    plan, next_plan = rows(cur, nxt), rows(nxt, cur)
     observe = on_step or (lambda n, amps: None)
-    observe(0, _read_only(cur.T))
+    observe(0, _read_only(cur[:, halo:halo + length].T))
     warned = False
     for n in range(1, t_steps + 1):
         cur[:, center] *= phase
+        cur[:, :halo] = cur[:, length:length + halo]
+        cur[:, length + halo:] = cur[:, halo:2 * halo]
         nxt.fill(0)
-        for a, b, coef, k in entries:
-            row = cur[b]
-            np.multiply(coef, row[k:], out=tmp[:length - k])
-            if k:
-                np.multiply(coef, row[:k], out=tmp[length - k:])
-            out = nxt[a]
+        for coef, src, out in plan:
+            np.multiply(coef, src, out=tmp)
             np.add(out, tmp, out=out)
-        cur, nxt = nxt, cur
+        cur, nxt, plan, next_plan = nxt, cur, next_plan, plan
+        sites = cur[:, halo:halo + length].T
         if (n % 64 == 0 or n == t_steps) and not warned:
-            mass = _boundary_mass(cur.T)
+            mass = _boundary_mass(sites)
             if mass > LEAKAGE_TOL:
                 warnings.warn(f"boundary mass {mass:.2e} after {n} steps",
                               BoundaryLeakageWarning)
                 warned = True
-        observe(n, _read_only(cur.T))
-    return _lattice(cur.T)
+        observe(n, _read_only(sites))
+    return _lattice(cur[:, halo:halo + length].T)
 
 
 def free_evolve(amps, model: WalkModel, t_steps: int) -> np.ndarray:

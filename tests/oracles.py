@@ -258,6 +258,7 @@ def band_pair_roots(d, s1, s2, p, omega_target):
 
     ks = -np.pi + 2.0 * np.pi * np.arange(ROOT_SCAN_N + 1) / ROOT_SCAN_N
     vals = level(ks)
+    vals[-1] = vals[0]  # the sum is 2pi-periodic: k = pi is k = -pi
     roots = []
     for i in range(ROOT_SCAN_N):
         a, b = ks[i], ks[i + 1]

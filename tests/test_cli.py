@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from dtscatter import cli, thirring, wavepacket
 from dtscatter.config import _SCHEMAS, COMMANDS, parse_config
-from dtscatter.errors import DtScatterError
+from dtscatter.errors import DtScatterError, OutputError
 from dtscatter.thirring import (
     ThirringParams,
     amplitude_pp,
@@ -197,6 +198,89 @@ def test_snapshot_run_steps_the_interacting_leg_once(tmp_path, monkeypatch):
     assert seen == list(range(481))
     written = sorted(p.name for p in tmp_path.glob("snap_*.csv"))
     assert written == [f"snap_{n:05d}.csv" for n in (*range(0, 480, 50), 480)]
+
+
+SNAPSHOT_ARGS = ["--config", str(GOLDEN / "wavepacket.cfg"),
+                 "--set", "snapshot_every=50", "--set", "snapshot_prefix=snap_"]
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Hand every other snapshot to the writer process on any host."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+
+
+# steps 0 and 100 are written inline, 50 by the writer process; with 50
+# and 100 both failing, the inline failure at 100 comes first in time
+@pytest.mark.parametrize("bad,reported", [((0,), 0), ((50,), 50),
+                                          ((100,), 100), ((50, 100), 50)])
+def test_snapshot_failure_reports_the_earliest(
+        bad, reported, forked, tmp_path, monkeypatch, capsys):
+    real = cli.emit
+
+    def failing(table, fmt, path):
+        if path in [f"snap_{n:05d}.csv" for n in bad]:
+            raise OutputError(f"cannot write {path}: disk full")
+        real(table, fmt, path)
+
+    monkeypatch.setattr(cli, "emit", failing)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(SNAPSHOT_ARGS) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write snap_{reported:05d}.csv: disk full\n"
+    assert captured.out == ""
+    assert not (tmp_path / "wavepacket.json").exists()
+    written = {p.name for p in tmp_path.glob("snap_*.csv")}
+    assert {f"snap_{n:05d}.csv" for n in range(0, reported, 50)} <= written
+
+
+def test_snapshot_writer_death_names_its_snapshot(forked, tmp_path,
+                                                  monkeypatch, capsys):
+    real, parent = cli.emit, os.getpid()
+
+    def dying(table, fmt, path):
+        if path == "snap_00150.csv" and os.getpid() != parent:
+            os._exit(7)
+        real(table, fmt, path)
+
+    monkeypatch.setattr(cli, "emit", dying)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(SNAPSHOT_ARGS) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write snap_00150.csv: ")
+    assert "exit code 7" in err and err.count("\n") == 1
+    assert not (tmp_path / "wavepacket.json").exists()
+
+
+def test_snapshots_match_without_fork(forked, tmp_path, monkeypatch):
+    files = {}
+    for side in ("forked", "inline"):
+        if side == "inline":
+            monkeypatch.delattr(os, "fork")
+        (tmp_path / side).mkdir()
+        monkeypatch.chdir(tmp_path / side)
+        assert cli.main(SNAPSHOT_ARGS) == 0
+        files[side] = {p.name: p.read_bytes()
+                       for p in (tmp_path / side).iterdir()}
+    assert len(files["forked"]) == 12   # the table and 11 snapshots
+    assert files["forked"] == files["inline"]
+
+
+def test_inconclusive_leg_with_snapshots_is_a_flagged_row(
+        forked, tmp_path, monkeypatch):
+    leg = wavepacket.evolve
+
+    def stuck(amps, model, t_steps, on_step=None):
+        out = leg(amps, model, t_steps, on_step=on_step)
+        out[model.center] = 1.0   # mass left on the interaction center
+        return out
+
+    monkeypatch.setattr(wavepacket, "evolve", stuck)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(SNAPSHOT_ARGS) == 2
+    rows = json.loads((tmp_path / "wavepacket.json").read_text())["rows"]
+    assert len(rows) == 1 and "has not traversed" in rows[0]["note"]
+    assert len(list(tmp_path.glob("snap_*.csv"))) == 11
 
 
 def test_all_rows_flagged_exit_2(tmp_path, capsys):

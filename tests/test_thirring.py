@@ -170,6 +170,13 @@ def test_gamma_residue_vs_quadrature():
     res = gamma_matrix(params, 0.3, omega)
     quad = gamma_quadrature(params, 0.3, omega)
     assert np.abs(res.block - quad.block).max() < 1e-6
+    # at p = 1.1, omega = 0 the (+,-) and (-,+) pairs also cross on the
+    # zone seam k = +-pi, where neither end node is an exact level hit
+    for nu in (0.3, 0.5, 0.8):
+        params = ThirringParams(nu=nu, chi=0.3)
+        res = gamma_matrix(params, 1.1, 0.0)
+        quad = gamma_quadrature(params, 1.1, 0.0)
+        assert np.abs(res.block - quad.block).max() < 1e-6, nu
 
 
 def test_gamma_residue_roots_on_shell():
