@@ -22,7 +22,8 @@ REL_TOL = 1e-8
 
 def first_hit(params, p, k):
     series = born_series_thirring(params, p, k, n_max=N_MAX)
-    closed = amplitude_pp(params, p, k).coefficient * jacobian_pp(params, p, k)
+    closed = (amplitude_pp(params, p, k).coefficient
+              * abs(jacobian_pp(params, p, k)))
     rel = np.abs(series.partial_sums - closed) / abs(closed)
     hits = np.nonzero(rel <= REL_TOL)[0]
     ratio = float(series.term_ratios[-1])

@@ -30,7 +30,15 @@ from .config import RunConfig, parse_config
 from .dyson import first_order_amplitude, lambda_chi_reconcile, second_order_amplitude
 from .errors import DtScatterError, OutputError
 from .spectral import make_dispersion
-from .tables import ResultTable, emit
+from .tables import (
+    ResultTable,
+    _read_all,
+    _send,
+    _usable_cpus,
+    emit,
+    render_csv,
+    write_text,
+)
 from .thirring import (
     ROOT_BLOCK,
     ThirringParams,
@@ -40,6 +48,7 @@ from .thirring import (
     born_series_thirring,
     channel,
     jacobian_pp,
+    on_shell_xy,
     xy_factors,
 )
 from .trotter import convergence_sweep, hopping_ring_model, tau_threshold
@@ -126,7 +135,7 @@ def _run_amplitude(cfg: RunConfig) -> ResultTable:
                 continue
             c = rows[i]
             born_c = complex(series.partial_sums[-1]
-                             / jacobian_pp(params, p, ks[i]))
+                             / abs(jacobian_pp(params, p, ks[i])))
             rows[i] = (c, born_c, abs(born_c - c), series.converged)
     for k, row in zip(ks, rows):
         if isinstance(row, DtScatterError):
@@ -157,7 +166,7 @@ def _run_born(cfg: RunConfig) -> ResultTable:
         table.metadata["converged"] = series.converged
         ratios = series.term_ratios
         for n, sum_n in enumerate(series.partial_sums):
-            cn = complex(sum_n / jac)
+            cn = complex(sum_n / abs(jac))
             table.add_row(order=n + 1, partial_sum=complex(sum_n),
                           coefficient=cn, closed_gap=abs(cn - closed),
                           term_ratio=float(ratios[n]) if n < ratios.size else _NAN,
@@ -184,8 +193,9 @@ def _run_dyson(cfg: RunConfig) -> ResultTable:
             table.add_row(order=order, dyson=_CNAN, series=_CNAN,
                           abs_gap=_NAN, flagged=True, note=str(exc))
         return table
-    lead = (f.y - f.x) / (2.0 * (f.x + f.y))
-    lam_coeffs = [lead, lead * (-f.x / (f.x + f.y))]
+    x, y = on_shell_xy(f.x, f.y)
+    lead = (y - x) / (2.0 * (x + y))
+    lam_coeffs = [lead, lead * (-x / (x + y))]
     chi_coeffs = lambda_chi_reconcile(lam_coeffs, 2)
     measured = {}
     notes = {}
@@ -259,27 +269,8 @@ def _snapshot_steps(t_steps: int, every: int) -> list:
 
 
 def _write_snapshot(path: str, amps) -> None:
-    emit(ResultTable(columns=snapshot_columns(amps)), "csv", path)
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _send(fd: int, data: np.ndarray) -> None:
-    view = memoryview(data).cast("B")
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read_all(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 65536):
-        chunks.append(chunk)
-    return b"".join(chunks)
+    # rendered serially: the snapshot writer process has the other CPU
+    write_text(path, render_csv(ResultTable(columns=snapshot_columns(amps))))
 
 
 class _SnapshotWriter:

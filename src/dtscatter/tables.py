@@ -12,7 +12,18 @@ only one block's cell texts are alive at a time.  A column whose cells
 are all exactly `float` or all exactly `int` takes one list repr per
 block, split back into cells, so the per-cell loop runs in C; any other
 column formats cell by cell.  Each block's rows are then joined (CSV) or
-filled into one per-row template (JSON).
+filled into one per-row template (JSON).  Both formats are laid out the
+same way (`_Layout`): a head, the row blocks' texts joined by a
+separator, and a tail.
+
+`emit` renders a table of at least two full blocks on two CPUs when it
+can: one forked process renders the later half of the blocks with the
+same code and sends its text down a pipe while this one renders the
+first half; the process is always reaped before `emit` returns or
+raises.  If it cannot be started or does not finish cleanly, this
+process renders the missing half itself, so the bytes and any exception
+are those of `render_csv` / `render_json`.  `write_text` is the atomic
+temp-file-and-rename write that `emit` ends with.
 """
 
 from __future__ import annotations
@@ -106,10 +117,31 @@ def _reprs(col) -> list:
 _BLOCK_ROWS = 1024   # rows per formatting pass: bounds the cell texts alive
 
 
-def _blocks(cols, n_rows: int):
-    """The columns cut into aligned slices of at most _BLOCK_ROWS rows."""
-    for start in range(0, n_rows, _BLOCK_ROWS):
-        yield [col[start:start + _BLOCK_ROWS] for col in cols]
+def _blocks(cols, start: int, stop: int):
+    """Rows start..stop of the columns, cut into aligned slices of at most
+    _BLOCK_ROWS rows."""
+    for lo in range(start, stop, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, stop)
+        yield [col[lo:hi] for col in cols]
+
+
+class _Layout:
+    """A rendering in pieces: head, each row block's text joined by sep,
+    then tail.  block_text turns one block of `cols` slices into text.
+    (A plain class: a dataclass would cost the import a generated
+    __init__.)"""
+
+    def __init__(self, head: str, cols: list, n_rows: int, block_text,
+                 sep: str = "", tail: str = ""):
+        self.head, self.cols, self.n_rows = head, cols, n_rows
+        self.block_text, self.sep, self.tail = block_text, sep, tail
+
+    def rows_text(self, start: int, stop: int) -> str:
+        return self.sep.join(map(self.block_text,
+                                 _blocks(self.cols, start, stop)))
+
+    def text(self) -> str:
+        return "".join((self.head, self.rows_text(0, self.n_rows), self.tail))
 
 
 def _format_cell(v) -> str:
@@ -138,16 +170,22 @@ def _csv_records(rows, one_field: bool) -> str:
     return "\r\n".join(lines) + "\r\n"
 
 
-def render_csv(table: ResultTable) -> str:
+def _csv_layout(table: ResultTable) -> _Layout:
     names, cols, typed = _flat_columns(table)
     one_field = len(names) == 1
-    parts = [_csv_records([map(_csv_field, names)], one_field)]
-    for block in _blocks(cols, table.n_rows):
+
+    def block_text(block) -> str:
         cells = [_reprs(col) if t
                  else [_csv_field(_format_cell(v)) for v in col]
                  for t, col in zip(typed, block)]
-        parts.append(_csv_records(zip(*cells), one_field))
-    return "".join(parts)
+        return _csv_records(zip(*cells), one_field)
+
+    return _Layout(_csv_records([map(_csv_field, names)], one_field), cols,
+                   table.n_rows, block_text)
+
+
+def render_csv(table: ResultTable) -> str:
+    return _csv_layout(table).text()
 
 
 def _json_value(v):
@@ -188,12 +226,10 @@ def _json_cells(typed: bool, values) -> list:
     return texts
 
 
-def render_json(table: ResultTable) -> str:
-    """`{"metadata": ..., "rows": [...]}`, as `json.dumps(indent=1)` lays
-    it out."""
+def _json_layout(table: ResultTable) -> _Layout:
     names, cols, typed = _flat_columns(table)
     # a repeated name keeps its first place and its last column, as in a dict
-    last = {name: i for i, name in enumerate(names)}
+    kept = list({name: i for i, name in enumerate(names)}.items())
     # every unserializable cell raises before any out-of-range float
     values = [col if t else list(map(_json_value, col))
               for t, col in zip(typed, cols)]
@@ -201,26 +237,94 @@ def render_json(table: ResultTable) -> str:
                       indent=1, allow_nan=False)
     template = "  {" + ",".join(
         _ROW_INDENT + json.dumps(name).replace("%", "%%") + ": %s"
-        for name in last) + "\n  }"
-    blocks = []
-    for block in _blocks([values[i] for i in last.values()], table.n_rows):
+        for name, _ in kept) + "\n  }"
+
+    def block_text(block) -> str:
         cells = [_json_cells(typed[i], col)
-                 for i, col in zip(last.values(), block)]
-        blocks.append(",\n".join(template % row for row in zip(*cells)))
-    if not blocks:
-        return head + "\n"
-    return "".join([head[:-len("[]\n}")], "[\n", ",\n".join(blocks),
-                    "\n ]\n}\n"])
+                 for (_, i), col in zip(kept, block)]
+        return ",\n".join(template % row for row in zip(*cells))
+
+    if not table.n_rows:
+        return _Layout(head + "\n", [], 0, block_text)
+    return _Layout(head[:-len("[]\n}")] + "[\n", [values[i] for _, i in kept],
+                   table.n_rows, block_text, ",\n", "\n ]\n}\n")
 
 
-def emit(table: ResultTable, fmt: str, path: str) -> None:
-    """Write the table; I/O failures are surfaced with the path attached."""
-    if fmt == "csv":
-        text = render_csv(table)
-    elif fmt == "json":
-        text = render_json(table)
-    else:
-        raise DtScatterError(f"unknown output format {fmt!r}")
+def render_json(table: ResultTable) -> str:
+    """`{"metadata": ..., "rows": [...]}`, as `json.dumps(indent=1)` lays
+    it out."""
+    return _json_layout(table).text()
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _send(fd: int, data) -> None:
+    """Write all of a buffer (bytes, or a contiguous array) to fd."""
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_all(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 65536):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _split_text(layout: _Layout) -> str:
+    """The layout's text, its later half of row blocks rendered by one
+    forked process when there are two full blocks, ``os.fork`` and two
+    usable CPUs.
+
+    The renderer sends its half as UTF-8 down a pipe and exits 0.  On any
+    other ending, or with no pipe or process to spare, this process renders
+    that half itself, so bytes and exceptions are the serial path's.
+    """
+    n = layout.n_rows
+    fork = getattr(os, "fork", None)
+    if n < 2 * _BLOCK_ROWS or fork is None or _usable_cpus() < 2:
+        return layout.text()
+    cut = _BLOCK_ROWS * round(n / (2 * _BLOCK_ROWS))   # the seam nearest n/2
+    fds = []
+    try:
+        fds += os.pipe()
+        pid = fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return layout.text()
+    read_fd, write_fd = fds
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            _send(write_fd, layout.rows_text(cut, n).encode())
+            code = 0
+        finally:
+            os._exit(code)   # never return into the caller's stack
+    os.close(write_fd)
+    try:
+        mine = layout.rows_text(0, cut)
+        theirs = _read_all(read_fd)
+    finally:
+        os.close(read_fd)   # a renderer still sending gets EPIPE and exits
+        _, status = os.waitpid(pid, 0)
+    theirs = theirs.decode() if status == 0 else layout.rows_text(cut, n)
+    return "".join((layout.head, mine, layout.sep, theirs, layout.tail))
+
+
+_LAYOUTS = {"csv": _csv_layout, "json": _json_layout}
+
+
+def write_text(path: str, text: str) -> None:
+    """Write text through a temp file and a rename; I/O failures are
+    surfaced with the path attached."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
@@ -230,6 +334,14 @@ def emit(table: ResultTable, fmt: str, path: str) -> None:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise OutputError(f"cannot write {path}: {exc}") from exc
+
+
+def emit(table: ResultTable, fmt: str, path: str) -> None:
+    """Render the table (on two CPUs when it is large: _split_text) and
+    write it with write_text."""
+    if fmt not in _LAYOUTS:
+        raise DtScatterError(f"unknown output format {fmt!r}")
+    write_text(path, _split_text(_LAYOUTS[fmt](table)))
 
 
 def parse_json_table(text: str) -> ResultTable:

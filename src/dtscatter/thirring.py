@@ -237,9 +237,27 @@ def w_vector(params: ThirringParams, p: float, k: float) -> np.ndarray:
 
 
 def jacobian_pp(params: ThirringParams, p: float, k: float) -> float:
-    """d(omega^{++})/dk = w'(p+k) - w'(p-k); equals 2(y^2 - x^2)."""
+    """d(omega^{++})/dk = w'(p+k) - w'(p-k); equals 2(y^2 - x^2).
+
+    Signed: it is negative for pi/2 < |p| < pi.  The on-shell delta
+    delta(omega(k) - omega(k')) = delta(k - k')/|J| turns a Born sum into
+    an amplitude by dividing by abs(jacobian_pp).
+    """
     d = params.dispersion
     return float(d.omega_prime(p + k) - d.omega_prime(p - k))
+
+
+def on_shell_xy(x: float, y: float) -> tuple[float, float]:
+    """The overlap products (x, y) in the order the closed forms take them.
+
+    On shell, Gamma's eigenvalue on w is -x/(x + y) where the slope
+    jacobian_pp = 2(y^2 - x^2) is positive; where it is negative the
+    residues of the retarded prescription give -y/(x + y) instead.  So
+    every closed form holds as written for y^2 >= x^2 and with x and y
+    exchanged otherwise; for the amplitude the exchange is its complex
+    conjugate.  At y^2 = x^2 both orders give the same value.
+    """
+    return (y, x) if x * x > y * y else (x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -492,11 +510,12 @@ def t_closed_thirring(params: ThirringParams, p: float, k: float) -> np.ndarray:
     T = lam/((lam+1)^2 x^2 - y^2) * [[(lam+1)x^2 - y^2, -lam*x*y],
                                      [-lam*x*y, (lam+1)x^2 - y^2]].
     Equals the geometric resummation lam*(I - lam*Gamma_Q)^{-1} of the
-    Born series on the same subspace.
+    Born series on the same subspace, with (x, y) taken by on_shell_xy.
     """
     f = xy_factors(params, p, k)
+    x, y = on_shell_xy(f.x, f.y)
     lam = params.lam
-    x2, y2 = f.x * f.x, f.y * f.y
+    x2, y2 = x * x, y * y
     den = (lam + 1.0) ** 2 * x2 - y2
     if abs(den) < 1e-12:
         raise ResonancePoleError(
@@ -504,12 +523,13 @@ def t_closed_thirring(params: ThirringParams, p: float, k: float) -> np.ndarray:
             f"(nu, p, k, chi) = ({params.nu}, {p}, {k}, {params.chi})"
         )
     diag = (lam + 1.0) * x2 - y2
-    off = -lam * f.x * f.y
+    off = -lam * x * y
     return (lam / den) * np.array([[diag, off], [off, diag]], dtype=complex)
 
 
 def _amplitude_coefficient(lam: complex, x: float, y: float) -> complex:
     # Python complex arithmetic: numpy's complex division rounds differently
+    x, y = on_shell_xy(x, y)
     den = (lam + 1.0) * x + y
     if abs(den) < 1e-12:
         raise ResonancePoleError(
@@ -522,7 +542,9 @@ def amplitude_pp(params: ThirringParams, p: float, k: float) -> AmplitudeRecord:
     """Elastic scattering coefficient for the (+, +) band pair.
 
     coefficient = lam (y - x) / (2 ((lam+1) x + y)), attached to the
-    momentum-conserving delta in k with channel labels (p, k, +, +).
+    momentum-conserving delta in k with channel labels (p, k, +, +), with
+    (x, y) taken by on_shell_xy: for pi/2 < |p| < pi, where the band-pair
+    slope is negative, the coefficient is the conjugate of that formula.
     Unitary on its own: |1 + c|^2 + |c|^2 = 1 identically.
     """
     if not 0.0 <= k <= _HALF_PI:
@@ -592,7 +614,8 @@ class BornSeries:
     """Partial sums sum_{n<=N} lam^{n+1} <w|Gamma^n|w> and diagnostics.
 
     partial_sums[N] is the N-th partial sum; term_ratios[N] =
-    |term_{N+1}/term_N| (geometric for this model, ratio |lam| x/(x+y)).
+    |term_{N+1}/term_N| (geometric for this model, ratio |lam| x/(x+y)
+    with (x, y) taken by on_shell_xy).
     """
 
     partial_sums: np.ndarray
@@ -610,7 +633,7 @@ def born_series_thirring(params: ThirringParams, p: float, k: float,
     Uses the full 4x4 pole-route Gamma at the pair energy; the
     antisymmetric weight w is an eigenvector of Gamma, so the terms are
     exactly geometric and the sums converge to <w|T|w> with T the closed
-    form (divide by the band-pair slope to recover the amplitude).  The
+    form (divide by |jacobian_pp| to recover the amplitude).  The
     one-point case of ``born_series_grid``.
     """
     (series,) = born_series_grid(params, p, [k], n_max)

@@ -216,14 +216,14 @@ def forked(monkeypatch):
                                           ((100,), 100), ((50, 100), 50)])
 def test_snapshot_failure_reports_the_earliest(
         bad, reported, forked, tmp_path, monkeypatch, capsys):
-    real = cli.emit
+    real = cli.write_text
 
-    def failing(table, fmt, path):
+    def failing(path, text):
         if path in [f"snap_{n:05d}.csv" for n in bad]:
             raise OutputError(f"cannot write {path}: disk full")
-        real(table, fmt, path)
+        real(path, text)
 
-    monkeypatch.setattr(cli, "emit", failing)
+    monkeypatch.setattr(cli, "write_text", failing)
     monkeypatch.chdir(tmp_path)
     assert cli.main(SNAPSHOT_ARGS) == 3
     captured = capsys.readouterr()
@@ -236,14 +236,14 @@ def test_snapshot_failure_reports_the_earliest(
 
 def test_snapshot_writer_death_names_its_snapshot(forked, tmp_path,
                                                   monkeypatch, capsys):
-    real, parent = cli.emit, os.getpid()
+    real, parent = cli.write_text, os.getpid()
 
-    def dying(table, fmt, path):
+    def dying(path, text):
         if path == "snap_00150.csv" and os.getpid() != parent:
             os._exit(7)
-        real(table, fmt, path)
+        real(path, text)
 
-    monkeypatch.setattr(cli, "emit", dying)
+    monkeypatch.setattr(cli, "write_text", dying)
     monkeypatch.chdir(tmp_path)
     assert cli.main(SNAPSHOT_ARGS) == 3
     err = capsys.readouterr().err
@@ -393,6 +393,33 @@ def test_batched_amplitude_matches_pointwise_routes():
             assert repr(got) == repr(want), (nu, chi, p, k)
             notes.add(want[-1].split(" ")[0])
     assert notes == {"", "relative", "band", "amplitude", "total"}
+
+
+
+def test_three_routes_agree_where_the_slope_is_negative(tmp_path, monkeypatch):
+    # p = 2.4 > pi/2: jacobian_pp < 0 there; the Born and Dyson columns,
+    # the wave packet and the closed form must give one amplitude
+    monkeypatch.chdir(tmp_path)
+    point = "nu = 0.8\nchi = 1.0\np = 2.4\n"
+    runs = {
+        "amplitude": "born_n = 60\n[grid]\nk = 0.3, 0.7, 1.2\n",
+        "born": "k = 0.7\nn_max = 60\n",
+        "dyson": "k = 0.7\n",
+        "wavepacket": "k0 = 0.7\n",
+    }
+    out = {}
+    for command, rest in runs.items():
+        cfg = write_cfg(tmp_path, f"[run]\ncommand = {command}\n[params]\n"
+                        f"{point}{rest}[output]\npath = {command}.json\n")
+        assert cli.main(["--config", cfg]) == 0
+        out[command] = json.loads((tmp_path / f"{command}.json").read_text())
+    assert all(r["born_gap"] < 1e-12 for r in out["amplitude"]["rows"])
+    assert out["born"]["rows"][-1]["closed_gap"] < 1e-12
+    gaps = [r["abs_gap"] for r in out["dyson"]["rows"]]
+    assert gaps[0] < 1e-12 and gaps[1] < 1e-6
+    meta = out["wavepacket"]["metadata"]
+    assert meta["diagonal_abs_error"] < 1e-4   # 1.2e-5 measured
+    assert meta["closed_coefficient_im"] > 0.0   # the conjugate branch
 
 
 @pytest.mark.parametrize("p", [0.3, 0.7])

@@ -11,11 +11,12 @@ is installed, or in a checkout with
 """
 
 import hashlib
+import os
 from pathlib import Path
 
 import pytest
 
-from dtscatter import cli
+from dtscatter import cli, tables
 from dtscatter.config import COMMANDS, parse_config
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -93,3 +94,42 @@ def test_series_amplitude_tables_match_digests(name, tmp_path, monkeypatch):
                    f"[grid]\nk = 0.1:1.5:32\n\n[output]\npath = {name}\n")
     assert cli.main(["--config", str(cfg)]) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+# sha256 of three tables of 4 096 to 5 000 rows, as the one-process
+# renderer wrote them; they are large enough for emit to split the row
+# blocks between this process and a forked renderer
+LARGE_TABLE_SHA256 = {
+    "sweep_k.csv": (
+        "424fa3ce079f2b1c20491a199f0d4b6f14d795db99bf09c92b52a4af3b37d5bf",
+        "command = sweep\n\n[params]\nnu = 0.8\nchi = 1.0\np = 0.3\n\n"
+        "[grid]\nk = 0.0:1.6:4096\n"),
+    "sweep_pk.json": (
+        "964233f4ac24bc6618e7b3a886942af4151b939b9826ba740b5936c5d1c7b8d3",
+        "command = sweep\n\n[params]\nnu = 0.5\nchi = 2.5\n\n"
+        "[grid]\np = 0.0:1.5707963267948966:64\nk = 0.0:1.6:64\n"),
+    "dispersion.csv": (
+        "450a947d29ef27b08cb0de995acabf8e23c4c717a7365813859a9023ebd24598",
+        "command = dispersion\n\n[params]\nnu = 0.8\n\n"
+        "[grid]\nk = -3.141592653589793:3.141592653589793:5000\n"),
+}
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "one-process"])
+@pytest.mark.parametrize("name", sorted(LARGE_TABLE_SHA256))
+def test_large_tables_match_digests(name, fork, tmp_path, monkeypatch):
+    digest, body = LARGE_TABLE_SHA256[name]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    monkeypatch.setattr(tables, "_usable_cpus", lambda: 2)
+    forks = []
+    if fork:
+        real = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+    else:
+        monkeypatch.delattr(os, "fork")
+    cfg = tmp_path / "large.cfg"
+    cfg.write_text(f"[run]\n{body}\n[output]\npath = {name}\n")
+    assert cli.main(["--config", str(cfg)]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+    assert len(forks) == fork   # one renderer, and only on the forked side

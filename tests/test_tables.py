@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -285,3 +286,174 @@ def test_rows_across_blocks_render_like_reference():
     assert render_json(t) == oracles.render_json_reference(t)
     one = ResultTable(columns={"note": note})
     assert render_csv(one) == oracles.render_csv_reference(one)
+
+
+# --- the split renderer: row blocks shared with one forked process --------
+
+_SEAM_ROWS = (1023, 1024, 1025, 2047, 2048, 2049)
+
+
+def _split(fmt, table):
+    """What emit writes: the layout rendered by _split_text."""
+    return tables._split_text(tables._LAYOUTS[fmt](table))
+
+
+def _serial(fmt, table):
+    return {"csv": render_csv, "json": render_json}[fmt](table)
+
+
+def _raised(render, table):
+    """The rendered text, or the exception's type and message."""
+    try:
+        return render(table)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let emit split on any host, and count the renderers it forks."""
+    monkeypatch.setattr(tables, "_usable_cpus", lambda: 2)
+    forks, real = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+    return forks
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _seam_table(n: int) -> ResultTable:
+    """Float, int, bool, complex and quoted-text columns, with NaN and
+    signed zeros on and around the block seams."""
+    x = [i / 7.0 for i in range(n)]
+    for j, i in enumerate((0, 1023, 1024, 2047, 2048, n - 1)):
+        if i < n:
+            x[i] = (math.nan, -0.0, 0.0, 5e-324, -1.5, 1e22)[j]
+    return ResultTable(
+        columns={"site": list(range(n)), "x": x,
+                 "c": [complex(v, -v) for v in x],
+                 "flagged": [i % 3 == 0 for i in range(n)],
+                 "note": ["" if i % 5 else 'a, "b"' for i in range(n)]},
+        metadata={"command": "demo", "rows": n},
+        complex_columns=frozenset({"c"}))
+
+
+@pytest.mark.parametrize("n", _SEAM_ROWS)
+def test_split_render_at_block_seams(n, two_cpus):
+    table = _seam_table(n)
+    one = ResultTable(columns={"note": table.columns["note"]})
+    for t in (table, one):
+        for fmt, reference in (("csv", oracles.render_csv_reference),
+                               ("json", oracles.render_json_reference)):
+            text = _split(fmt, t)
+            assert text == _serial(fmt, t) == reference(t)
+    # a renderer is forked only for two full blocks, once per rendering
+    assert len(two_cpus) == (4 if n >= 2 * tables._BLOCK_ROWS else 0)
+
+
+_SPLIT_FLOATS = (st.sampled_from([0.0, -0.0, math.nan, 5e-324, 0.1, 1e16])
+                 | st.floats(allow_infinity=False))
+_SPLIT_CELLS = {
+    "float": _SPLIT_FLOATS,
+    "int": _INTS,
+    "bool": st.booleans(),
+    "complex": st.builds(complex, _SPLIT_FLOATS, _SPLIT_FLOATS),
+    "text": _TEXTS,
+    "mixed": _SPLIT_FLOATS | _INTS | st.booleans() | _TEXTS | st.none(),
+}
+
+
+@st.composite
+def _long_tables(draw):
+    """Up to 5 000 rows; each column repeats a short drawn pattern, so
+    drawing stays cheap at any length."""
+    n_rows = draw(st.sampled_from(_SEAM_ROWS) | st.integers(0, 5000))
+    names = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4,
+                          unique=True))
+    columns, complex_names = {}, []
+    for name in names:
+        kind = draw(st.sampled_from(sorted(_SPLIT_CELLS)))
+        pattern = draw(st.lists(_SPLIT_CELLS[kind], min_size=1, max_size=5))
+        columns[name] = [pattern[i % len(pattern)] for i in range(n_rows)]
+        if kind in ("float", "complex") and draw(st.booleans()):
+            complex_names.append(name)
+    return ResultTable(columns=columns, metadata={"rows": n_rows},
+                       complex_columns=frozenset(complex_names))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_long_tables())
+def test_split_render_matches_serial_and_reference(table):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tables, "_usable_cpus", lambda: 2)
+        for fmt, reference in (("csv", oracles.render_csv_reference),
+                               ("json", oracles.render_json_reference)):
+            text = _split(fmt, table)
+            assert text == _serial(fmt, table) == reference(table)
+
+
+@pytest.mark.parametrize("at", ["first half", "second half"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, [1.0, math.inf],
+                                 object()],
+                         ids=["inf", "-inf", "nested-inf", "object"])
+def test_split_render_raises_like_serial(bad, at, two_cpus):
+    n = 3 * tables._BLOCK_ROWS + 5   # the split falls after the second block
+    x = [i / 7.0 for i in range(n)]
+    x[10 if at == "first half" else n - 3] = bad
+    table = ResultTable(columns={"x": x, "flagged": [False] * n})
+    before = _open_fds()
+    for fmt in ("csv", "json"):
+        got = _raised(lambda t: _split(fmt, t), table)
+        assert got == _raised(lambda t: _serial(fmt, t), table)
+        if fmt == "json":
+            assert isinstance(got, tuple)   # a refusal, not a text
+    assert _open_fds() == before   # the pipe is closed on every path
+    # JSON refuses an unserializable cell before it forks a renderer (CSV
+    # writes its str)
+    assert len(two_cpus) == (2 if isinstance(bad, (float, list)) else 1)
+
+
+def test_split_render_without_fork_or_second_cpu(monkeypatch):
+    table = _seam_table(4000)
+    want = {fmt: _serial(fmt, table) for fmt in ("csv", "json")}
+    monkeypatch.setattr(tables, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one CPU"))
+    assert {fmt: _split(fmt, table) for fmt in want} == want
+    monkeypatch.setattr(tables, "_usable_cpus", lambda: 2)
+    monkeypatch.delattr(os, "fork")
+    assert {fmt: _split(fmt, table) for fmt in want} == want
+
+
+def test_split_render_survives_a_failed_renderer(two_cpus, monkeypatch):
+    table = _seam_table(4000)
+    want = {fmt: _serial(fmt, table) for fmt in ("csv", "json")}
+    # the renderer exits nonzero before it writes: this process renders
+    # the missing half itself
+    monkeypatch.setattr(tables, "_send", lambda fd, data: os._exit(1))
+    assert {fmt: _split(fmt, table) for fmt in want} == want
+    assert len(two_cpus) == 2
+
+
+@pytest.mark.parametrize("broken", ["pipe", "fork"])
+def test_split_render_without_pipe_or_process(broken, monkeypatch):
+    def refuse(*args):
+        raise OSError(11, "Resource temporarily unavailable")
+
+    table = _seam_table(4000)
+    want = {fmt: _serial(fmt, table) for fmt in ("csv", "json")}
+    monkeypatch.setattr(tables, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, broken, refuse)
+    before = _open_fds()
+    assert {fmt: _split(fmt, table) for fmt in want} == want
+    assert _open_fds() == before
+
+
+def test_emit_writes_the_split_rendering(two_cpus, tmp_path):
+    table = _seam_table(2 * tables._BLOCK_ROWS + 1)
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"out.{fmt}"
+        emit(table, fmt, str(path))
+        assert path.read_bytes() == _serial(fmt, table).encode()
+    assert len(two_cpus) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.json"]

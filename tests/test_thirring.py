@@ -164,6 +164,42 @@ def test_t_closed_equals_born_resummation():
         complex(series.partial_sums[-1]), rel=1e-12)
 
 
+
+# pi/2 < |p| < pi, where the band-pair slope jacobian_pp is negative
+NEGATIVE_SLOPE = [(0.8, 2.4, 0.7), (0.8, -2.4, 0.7), (0.8, 2.0, 0.7),
+                  (0.8, 2.9, 0.3), (0.2, 1.6, 1.2), (0.5, -2.9, 1.5)]
+
+
+@pytest.mark.parametrize("nu,p,k", NEGATIVE_SLOPE)
+def test_closed_form_and_born_agree_where_the_slope_is_negative(nu, p, k):
+    params = ThirringParams(nu=nu, chi=1.0)
+    jac = jacobian_pp(params, p, k)
+    assert jac < 0.0
+    c = amplitude_pp(params, p, k).coefficient
+    series = born_series_thirring(params, p, k, 60)
+    assert series.converged
+    # the on-shell delta normalizes by |J|; the closed form takes x and y
+    # exchanged, which for the amplitude is the conjugate of the formula
+    assert series.partial_sums[-1] / abs(jac) == pytest.approx(c, abs=1e-12)
+    f = xy_factors(params, p, k)
+    lam = params.lam
+    formula = lam * (f.y - f.x) / (2.0 * ((lam + 1.0) * f.x + f.y))
+    assert c == pytest.approx(formula.conjugate(), abs=1e-14)
+    assert abs(1.0 + c) ** 2 + abs(c) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("nu,p,k", [(0.8, 0.3, 0.7)] + NEGATIVE_SLOPE)
+def test_t_closed_equals_pole_route_resummation(nu, p, k):
+    # T = lam (I - lam Gamma_Q)^{-1} on span(up-down, down-up), with Gamma
+    # from the residue route at the pair energy, on both sides of J = 0
+    params = ThirringParams(nu=nu, chi=1.0)
+    omega = two_particle_omega(params, p, k, +1, +1)
+    g = gamma_matrix(params, p, omega).block[np.ix_([1, 2], [1, 2])]
+    resummed = params.lam * np.linalg.inv(np.eye(2) - params.lam * g)
+    np.testing.assert_allclose(t_closed_thirring(params, p, k), resummed,
+                               rtol=0.0, atol=1e-10)
+
+
 def test_gamma_residue_vs_quadrature():
     params = ThirringParams(nu=0.8, chi=0.3)
     omega = two_particle_omega(params, 0.3, 0.7, +1, +1)
