@@ -320,7 +320,8 @@ def two_cpus(monkeypatch):
 
 
 def _open_fds() -> int:
-    return len(os.listdir("/proc/self/fd"))
+    fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
+    return len(os.listdir(fd_dir))
 
 
 def _seam_table(n: int) -> ResultTable:
