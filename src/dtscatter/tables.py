@@ -86,28 +86,36 @@ class ResultTable:
 
 
 def _flat_columns(table: ResultTable):
-    """Output names, value lists and typed flags, complex columns split.
+    """Output names, value lists and cell type sets, complex columns split.
 
     A column is split re/im when declared complex or when it holds a
-    complex value (numpy complex scalars included).  It is typed when
-    every cell is exactly `float` or every cell exactly `int`: their reprs
-    never hold ", ", so one list repr splits back into cells.  Every
-    column comes back as a list, so its block slices repr as lists.
+    complex value (numpy complex scalars included); its halves hold only
+    `float`s.  A column is typed (`_TYPED`) when every cell is exactly
+    `float` or every cell exactly `int`: their reprs never hold ", ", so
+    one list repr splits back into cells.  Every column comes back as a
+    list, so its block slices repr as lists.
     """
-    names, cols, typed = [], [], []
+    names, cols, kinds = [], [], []
     for name, values in table.columns.items():
         types = set(map(type, values))
         if (name in table.complex_columns
                 or any(issubclass(t, complex) for t in types)):
             names += [f"{name}_re", f"{name}_im"]
-            cols += [[complex(v).real for v in values],
-                     [complex(v).imag for v in values]]
-            typed += [True, True]
+            if types <= {complex, float}:   # parts already exactly float
+                cols += [[v.real for v in values], [v.imag for v in values]]
+            else:
+                cols += [[complex(v).real for v in values],
+                         [complex(v).imag for v in values]]
+            kinds += [{float}, {float}]
         else:
             names.append(name)
             cols.append(list(values))
-            typed.append(types in ({float}, {int}))
-    return names, cols, typed
+            kinds.append(types)
+    return names, cols, kinds
+
+
+_TYPED = ({float}, {int})
+_JSON_SAFE = ({bool}, {str})   # kinds whose cells _json_value returns as is
 
 
 def _reprs(col) -> list:
@@ -171,7 +179,8 @@ def _csv_records(rows, one_field: bool) -> str:
 
 
 def _csv_layout(table: ResultTable) -> _Layout:
-    names, cols, typed = _flat_columns(table)
+    names, cols, kinds = _flat_columns(table)
+    typed = [kind in _TYPED for kind in kinds]
     one_field = len(names) == 1
 
     def block_text(block) -> str:
@@ -227,12 +236,14 @@ def _json_cells(typed: bool, values) -> list:
 
 
 def _json_layout(table: ResultTable) -> _Layout:
-    names, cols, typed = _flat_columns(table)
+    names, cols, kinds = _flat_columns(table)
+    typed = [kind in _TYPED for kind in kinds]
     # a repeated name keeps its first place and its last column, as in a dict
     kept = list({name: i for i, name in enumerate(names)}.items())
     # every unserializable cell raises before any out-of-range float
-    values = [col if t else list(map(_json_value, col))
-              for t, col in zip(typed, cols)]
+    values = [col if kind in _TYPED or kind in _JSON_SAFE
+              else list(map(_json_value, col))
+              for kind, col in zip(kinds, cols)]
     head = json.dumps({"metadata": _json_value(table.metadata), "rows": []},
                       indent=1, allow_nan=False)
     template = "  {" + ",".join(

@@ -17,7 +17,8 @@ finite-time sandwich U0^{-T} U^{2T} U0^{-T} applied to a band-projected
 Gaussian packet; the free legs are applied spectrally (exact integer-
 step diagonalization), the middle leg runs the local stepper.  ``step``
 is the reference kernel; ``evolve`` runs a component-major copy of its
-arithmetic on preallocated buffers and agrees with it bit for bit.
+arithmetic on preallocated buffers and agrees with it bit for bit, also
+when two processes share an unobserved leg (``splitleg``).
 """
 
 from __future__ import annotations
@@ -250,12 +251,93 @@ def _read_only(view: np.ndarray) -> np.ndarray:
     return view
 
 
+def _halo(model: WalkModel) -> int:
+    """Sites one step reads beyond an output site: max |shift|."""
+    return max(abs(shift) for _, _, _, shift in model.step_entries)
+
+
+def _step_plan(model: WalkModel, src, dst, tmp, lo: int, hi: int) -> list:
+    """One step as (coef, shifted source row, scratch, output row, first)
+    views: columns lo..hi of the component-major dst from src.
+
+    roll(row, -shift)[y] is row[y + shift], so an output column reads the
+    source column shift places on.  first marks an output row's first
+    ``step_entries`` term.  coef becomes a 0-d array, which a ufunc takes
+    faster than a Python scalar; it is cast to complex like the scalar
+    step() multiplies by.
+    """
+    plan, started = [], set()
+    for a, b, coef, shift in model.step_entries:
+        plan.append((np.asarray(coef), src[b, lo + shift:hi + shift],
+                     tmp[:hi - lo], dst[a, lo:hi], a not in started))
+        started.add(a)
+    return plan
+
+
+_ZERO = np.zeros((), dtype=complex)   # step()'s +0, as a 0-d array
+
+
+def _apply(plan: list) -> None:
+    for coef, src, tmp, out, first in plan:
+        np.multiply(coef, src, out=tmp)
+        if first:   # 0 + x == x + 0 bit for bit
+            np.add(tmp, _ZERO, out=out)
+        else:
+            np.add(out, tmp, out=out)
+
+
+def _leaked(sites, n: int) -> bool:
+    """Warn, and say so, when the state holds boundary mass above
+    LEAKAGE_TOL after n steps."""
+    mass = _boundary_mass(sites)
+    if mass > LEAKAGE_TOL:
+        warnings.warn(f"boundary mass {mass:.2e} after {n} steps",
+                      BoundaryLeakageWarning)
+        return True
+    return False
+
+
+def _serial_leg(state: np.ndarray, model: WalkModel, t_steps: int,
+                on_step=None, warned: bool = False) -> np.ndarray:
+    """The leg on one padded (components, h + sites + h) buffer pair."""
+    length = model.length
+    halo = _halo(model)
+    cur = np.empty((model.ncomp, length + 2 * halo), dtype=complex)
+    cur[:, halo:halo + length] = state.T
+    nxt = np.empty_like(cur)
+    tmp = np.empty(length, dtype=complex)
+    phase = np.exp(1j * model.chi)
+    center = halo + model.center
+    plan = _step_plan(model, cur, nxt, tmp, halo, halo + length)
+    next_plan = _step_plan(model, nxt, cur, tmp, halo, halo + length)
+    if on_step is not None:
+        on_step(0, _read_only(cur[:, halo:halo + length].T))
+    for n in range(1, t_steps + 1):
+        cur[:, center] *= phase
+        cur[:, :halo] = cur[:, length:length + halo]
+        cur[:, length + halo:] = cur[:, halo:2 * halo]
+        _apply(plan)
+        cur, nxt, plan, next_plan = nxt, cur, next_plan, plan
+        if (n % 64 == 0 or n == t_steps) and not warned:
+            warned = _leaked(cur[:, halo:halo + length].T, n)
+        if on_step is not None:
+            on_step(n, _read_only(cur[:, halo:halo + length].T))
+    return _lattice(cur[:, halo:halo + length].T)
+
+
+# shortest ring whose leg two processes share (``splitleg``): a 4-component
+# step costs about 12 us of numpy call overhead plus 4.7 ns per site, so
+# halving a 1024-site ring saves about 2% of its leg, no more than a fork
+SPLIT_MIN_LENGTH = 2048
+
+
 def evolve(amps, model: WalkModel, t_steps: int,
            on_step=None) -> np.ndarray:
     """t_steps local steps with boundary-leakage monitoring.
 
     Amplitude mass within BOUNDARY_WINDOW sites of the ring seam above
-    LEAKAGE_TOL raises a boundary-contamination warning (once).
+    LEAKAGE_TOL raises a boundary-contamination warning (once), checked
+    after every 64th step and the last.
     on_step(n, amplitudes), if given, sees the state after n = 0..t_steps
     as a read-only (sites, components) view of the stepping buffer; the
     view is valid only during the call, so copy what must outlive it.
@@ -263,53 +345,26 @@ def evolve(amps, model: WalkModel, t_steps: int,
     The steps run on a component-major (components, h + sites + h) copy,
     h = max |shift| of ``step_entries``, whose first and last h columns
     repeat the ring's last and first h sites.  The arithmetic is that of
-    ``step`` in the same order (phase, zero fill, then one multiply-add
-    per ``step_entries`` row, the roll read as one shifted slice), so the
-    result is bit-identical to t_steps applications of ``step``.
+    ``step`` in the same order (phase, then one multiply-add per
+    ``step_entries`` row onto +0, the roll read as one shifted slice), so
+    the result is bit-identical to t_steps applications of ``step``.
+
+    Without on_step, on a ring of at least SPLIT_MIN_LENGTH sites, two
+    processes may step the leg, each owning half the ring, with the same
+    bits (``splitleg``).  If the second process cannot be started or does
+    not finish cleanly, the leg is stepped again here from the input, and
+    a leakage warning already given is not repeated.
     """
     if t_steps < 0:
         raise DomainError(f"t_steps must be >= 0, got {t_steps}")
     state = _lattice(amps, model)
-    length = model.length
-    halo = max(abs(shift) for _, _, _, shift in model.step_entries)
-    cur = np.empty((model.ncomp, length + 2 * halo), dtype=complex)
-    cur[:, halo:halo + length] = state.T
-    nxt = np.empty_like(cur)
-    tmp = np.empty(length, dtype=complex)
-    phase = np.exp(1j * model.chi)
-    center = halo + model.center
-    # roll(row, -shift)[y] is row[(y + shift) mod L], the padded row's
-    # column halo + y + shift; coef stays the Python or numpy scalar
-    # step() multiplies by, because real and complex scalars can round
-    # signed zeros differently
-    def rows(src, dst):
-        """(coef, shifted source row, output row) views of one step."""
-        return [(coef, src[b, halo + shift:halo + shift + length],
-                 dst[a, halo:halo + length])
-                for a, b, coef, shift in model.step_entries]
-
-    plan, next_plan = rows(cur, nxt), rows(nxt, cur)
-    observe = on_step or (lambda n, amps: None)
-    observe(0, _read_only(cur[:, halo:halo + length].T))
     warned = False
-    for n in range(1, t_steps + 1):
-        cur[:, center] *= phase
-        cur[:, :halo] = cur[:, length:length + halo]
-        cur[:, length + halo:] = cur[:, halo:2 * halo]
-        nxt.fill(0)
-        for coef, src, out in plan:
-            np.multiply(coef, src, out=tmp)
-            np.add(out, tmp, out=out)
-        cur, nxt, plan, next_plan = nxt, cur, next_plan, plan
-        sites = cur[:, halo:halo + length].T
-        if (n % 64 == 0 or n == t_steps) and not warned:
-            mass = _boundary_mass(sites)
-            if mass > LEAKAGE_TOL:
-                warnings.warn(f"boundary mass {mass:.2e} after {n} steps",
-                              BoundaryLeakageWarning)
-                warned = True
-        observe(n, _read_only(sites))
-    return _lattice(cur[:, halo:halo + length].T)
+    if on_step is None and t_steps and model.length >= SPLIT_MIN_LENGTH:
+        from .splitleg import split_leg   # compiled only where it may run
+        out, warned = split_leg(state, model, t_steps)
+        if out is not None:
+            return out
+    return _serial_leg(state, model, t_steps, on_step, warned)
 
 
 def free_evolve(amps, model: WalkModel, t_steps: int) -> np.ndarray:

@@ -71,6 +71,13 @@ def test_wavepacket_default_config_matches_digest(tmp_path, monkeypatch):
     assert digest.hexdigest() == DEFAULT_WAVEPACKET_SHA256
 
 
+def test_wavepacket_default_config_matches_digest_in_one_process(
+        tmp_path, monkeypatch):
+    # without os.fork the 4096-site leg is stepped by this process alone
+    monkeypatch.delattr(os, "fork")
+    test_wavepacket_default_config_matches_digest(tmp_path, monkeypatch)
+
+
 # sha256 of perfbench's seed-0 `series` amplitude tables (32 k points each,
 # more than the golden config's 4), as the per-point crossing solve wrote
 # them; the batched solve must reproduce them byte for byte
