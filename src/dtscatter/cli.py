@@ -30,15 +30,7 @@ from .config import RunConfig, parse_config
 from .dyson import first_order_amplitude, lambda_chi_reconcile, second_order_amplitude
 from .errors import DtScatterError, OutputError
 from .spectral import make_dispersion
-from .tables import (
-    ResultTable,
-    _read_all,
-    _send,
-    _usable_cpus,
-    emit,
-    render_csv,
-    write_text,
-)
+from .tables import ResultTable, _Helper, _send, emit, render_csv, write_text
 from .thirring import (
     ROOT_BLOCK,
     ThirringParams,
@@ -269,60 +261,38 @@ def _snapshot_steps(t_steps: int, every: int) -> list:
 
 
 def _write_snapshot(path: str, amps) -> None:
-    # rendered serially: the snapshot writer process has the other CPU
+    # rendered serially: the snapshot writer helper has the other CPU
     write_text(path, render_csv(ResultTable(columns=snapshot_columns(amps))))
 
 
 class _SnapshotWriter:
     """The interacting leg's on_step callback: writes the snapshots.
 
-    With at least two snapshots, ``os.fork`` and two usable CPUs, every
-    other snapshot goes, as the raw complex128 bytes of its (sites,
-    components) array, down a pipe to one forked worker that renders and
-    writes it while this process keeps stepping; otherwise each is written
-    inline.  The worker answers each snapshot on a second pipe: a zero
-    byte once it is written, or a one byte and the error message, after
-    which it exits.  A snapshot is sent only after the previous one was
-    answered, so at most one is in flight and a worker failure stops the
-    leg at the next hand-off.  Leaving the ``with`` block waits for the
-    last answer, reaps the worker and raises the OutputError of the
-    earliest snapshot not written, whichever process was to write it.
+    With at least two snapshots, every other snapshot goes, as the raw
+    complex128 bytes of its (sites, components) array, to one helper
+    process (``tables._Helper``) that renders and writes it while this
+    process keeps stepping; with no helper each is written inline.  The
+    helper answers each snapshot: a zero byte once it is written, or a one
+    byte and the error message, after which it exits.  A snapshot is sent
+    only after the previous one was answered, so at most one is in flight
+    and a helper failure stops the leg at the next hand-off.  Leaving the
+    ``with`` block waits for the last answer, joins the helper and raises
+    the OutputError of the earliest snapshot not written, whichever
+    process was to write it.
     """
 
     def __init__(self, prefix: str, steps: list, shape: tuple):
         self.paths = {n: f"{prefix}{n:05d}.csv" for n in steps}
         self.failures: dict = {}   # step -> OutputError
-        self.offloaded = frozenset()   # the worker's steps; empty: none
-        self.pid = self.pending = None
-        fork = getattr(os, "fork", None)
-        if len(steps) < 2 or fork is None or _usable_cpus() < 2:
-            return
-        fds = []
-        try:
-            fds += os.pipe()
-            fds += os.pipe()
-            self.pid = fork()
-        except OSError:   # no pipe or process to spare: write inline
-            for fd in fds:
-                os.close(fd)
-            return
-        data_r, self.data, self.status, status_w = fds
-        if self.pid == 0:
-            code = 1
-            try:
-                os.close(self.data)
-                os.close(self.status)
-                self._serve(data_r, status_w, steps[1::2], shape)
-                code = 0
-            finally:
-                os._exit(code)   # never return into the caller's stack
-        os.close(data_r)
-        os.close(status_w)
-        self.offloaded = frozenset(steps[1::2])
+        self.pending = None
+        self.helper = None if len(steps) < 2 else _Helper.start(
+            lambda *fds: self._serve(steps[1::2], shape, *fds))
+        # the helper's steps; empty: none
+        self.offloaded = frozenset(steps[1::2] if self.helper else ())
 
-    def _serve(self, data_fd: int, status_fd: int, steps: list,
-               shape: tuple) -> None:
-        """The worker's loop: receive, write and answer its snapshots."""
+    def _serve(self, steps: list, shape: tuple, data_fd: int,
+               status_fd: int) -> None:
+        """The helper's loop: receive, write and answer its snapshots."""
         amps = np.empty(shape, dtype=complex)
         raw = memoryview(amps).cast("B")
         for n in steps:
@@ -356,9 +326,9 @@ class _SnapshotWriter:
         self._answer()
         try:
             # the view is strided: its bytes are copied out during the call
-            _send(self.data, np.ascontiguousarray(amps))
+            _send(self.helper.send, np.ascontiguousarray(amps))
         except BrokenPipeError:
-            self._lost(n)
+            self._fail(n)
         self.pending = n
 
     def _answer(self) -> None:
@@ -366,39 +336,34 @@ class _SnapshotWriter:
         if self.pending is None:
             return
         n, self.pending = self.pending, None
-        head = os.read(self.status, 1)
-        if head == b"\0":
-            return
-        if head == b"\1":
-            message = _read_all(self.status).decode("utf-8", "replace")
-            self.failures[n] = OutputError(message)
-            raise self.failures[n]
-        self._lost(n)
+        head = os.read(self.helper.recv, 1)
+        if head != b"\0":
+            self._fail(n, head)
 
-    def _lost(self, n: int) -> None:
-        """The worker is gone before it answered on snapshot n."""
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        self.failures[n] = OutputError(
-            f"cannot write {self.paths[n]}: the snapshot writer process ended "
-            f"before writing it (exit code {os.waitstatus_to_exitcode(status)})")
+    def _fail(self, n: int, head: bytes = b"") -> None:
+        """Join the helper, which did not write snapshot n (head: the
+        answer's first byte, if any), and raise the reason."""
+        helper, self.helper = self.helper, None
+        code, rest = helper.join()
+        if head == b"\1":
+            message = rest.decode("utf-8", "replace")
+        else:
+            message = (f"cannot write {self.paths[n]}: the snapshot writer "
+                       f"process ended before writing it (exit code {code})")
+        self.failures[n] = OutputError(message)
         raise self.failures[n]
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if self.offloaded:
-            try:
-                self._answer()
-            except OutputError:
-                pass   # kept in self.failures
-            finally:
-                os.close(self.data)   # the worker reads EOF and exits
-                os.close(self.status)
-                if self.pid is not None:
-                    os.waitpid(self.pid, 0)
-                    self.pid = None
+        try:
+            self._answer()
+        except OutputError:
+            pass   # kept in self.failures
+        finally:
+            if self.helper is not None:   # the helper reads EOF and exits
+                self.helper.join()
         if self.failures and (exc is None or isinstance(exc, Exception)):
             earliest = self.failures[min(self.failures)]
             if earliest is not exc:

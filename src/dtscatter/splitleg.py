@@ -1,15 +1,15 @@
 """The wave-packet interacting leg stepped by two processes.
 
 ``wavepacket.evolve`` hands an unobserved leg on a long ring here.  The
-ring splits at L/2: this process steps sites 0 .. L/2 and one forked
-stepper steps L/2 .. L.  Each steps its half plus SPLIT_BLOCK * h ghost
-sites on either side (h = max |shift|) in a local component-major
-buffer for SPLIT_BLOCK steps, then publishes its half in shared memory
-and swaps one byte with the other, which syncs the ghosts for the next
-block.  Every site runs ``step``'s arithmetic in ``step``'s order, the
-center phase included wherever the center lies in a buffer, so the
-result is bit-identical to the one-process leg.  This module is loaded
-only when a leg may be split.
+ring splits at L/2: this process steps sites 0 .. L/2 and a helper
+process (``tables._Helper``), the stepper, steps L/2 .. L.  Each steps
+its half plus SPLIT_BLOCK * h ghost sites on either side (h = max
+|shift|) in a local component-major buffer for SPLIT_BLOCK steps, then
+publishes its half in shared memory and swaps one byte with the other,
+which syncs the ghosts for the next block.  Every site runs ``step``'s
+arithmetic in ``step``'s order, the center phase included wherever the
+center lies in a buffer, so the result is bit-identical to the
+one-process leg.  This module is loaded only when a leg may be split.
 """
 
 from __future__ import annotations
@@ -19,10 +19,11 @@ import os
 
 import numpy as np
 
-from . import tables
-from .wavepacket import _apply, _halo, _lattice, _leaked, _step_plan
+from .tables import _Helper
+from .wavepacket import (LEAKAGE_PERIOD, _apply, _halo, _lattice, _leaked,
+                         _step_plan)
 
-SPLIT_BLOCK = 32   # steps between hand-offs; divides 64, the leakage period
+SPLIT_BLOCK = 32   # steps between hand-offs; divides LEAKAGE_PERIOD
 
 
 def _half_blocks(model, shared: np.ndarray, lo: int, t_steps: int,
@@ -73,52 +74,36 @@ def split_leg(state: np.ndarray, model, t_steps: int):
     """(the leg's result, or None when no stepper could be started or it
     did not exit 0; whether a leakage warning was given).
 
-    Needs ``os.fork`` and two usable CPUs.  This process checks leakage
-    on the synced state after every 64th step and the last, as the
-    one-process leg does.  The stepper ends in os._exit and is reaped on
-    every path, a leakage warning raised as an error included.
+    This process checks leakage on the synced state after every
+    LEAKAGE_PERIOD-th step and the last, as the one-process leg does, and
+    joins the stepper on every path, a leakage warning raised as an error
+    included.
     """
-    fork = getattr(os, "fork", None)
-    if fork is None or tables._usable_cpus() < 2:
-        return None, False
-    fds = []
     try:
         shared = np.frombuffer(mmap.mmap(-1, 2 * state.nbytes), dtype=complex)
-        shared = shared.reshape(2, model.ncomp, model.length)
-        shared[1] = state.T
-        fds += os.pipe()
-        fds += os.pipe()
-        pid = fork()
-    except OSError:   # no shared memory, pipe or process to spare
-        for fd in fds:
-            os.close(fd)
+    except OSError:   # no shared memory to spare
         return None, False
-    child_r, parent_w, parent_r, child_w = fds
-    if pid == 0:
-        code = 1
-        try:
-            os.close(parent_r)
-            os.close(parent_w)
-            for _ in _half_blocks(model, shared, model.length // 2, t_steps,
-                                  child_w, child_r):
-                pass
-            code = 0
-        finally:
-            os._exit(code)   # never return into the caller's stack
-    os.close(child_r)
-    os.close(child_w)
+    shared = shared.reshape(2, model.ncomp, model.length)
+    shared[1] = state.T
+
+    def stepper(recv_fd: int, send_fd: int) -> None:
+        for _ in _half_blocks(model, shared, model.length // 2, t_steps,
+                              send_fd, recv_fd):
+            pass
+
+    helper = _Helper.start(stepper)
+    if helper is None:
+        return None, False
     warned, synced = False, None
     try:
         for n, synced in _half_blocks(model, shared, 0, t_steps,
-                                      parent_w, parent_r):
-            if (n % 64 == 0 or n == t_steps) and not warned:
+                                      helper.send, helper.recv):
+            if (n % LEAKAGE_PERIOD == 0 or n == t_steps) and not warned:
                 warned = _leaked(synced.T, n)
     except OSError:   # the stepper is gone
         synced = None
     finally:
-        os.close(parent_r)   # a stepper still waiting reads EOF and exits
-        os.close(parent_w)
-        _, status = os.waitpid(pid, 0)
-    if synced is None or status != 0:
+        code, _ = helper.join()   # a stepper still waiting reads EOF and exits
+    if synced is None or code != 0:
         return None, warned
     return _lattice(synced.T), warned

@@ -17,13 +17,15 @@ same way (`_Layout`): a head, the row blocks' texts joined by a
 separator, and a tail.
 
 `emit` renders a table of at least two full blocks on two CPUs when it
-can: one forked process renders the later half of the blocks with the
+can: a helper process renders the later half of the blocks with the
 same code and sends its text down a pipe while this one renders the
-first half; the process is always reaped before `emit` returns or
+first half; the helper is always reaped before `emit` returns or
 raises.  If it cannot be started or does not finish cleanly, this
 process renders the missing half itself, so the bytes and any exception
-are those of `render_csv` / `render_json`.  `write_text` is the atomic
-temp-file-and-rename write that `emit` ends with.
+are those of `render_csv` / `render_json`.  `_Helper` is the package's
+one way to start, end and reap a second process; the snapshot writer
+(`cli`) and the split leg (`splitleg`) use it too.  `write_text` is the
+atomic temp-file-and-rename write that `emit` ends with.
 """
 
 from __future__ import annotations
@@ -281,52 +283,86 @@ def _send(fd: int, data) -> None:
         view = view[os.write(fd, view):]
 
 
-def _read_all(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 65536):
-        chunks.append(chunk)
-    return b"".join(chunks)
+class _Helper:
+    """One forked helper process and a pipe each way.
+
+    ``_Helper.start(work)`` forks a process that runs ``work(recv_fd,
+    send_fd)`` on its ends of the pipes and leaves through ``os._exit``:
+    0 when work returns, 1 when it raises (silently: the caller redoes the
+    work or reports the code).  This process reads from ``recv`` what the
+    helper sends and writes to ``send`` what the helper reads.  ``join``
+    closes ``send``, so a helper still reading sees EOF, reads ``recv`` to
+    EOF, reaps the helper and returns (exit code, the bytes not yet read).
+    Every caller joins its helper on every path.
+    """
+
+    def __init__(self, pid: int, recv: int, send: int):
+        self.pid, self.recv, self.send = pid, recv, send
+
+    @classmethod
+    def start(cls, work):
+        """A started helper, or None, with no fd left open, when there is
+        no ``os.fork``, fewer than two usable CPUs, or no pipe or process
+        to spare."""
+        fork = getattr(os, "fork", None)
+        if fork is None or _usable_cpus() < 2:
+            return None
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            return None
+        recv, helper_send, helper_recv, send = fds
+        if pid == 0:
+            code = 1
+            try:
+                os.close(recv)
+                os.close(send)
+                work(helper_recv, helper_send)
+                code = 0
+            finally:
+                os._exit(code)   # never return into the caller's stack
+        os.close(helper_send)
+        os.close(helper_recv)
+        return cls(pid, recv, send)
+
+    def join(self) -> tuple:
+        os.close(self.send)
+        chunks = []
+        try:
+            while chunk := os.read(self.recv, 65536):
+                chunks.append(chunk)
+        finally:
+            os.close(self.recv)
+            _, status = os.waitpid(self.pid, 0)
+        return os.waitstatus_to_exitcode(status), b"".join(chunks)
 
 
 def _split_text(layout: _Layout) -> str:
-    """The layout's text, its later half of row blocks rendered by one
-    forked process when there are two full blocks, ``os.fork`` and two
-    usable CPUs.
+    """The layout's text, its later half of row blocks rendered by a
+    helper process when there are two full blocks and a helper starts.
 
-    The renderer sends its half as UTF-8 down a pipe and exits 0.  On any
-    other ending, or with no pipe or process to spare, this process renders
-    that half itself, so bytes and exceptions are the serial path's.
+    The helper sends its half as UTF-8.  If it does not exit 0, or none
+    starts, this process renders that half itself, so bytes and exceptions
+    are the serial path's.
     """
     n = layout.n_rows
-    fork = getattr(os, "fork", None)
-    if n < 2 * _BLOCK_ROWS or fork is None or _usable_cpus() < 2:
+    if n < 2 * _BLOCK_ROWS:
         return layout.text()
     cut = _BLOCK_ROWS * round(n / (2 * _BLOCK_ROWS))   # the seam nearest n/2
-    fds = []
-    try:
-        fds += os.pipe()
-        pid = fork()
-    except OSError:
-        for fd in fds:
-            os.close(fd)
+    helper = _Helper.start(
+        lambda recv, send: _send(send, layout.rows_text(cut, n).encode()))
+    if helper is None:
         return layout.text()
-    read_fd, write_fd = fds
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            _send(write_fd, layout.rows_text(cut, n).encode())
-            code = 0
-        finally:
-            os._exit(code)   # never return into the caller's stack
-    os.close(write_fd)
     try:
         mine = layout.rows_text(0, cut)
-        theirs = _read_all(read_fd)
     finally:
-        os.close(read_fd)   # a renderer still sending gets EPIPE and exits
-        _, status = os.waitpid(pid, 0)
-    theirs = theirs.decode() if status == 0 else layout.rows_text(cut, n)
+        code, theirs = helper.join()
+    theirs = theirs.decode() if code == 0 else layout.rows_text(cut, n)
     return "".join((layout.head, mine, layout.sep, theirs, layout.tail))
 
 

@@ -36,6 +36,7 @@ from .thirring import ThirringParams
 
 BOUNDARY_WINDOW = 16
 LEAKAGE_TOL = 1e-6
+LEAKAGE_PERIOD = 64   # steps between boundary-leakage checks
 TRAVERSAL_TOL = 1e-8
 
 
@@ -318,7 +319,7 @@ def _serial_leg(state: np.ndarray, model: WalkModel, t_steps: int,
         cur[:, length + halo:] = cur[:, halo:2 * halo]
         _apply(plan)
         cur, nxt, plan, next_plan = nxt, cur, next_plan, plan
-        if (n % 64 == 0 or n == t_steps) and not warned:
+        if (n % LEAKAGE_PERIOD == 0 or n == t_steps) and not warned:
             warned = _leaked(cur[:, halo:halo + length].T, n)
         if on_step is not None:
             on_step(n, _read_only(cur[:, halo:halo + length].T))
@@ -337,7 +338,7 @@ def evolve(amps, model: WalkModel, t_steps: int,
 
     Amplitude mass within BOUNDARY_WINDOW sites of the ring seam above
     LEAKAGE_TOL raises a boundary-contamination warning (once), checked
-    after every 64th step and the last.
+    after every LEAKAGE_PERIOD-th step and the last.
     on_step(n, amplitudes), if given, sees the state after n = 0..t_steps
     as a read-only (sites, components) view of the stepping buffer; the
     view is valid only during the call, so copy what must outlive it.
@@ -349,11 +350,12 @@ def evolve(amps, model: WalkModel, t_steps: int,
     ``step_entries`` row onto +0, the roll read as one shifted slice), so
     the result is bit-identical to t_steps applications of ``step``.
 
-    Without on_step, on a ring of at least SPLIT_MIN_LENGTH sites, two
-    processes may step the leg, each owning half the ring, with the same
-    bits (``splitleg``).  If the second process cannot be started or does
-    not finish cleanly, the leg is stepped again here from the input, and
-    a leakage warning already given is not repeated.
+    Without on_step, on a ring of at least SPLIT_MIN_LENGTH sites, this
+    process and a helper process (``tables._Helper``) may step the leg,
+    each owning half the ring, with the same bits and the same leakage
+    checks (``splitleg``).  If the helper cannot be started or does not
+    finish cleanly, the leg is stepped again here from the input, and a
+    leakage warning already given is not repeated.
     """
     if t_steps < 0:
         raise DomainError(f"t_steps must be >= 0, got {t_steps}")

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dtscatter import cli, thirring, wavepacket
+from dtscatter import cli, tables, thirring, wavepacket
 from dtscatter.config import _SCHEMAS, COMMANDS, parse_config
 from dtscatter.errors import DtScatterError, OutputError
 from dtscatter.thirring import (
@@ -207,7 +207,7 @@ SNAPSHOT_ARGS = ["--config", str(GOLDEN / "wavepacket.cfg"),
 @pytest.fixture
 def forked(monkeypatch):
     """Hand every other snapshot to the writer process on any host."""
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(tables, "_usable_cpus", lambda: 2)
 
 
 # steps 0 and 100 are written inline, 50 by the writer process; with 50

@@ -1,8 +1,10 @@
 """Result tables: deterministic CSV/JSON rendering and round-trips."""
 
+import ast
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -458,3 +460,67 @@ def test_emit_writes_the_split_rendering(two_cpus, tmp_path):
         assert path.read_bytes() == _serial(fmt, table).encode()
     assert len(two_cpus) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.json"]
+
+
+# --- the helper process: the one place that forks, exits and reaps -------
+
+def _received(fd: int) -> bytes:
+    data = b""
+    while chunk := os.read(fd, 3):
+        data += chunk
+    return data
+
+
+def _echo_reversed(recv, send):
+    tables._send(send, _received(recv)[::-1])
+
+
+def _send_then_raise(recv, send):
+    tables._send(send, _received(recv))
+    raise RuntimeError("the work failed")
+
+
+def _exit_7(recv, send):
+    _received(recv)
+    os._exit(7)
+
+
+@pytest.mark.parametrize("work, code, unread", [
+    (_echo_reversed, 0, b"gnip"),
+    (_send_then_raise, 1, b"ping"),
+    (_exit_7, 7, b""),
+], ids=["returns", "raises", "exits"])
+def test_helper_exit_code_and_unread_bytes(work, code, unread, two_cpus,
+                                           capfd):
+    # each work reads to EOF first, so its exit cannot break the send
+    before = _open_fds()
+    helper = tables._Helper.start(work)
+    tables._send(helper.send, b"ping")
+    assert helper.join() == (code, unread)
+    assert _open_fds() == before
+    assert capfd.readouterr() == ("", "")   # a raising work prints nothing
+    assert len(two_cpus) == 1
+
+
+def test_only_the_helper_forks_exits_and_reaps():
+    """os.fork, os._exit and os.waitpid, by attribute, getattr name or
+    import, appear in the package only inside tables._Helper."""
+    package = Path(tables.__file__).parent
+    tree = ast.parse((package / "tables.py").read_text())
+    helper = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "_Helper")
+    inside, outside = set(), []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.value if isinstance(node, ast.Constant)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name not in ("fork", "_exit", "waitpid"):
+                continue
+            if (path.name == "tables.py"
+                    and helper.lineno <= node.lineno <= helper.end_lineno):
+                inside.add(name)
+            else:
+                outside.append(f"{path.name}:{node.lineno} {name}")
+    assert outside == []
+    assert inside == {"fork", "_exit", "waitpid"}

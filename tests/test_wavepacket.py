@@ -390,6 +390,11 @@ def test_split_leg_matches_step_bitwise(t_steps, where, two_cpus):
     assert len(two_cpus) == (2 if t_steps else 0)
 
 
+def test_split_block_divides_the_leakage_period():
+    # the split leg checks leakage only where its blocks end
+    assert wp.LEAKAGE_PERIOD % splitleg.SPLIT_BLOCK == 0
+
+
 def test_split_leg_at_the_default_floor(two_cpus, monkeypatch):
     # a ring of SPLIT_MIN_LENGTH sites, crossing its center, is split
     monkeypatch.setattr(wp, "SPLIT_MIN_LENGTH", SPLIT_MIN_LENGTH)
