@@ -59,6 +59,10 @@ LEG_NORM = +1.0
 EPS_SCHEDULE = tuple(0.05 * 0.5 ** j for j in range(6))
 TAIL_TOL = 1e-7
 DEFAULT_QUAD_N = 32768
+# exp(-eps) per regulator, taken from the complex exponential itself:
+# exp(i*phi - eps) is this real factor times (cos phi, sin phi), each part
+# rounded once, so damp * exp(i*phi) has its bits
+_DAMPING = tuple(np.exp(complex(-eps, 0.0)).real.item() for eps in EPS_SCHEDULE)
 
 
 def retarded_propagator(params: ThirringParams, dx: int, dt: int,
@@ -219,16 +223,37 @@ def _second_order_patterns():
 _PATTERNS_ORDER2 = _second_order_patterns()
 
 
+def _band_alphas(d, q):
+    """omega(q) and both bands' eigenvectors {s: d.alpha(s, q)} at q.
+
+    One omega / sin pass serves both bands: g_s = s*sin(omega) + nu*sin(q)
+    is Dispersion.g term by term, so every component keeps its bits.  The
+    chiral point keeps Dispersion.alpha's canonical-basis branch.
+    """
+    w = d.omega(q)
+    if d.nu == 1.0:
+        return w, {s: d.alpha(s, q) for s in (+1, -1)}
+    sin_w = np.sin(w)
+    nu_sin = d.nu * np.sin(q)
+    alphas = {}
+    for s in (+1, -1):
+        gs = s * sin_w + nu_sin
+        norm = np.sqrt(d.mu**2 + gs * gs)
+        alphas[s] = (d.mu / norm, gs / norm)
+    return w, alphas
+
+
 def _fold_weights(d, modes, q1):
     """Sum the surviving pairings' static weights sign * leg_amp * u1 * u2.
 
     Returns the zone mean of the T = 0 weight, the weight of each distinct
     tail (q2 branch, phase constant, s_a, s_b), and omega on each q2 branch.
     A T <= -1 half-line is the T >= 1 tail of the mirrored phase, so both
-    regions share one key.  The eigenvector arrays are released on return,
-    before the regulator loop allocates its temporaries.
+    regions share one key.  Both sums accumulate in place.  The eigenvector
+    arrays are released on return, before the regulator loop allocates its
+    temporaries.
     """
-    alpha1 = {s: d.alpha(s, q1) for s in (+1, -1)}
+    _, alpha1 = _band_alphas(d, q1)
     alpha2 = {}     # q2 branch (z2*k_legs rounded, z1*z2) -> alphas at q2
     omega2 = {}
     tails = {}
@@ -245,17 +270,18 @@ def _fold_weights(d, modes, q1):
         branch = (round(z2 * k_legs, 14), z1 * z2)
         if branch not in alpha2:
             q2 = wrap_momentum(z2 * k_legs - z1 * z2 * q1)
-            omega2[branch] = d.omega(q2)
-            alpha2[branch] = {s: d.alpha(s, q2) for s in (+1, -1)}
+            omega2[branch], alpha2[branch] = _band_alphas(d, q2)
         for s_a, al1 in alpha1.items():
             u1 = al1[a1] * al1[b1]
             for s_b, al2 in alpha2[branch].items():
                 weight = sign * leg_amp * u1 * (al2[a2] * al2[b2])
                 if c_zero:
-                    zero = zero + weight
+                    zero += weight
                 if c_tail:
                     key = (branch, -z1 * w_legs, s_a, s_b)
-                    tails[key] = tails.get(key, 0.0) + c_tail * weight
+                    acc = tails.get(key, 0.0)
+                    acc += c_tail * weight
+                    tails[key] = acc
     return np.mean(zero), tails, omega2
 
 
@@ -269,8 +295,10 @@ def second_order_amplitude(params: ThirringParams, ch_in: ThirringChannel,
     of the external legs at vertex 2, and the relative-time sum
     splits into the T = 0 term and the half-line z*T >= 1, a damped
     geometric series sum_T r^T = r/(1 - r) with r = e^{i*phi - eps} and
-    phi = -z*w_legs - w1 - w2.  Each distinct tail is evaluated once
-    per regulator on its folded weight.  The damping eps is extrapolated
+    phi = -z*w_legs - w1 - w2.  Each distinct tail takes one complex
+    exponential e^{i*phi}; each regulator scales it by the real e^{-eps},
+    which gives r the bits of e^{i*phi - eps}, and evaluates r/(1 - r) on
+    the tail's folded weight.  The damping eps is extrapolated
     to zero through EPS_SCHEDULE; the integrand develops poles of width
     eps/|slope| in q1, so quad_n must keep n*eps well above the maximal
     band slope for every retained eps.  Raises a truncation error when
@@ -285,9 +313,9 @@ def second_order_amplitude(params: ThirringParams, ch_in: ThirringChannel,
     omega1 = d.omega(q1)
     totals = np.full(len(EPS_SCHEDULE), zero, dtype=complex)
     for (branch, const, s_a, s_b), weight in tails.items():
-        phi = const - s_a * omega1 - s_b * omega2[branch]
-        for i, eps in enumerate(EPS_SCHEDULE):
-            r = np.exp(1j * phi - eps)
+        phase = np.exp(1j * (const - s_a * omega1 - s_b * omega2[branch]))
+        for i, damp in enumerate(_DAMPING):
+            r = damp * phase
             totals[i] += np.mean(weight * (r / (1.0 - r)))
 
     ext = epsilon_extrapolate(totals, EPS_SCHEDULE)

@@ -3,8 +3,10 @@
 Everything here is computed differently from the package: high-precision
 arithmetic (mpmath at 30 digits), bisection instead of library arccos,
 dense matrix powers instead of analytic propagators, explicit mode sums
-instead of FFTs, and `csv.writer` / one `json.dumps` instead of the
-package's column-wise table renderers.  Test files freeze the resulting
+instead of FFTs, `csv.writer` / one `json.dumps` instead of the
+package's column-wise table renderers, and direct loops (one bisection
+per crossing, one complex exponential per Dyson regulator) as bitwise
+twins of the package's batched kernels.  Test files freeze the resulting
 numbers as literals and cite the oracle function that produced them.
 """
 
@@ -16,7 +18,10 @@ import math
 import mpmath as mp
 import numpy as np
 
-from dtscatter.errors import DtScatterError, RootEnumerationError
+from dtscatter import dyson as dy
+from dtscatter.errors import DtScatterError, RootEnumerationError, TruncationError
+from dtscatter.lippmann import epsilon_extrapolate
+from dtscatter.spectral import bz_grid, wrap_momentum
 from dtscatter.thirring import ROOT_BISECT_TOL, ROOT_SCAN_N
 
 mp.mp.dps = 30
@@ -299,3 +304,63 @@ def band_pair_roots(d, s1, s2, p, omega_target):
         if not out or abs(r - out[-1]) > 1e-10:
             out.append(r)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Dyson second order, one complex exponential per tail and regulator
+# ---------------------------------------------------------------------------
+
+def second_order_reference(params, ch_in, ch_out, quad_n):
+    """dyson.second_order_amplitude spelled out the direct way.
+
+    Each band's eigenvectors come from their own ``Dispersion.alpha`` call,
+    the pairing weights are summed into fresh arrays, and every (tail,
+    regulator) pair takes its own complex exponential exp(i*phi - eps).
+    The package must return this value, or raise this error with this
+    text, bit for bit.
+    """
+    if not dy._on_shell(params, ch_in, ch_out):
+        return 0.0j
+    d = params.dispersion
+    q1 = bz_grid(quad_n)
+    modes = dy._channel_modes(params, ch_in) + dy._channel_modes(params, ch_out)
+    alpha1 = {s: d.alpha(s, q1) for s in (+1, -1)}
+    alpha2, omega2, tails, zero = {}, {}, {}, 0.0
+    for legs, sign, (a1, b1, a2, b2), z1, z2, c_tail, c_zero in dy._PATTERNS_ORDER2:
+        leg_amp, k_legs, w_legs = 1.0, 0.0, 0.0
+        for i, comp, z in legs:
+            k, _, w, alpha = modes[i]
+            leg_amp *= alpha[comp]
+            if z:
+                k_legs += z * k
+                w_legs += z * w
+        branch = (round(z2 * k_legs, 14), z1 * z2)
+        if branch not in alpha2:
+            q2 = wrap_momentum(z2 * k_legs - z1 * z2 * q1)
+            omega2[branch] = d.omega(q2)
+            alpha2[branch] = {s: d.alpha(s, q2) for s in (+1, -1)}
+        for s_a, al1 in alpha1.items():
+            u1 = al1[a1] * al1[b1]
+            for s_b, al2 in alpha2[branch].items():
+                weight = sign * leg_amp * u1 * (al2[a2] * al2[b2])
+                if c_zero:
+                    zero = zero + weight
+                if c_tail:
+                    key = (branch, -z1 * w_legs, s_a, s_b)
+                    tails[key] = tails.get(key, 0.0) + c_tail * weight
+    omega1 = d.omega(q1)
+    totals = np.full(len(dy.EPS_SCHEDULE), np.mean(zero), dtype=complex)
+    for (branch, const, s_a, s_b), weight in tails.items():
+        phi = const - s_a * omega1 - s_b * omega2[branch]
+        for i, eps in enumerate(dy.EPS_SCHEDULE):
+            r = np.exp(1j * phi - eps)
+            totals[i] += np.mean(weight * (r / (1.0 - r)))
+    ext = epsilon_extrapolate(totals, dy.EPS_SCHEDULE)
+    if ext.error > dy.TAIL_TOL:
+        raise TruncationError(
+            f"regulator extrapolation self-estimate {ext.error:.3e} above "
+            f"{dy.TAIL_TOL:.1e}; increase quad_n"
+        )
+    jac = dy._out_jacobian(params, ch_out)
+    pref = dy.LEG_NORM * (1j * params.chi) ** 2 / 2.0
+    return complex(pref * ext.value / jac)

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from dtscatter import dyson as dy
 from dtscatter.errors import DomainError, DtScatterError, TruncationError
-from dtscatter.thirring import ThirringParams, channel, xy_factors
+from dtscatter.thirring import ThirringParams, channel, on_shell_xy, xy_factors
 
 NU, P_TOT, K_REL = 0.8, 0.3, 0.7
 
@@ -107,6 +108,64 @@ def test_second_order_at_chiral_point_ends_typed():
     except DtScatterError:
         return
     assert np.isfinite(value)
+
+
+# ROADMAP direction 3's points: the fixed regulator schedule is too coarse
+# for the small on-shell slope at k = 0.1 (off by 15% and 11.5%)
+SMALL_K_POINTS = [(0.3, 2.0, 1.2, 0.1), (0.8, 1.0, 1.2, 0.1)]
+
+
+def _off_quarter_turn(offset):
+    # a multiple of pi/2 plus an offset at least 0.05 from both ends
+    return st.builds(lambda m, t: m * 0.5 * np.pi + t,
+                     st.integers(min_value=-2, max_value=1), offset)
+
+
+def _outcome(route, *args, **kwargs):
+    try:
+        value = route(*args, **kwargs)
+    except DtScatterError as exc:
+        return type(exc), str(exc)
+    return value.real.hex(), value.imag.hex()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(nu=st.one_of(st.floats(min_value=0.2, max_value=0.95), st.just(1.0)),
+       chi=st.floats(min_value=-3.0, max_value=3.0),
+       p=_off_quarter_turn(st.floats(min_value=0.05, max_value=0.5 * np.pi - 0.05)),
+       k=_off_quarter_turn(st.floats(min_value=0.05, max_value=0.5 * np.pi - 0.05)),
+       quad_n=st.sampled_from([2048, 8192]))
+@example(nu=NU, chi=1.0, p=P_TOT, k=K_REL, quad_n=8192)
+@example(nu=1.0, chi=1.0, p=P_TOT, k=K_REL, quad_n=2048)
+@example(nu=0.3, chi=2.0, p=1.2, k=0.1, quad_n=8192)
+@example(nu=0.8, chi=1.0, p=1.2, k=0.1, quad_n=8192)
+def test_second_order_matches_per_regulator_oracle_bitwise(nu, chi, p, k, quad_n):
+    """One complex exponential per tail, scaled by each regulator's real
+    damping, gives the per-(tail, regulator) exponential's amplitude bit
+    for bit, and the same error type and text where that raises."""
+    params = ThirringParams(nu=nu, chi=chi)
+    ch = channel(params, p, k, +1, +1)
+    assert _outcome(dy.second_order_amplitude, params, ch, ch, quad_n=quad_n) == \
+        _outcome(oracles.second_order_reference, params, ch, ch, quad_n)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect (ROADMAP direction 3): at k = 0.1 the fixed EPS_SCHEDULE "
+    "leaves the extrapolation off by 11-15% with a self-estimate below "
+    "TAIL_TOL, so nothing is flagged; drop this marker when it is mended"))
+@pytest.mark.parametrize("nu,chi,p,k", SMALL_K_POINTS)
+def test_second_order_small_k_right_or_flagged(nu, chi, p, k):
+    # within 1e-6 of the (i chi)^2 A^2 series term, or a typed error
+    params = ThirringParams(nu=nu, chi=chi)
+    f = xy_factors(params, p, k)
+    x, y = on_shell_xy(f.x, f.y)
+    a = (y - x) / (2.0 * (x + y))
+    ch = channel(params, p, k, +1, +1)
+    try:
+        got = dy.second_order_amplitude(params, ch, ch)
+    except DtScatterError:
+        return
+    assert abs(got - (1j * chi) ** 2 * a**2) < 1e-6
 
 
 def test_lambda_chi_reconcile_identity():

@@ -11,7 +11,9 @@ from dtscatter import thirring
 from dtscatter.errors import (
     DegenerateMomentumError,
     DomainError,
+    DtScatterError,
     PoleError,
+    ResonancePoleError,
     RootEnumerationError,
     StationaryPointError,
 )
@@ -101,6 +103,65 @@ def test_unitarity_identity(nu, p, k, chi):
     """|1 + c|^2 + |c|^2 = 1: the two-channel S row is a unit vector."""
     c = amplitude_pp(ThirringParams(nu=nu, chi=chi), p, k).coefficient
     assert abs(1.0 + c) ** 2 + abs(c) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+
+# (p, k) points every grid draw also evaluates: pi/2 < |p| < pi, where the
+# band-pair slope J is negative; k outside [0, pi/2] (signed zero and the
+# branch ends included); p on multiples of pi/2
+GRID_EDGE_POINTS = [
+    (2.4, 0.7), (-2.9, 0.3), (1.9, 1.2), (-1.7, 0.05),
+    (0.3, -0.0), (0.3, 0.0), (0.3, -0.2), (0.3, 0.5 * np.pi),
+    (0.3, np.nextafter(0.5 * np.pi, 4.0)), (0.3, 2.0), (0.3, -np.pi),
+    (0.0, 0.7), (0.5 * np.pi, 0.7), (-0.5 * np.pi, 0.7), (np.pi, 0.7),
+    (-np.pi, 0.3), (1e-13, 0.7), (0.5 * np.pi + 1e-13, 0.4),
+]
+# at chi = pi, lam + 1 = (-1, 1.2e-16), so (lam + 1) x + y vanishes where
+# x = y: on k = 0
+RESONANCE = {"nu": 0.8, "chi": np.pi, "p": 0.3, "k": 0.0}
+
+
+def _coefficient_bits(c):
+    return None if c is None else (c.real.hex(), c.imag.hex())
+
+
+def _scalar_coefficient(params, p, k):
+    try:
+        return amplitude_pp(params, p, k).coefficient
+    except DtScatterError:
+        return None
+
+
+def test_amplitude_grid_resonance_point_is_none():
+    params = ThirringParams(nu=RESONANCE["nu"], chi=RESONANCE["chi"])
+    with pytest.raises(ResonancePoleError):
+        amplitude_pp(params, RESONANCE["p"], RESONANCE["k"])
+    got = thirring.amplitude_pp_grid(params, [RESONANCE["p"]] * 2,
+                                     [RESONANCE["k"], 0.7])
+    assert got[0] is None and got[1] is not None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(nu=st.one_of(st.floats(min_value=0.0, max_value=1.0), st.just(1.0)),
+       chi=st.floats(min_value=-np.pi, max_value=np.pi),
+       drawn=st.lists(st.tuples(st.floats(min_value=-4.0, max_value=4.0),
+                                st.floats(min_value=-0.5, max_value=2.0)),
+                      max_size=32))
+@example(nu=1.0, chi=1.0, drawn=[(0.3, 0.7)])
+@example(nu=RESONANCE["nu"], chi=RESONANCE["chi"],
+         drawn=[(RESONANCE["p"], RESONANCE["k"])])
+@example(nu=0.8, chi=0.0, drawn=[(0.3, 0.7)])
+@example(nu=0.8, chi=-2.5, drawn=[(0.3, 0.0)])  # coefficient (0.0, -0.0)
+def test_amplitude_grid_matches_scalar_bitwise(nu, chi, drawn):
+    """amplitude_pp_grid's entry i has the bits of the scalar coefficient
+    at (p[i], k[i]), signed zeros included, and is None exactly where the
+    scalar call raises."""
+    params = ThirringParams(nu=nu, chi=chi)
+    points = GRID_EDGE_POINTS + drawn
+    got = thirring.amplitude_pp_grid(params, [p for p, _ in points],
+                                     [k for _, k in points])
+    want = [_scalar_coefficient(params, p, k) for p, k in points]
+    assert [_coefficient_bits(c) for c in got] == \
+        [_coefficient_bits(c) for c in want]
 
 
 def test_umklapp_sign_identities_bitwise():
