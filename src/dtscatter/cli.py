@@ -30,7 +30,7 @@ from .config import RunConfig, parse_config
 from .dyson import first_order_amplitude, lambda_chi_reconcile, second_order_amplitude
 from .errors import DtScatterError, OutputError
 from .spectral import make_dispersion
-from .tables import ResultTable, _Helper, _send, emit, render_csv, write_text
+from .tables import ResultTable, _Helper, _reprs, emit, write_text
 from .thirring import (
     ROOT_BLOCK,
     ThirringParams,
@@ -260,90 +260,123 @@ def _snapshot_steps(t_steps: int, every: int) -> list:
     return [*range(0, 2 * t_steps, every), 2 * t_steps] if every > 0 else []
 
 
-def _write_snapshot(path: str, amps) -> None:
-    # rendered serially: the snapshot writer helper has the other CPU
-    write_text(path, render_csv(ResultTable(columns=snapshot_columns(amps))))
+def _snapshot_prefixes(shape: tuple) -> list:
+    """The "site,component" start of each row of a (sites, components)
+    snapshot, in row order."""
+    cols = snapshot_columns(np.zeros(shape))
+    return list(map("{},{}".format, cols["site"], cols["component"]))
+
+
+def _snapshot_text(prefixes: list, amps) -> str:
+    """render_csv(ResultTable(columns=snapshot_columns(amps))), built from
+    the row prefixes of amps' shape: the header, then one "prefix,re,im"
+    row per (site, component), re and im from one list repr each."""
+    re = _reprs(amps.real.ravel().tolist())
+    im = _reprs(amps.imag.ravel().tolist())
+    return ("site,component,re,im\r\n"
+            + "\r\n".join(map(",".join, zip(prefixes, re, im))) + "\r\n")
+
+
+def _shared_slots(shape: tuple):
+    """Two (sites, components) complex arrays in one anonymous shared
+    mapping, or None when it cannot be mapped."""
+    import mmap   # loaded only where a snapshot writer may start
+
+    try:
+        buf = mmap.mmap(-1, 2 * np.dtype(complex).itemsize * shape[0] * shape[1])
+    except OSError:
+        return None
+    return np.frombuffer(buf, dtype=complex).reshape(2, *shape)
 
 
 class _SnapshotWriter:
     """The interacting leg's on_step callback: writes the snapshots.
 
-    With at least two snapshots, every other snapshot goes, as the raw
-    complex128 bytes of its (sites, components) array, to one helper
-    process (``tables._Helper``) that renders and writes it while this
-    process keeps stepping; with no helper each is written inline.  The
-    helper answers each snapshot: a zero byte once it is written, or a one
-    byte and the error message, after which it exits.  A snapshot is sent
-    only after the previous one was answered, so at most one is in flight
-    and a helper failure stops the leg at the next hand-off.  Leaving the
-    ``with`` block waits for the last answer, joins the helper and raises
-    the OutputError of the earliest snapshot not written, whichever
-    process was to write it.
+    With at least two snapshots, this process writes the last snapshot
+    and every second one before it, never the first (``steps[-1:0:-2]``),
+    inline; one helper process (``tables._Helper``) writes the others,
+    which with an odd count are one more.  The schedule is fixed, so which
+    process writes a file never depends on timing, and this process
+    renders the last snapshot while the helper finishes the one before
+    it.  A snapshot for the helper is copied into one of two slots of
+    shared memory mapped before the fork (slot k % 2 for its k-th
+    snapshot) and announced with one byte.  The helper renders and writes
+    it, then answers: a zero byte once it is written, or a one byte and
+    the error message, after which it exits.  This process waits for an
+    answer only when both slots are taken, so a helper failure stops the
+    leg at the next such wait.
+    Leaving the ``with`` block waits for the answers still due, joins the
+    helper and raises the OutputError of the earliest snapshot not
+    written, whichever process was to write it.  Without the shared
+    memory or a helper, every snapshot is written inline.  Both processes
+    render from the row prefixes built here, before the fork.
     """
 
     def __init__(self, prefix: str, steps: list, shape: tuple):
         self.paths = {n: f"{prefix}{n:05d}.csv" for n in steps}
+        self.prefixes = _snapshot_prefixes(shape) if steps else []
         self.failures: dict = {}   # step -> OutputError
-        self.pending = None
-        self.helper = None if len(steps) < 2 else _Helper.start(
-            lambda *fds: self._serve(steps[1::2], shape, *fds))
+        self.sent: list = []   # the helper's steps not yet answered, in order
+        self.handed = 0   # snapshots handed to the helper so far
+        inline = set(steps[-1:0:-2])
+        theirs = [n for n in steps if n not in inline]
+        self.slots = _shared_slots(shape) if len(steps) >= 2 else None
+        self.helper = None if self.slots is None else _Helper.start(
+            lambda *fds: self._serve(theirs, *fds))
         # the helper's steps; empty: none
-        self.offloaded = frozenset(steps[1::2] if self.helper else ())
+        self.offloaded = frozenset(theirs if self.helper else ())
 
-    def _serve(self, steps: list, shape: tuple, data_fd: int,
-               status_fd: int) -> None:
-        """The helper's loop: receive, write and answer its snapshots."""
-        amps = np.empty(shape, dtype=complex)
-        raw = memoryview(amps).cast("B")
-        for n in steps:
-            got = 0
-            while got < len(raw):
-                size = os.readv(data_fd, [raw[got:]])
-                if not size:
-                    return   # the leg ended early: nothing more is sent
-                got += size
-            path = self.paths[n]
+    def _write(self, n: int, amps) -> None:
+        write_text(self.paths[n], _snapshot_text(self.prefixes, amps))
+
+    def _serve(self, steps: list, recv_fd: int, send_fd: int) -> None:
+        """The helper's loop: write its snapshots as they are announced."""
+        for k, n in enumerate(steps):
+            if not os.read(recv_fd, 1):
+                return   # the leg ended early: nothing more is sent
             try:
-                _write_snapshot(path, amps)
+                self._write(n, self.slots[k % 2])
             except Exception as exc:   # reported to the parent, then exit
                 message = (str(exc) if isinstance(exc, OutputError)
-                           else f"cannot write {path}: {exc!r}")
-                os.write(status_fd, b"\1" + message.encode())
+                           else f"cannot write {self.paths[n]}: {exc!r}")
+                os.write(send_fd, b"\1" + message.encode())
                 return
-            os.write(status_fd, b"\0")
+            os.write(send_fd, b"\0")
 
     def __call__(self, n: int, amps) -> None:
-        path = self.paths.get(n)
-        if path is None:
+        if n not in self.paths:
             return
         if n not in self.offloaded:
             try:
-                _write_snapshot(path, amps)
+                self._write(n, amps)
             except OutputError as exc:
                 self.failures[n] = exc
                 raise
             return
-        self._answer()
+        self._answer(keep=1)   # a free slot
+        self.slots[self.handed % 2] = amps
+        self.handed += 1
         try:
-            # the view is strided: its bytes are copied out during the call
-            _send(self.helper.send, np.ascontiguousarray(amps))
-        except BrokenPipeError:
+            os.write(self.helper.send, b"\0")
+        except BrokenPipeError:   # the helper is gone
+            self._answer()
             self._fail(n)
-        self.pending = n
+        self.sent.append(n)
 
-    def _answer(self) -> None:
-        """Wait for the answer on the snapshot in flight; raise its failure."""
-        if self.pending is None:
-            return
-        n, self.pending = self.pending, None
-        head = os.read(self.helper.recv, 1)
-        if head != b"\0":
-            self._fail(n, head)
+    def _answer(self, keep: int = 0) -> None:
+        """Wait for answers, oldest first, until at most keep snapshots
+        are unanswered; raise the first failure."""
+        while len(self.sent) > keep:
+            n = self.sent.pop(0)
+            head = os.read(self.helper.recv, 1)
+            if head != b"\0":
+                self._fail(n, head)
 
     def _fail(self, n: int, head: bytes = b"") -> None:
         """Join the helper, which did not write snapshot n (head: the
         answer's first byte, if any), and raise the reason."""
         helper, self.helper = self.helper, None
+        self.sent.clear()   # the helper writes nothing more
         code, rest = helper.join()
         if head == b"\1":
             message = rest.decode("utf-8", "replace")

@@ -5,10 +5,14 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -206,14 +210,17 @@ SNAPSHOT_ARGS = ["--config", str(GOLDEN / "wavepacket.cfg"),
 
 @pytest.fixture
 def forked(monkeypatch):
-    """Hand every other snapshot to the writer process on any host."""
+    """Start the snapshot writer process on any host."""
     monkeypatch.setattr(tables, "_usable_cpus", lambda: 2)
 
 
-# steps 0 and 100 are written inline, 50 by the writer process; with 50
-# and 100 both failing, the inline failure at 100 comes first in time
+# steps 0 and 50 go to the writer process and 100 is written inline; with
+# 50 and 100 both failing, the inline failure at 100 comes first in time.
+# The writer's failure at 150 is read only once the inline failure at 200
+# has stopped the leg, and is still the one reported.
 @pytest.mark.parametrize("bad,reported", [((0,), 0), ((50,), 50),
-                                          ((100,), 100), ((50, 100), 50)])
+                                          ((100,), 100), ((50, 100), 50),
+                                          ((150, 200), 150)])
 def test_snapshot_failure_reports_the_earliest(
         bad, reported, forked, tmp_path, monkeypatch, capsys):
     real = cli.write_text
@@ -237,6 +244,14 @@ def test_snapshot_failure_reports_the_earliest(
 def test_snapshot_writer_death_names_its_snapshot(forked, tmp_path,
                                                   monkeypatch, capsys):
     real, parent = cli.write_text, os.getpid()
+    writers = []
+
+    class Recorded(cli._SnapshotWriter):
+        def __init__(self, *args):
+            super().__init__(*args)
+            writers.append(self)
+
+    monkeypatch.setattr(cli, "_SnapshotWriter", Recorded)
 
     def dying(path, text):
         if path == "snap_00150.csv" and os.getpid() != parent:
@@ -250,20 +265,126 @@ def test_snapshot_writer_death_names_its_snapshot(forked, tmp_path,
     assert err.startswith("error: cannot write snap_00150.csv: ")
     assert "exit code 7" in err and err.count("\n") == 1
     assert not (tmp_path / "wavepacket.json").exists()
+    assert 150 in writers[0].offloaded   # step 150 is the writer's
+
+
+def _snapshot_files(tmp_path, monkeypatch, side: str, every: int) -> dict:
+    """Every file a golden-config snapshot run writes, by name."""
+    (tmp_path / side).mkdir()
+    monkeypatch.chdir(tmp_path / side)
+    args = [*SNAPSHOT_ARGS, "--set", f"snapshot_every={every}"]
+    assert cli.main(args) == 0
+    return {p.name: p.read_bytes() for p in (tmp_path / side).iterdir()}
 
 
 def test_snapshots_match_without_fork(forked, tmp_path, monkeypatch):
-    files = {}
-    for side in ("forked", "inline"):
-        if side == "inline":
-            monkeypatch.delattr(os, "fork")
-        (tmp_path / side).mkdir()
-        monkeypatch.chdir(tmp_path / side)
-        assert cli.main(SNAPSHOT_ARGS) == 0
-        files[side] = {p.name: p.read_bytes()
-                       for p in (tmp_path / side).iterdir()}
-    assert len(files["forked"]) == 12   # the table and 11 snapshots
-    assert files["forked"] == files["inline"]
+    # 11 snapshots, and 6: the writer's extra one and an even count
+    counts = {50: 11, 100: 6}
+    forked_files = {every: _snapshot_files(tmp_path, monkeypatch,
+                                           f"forked{every}", every)
+                    for every in counts}
+    monkeypatch.delattr(os, "fork")
+    for every, count in counts.items():
+        inline_files = _snapshot_files(tmp_path, monkeypatch,
+                                       f"inline{every}", every)
+        assert len(inline_files) == count + 1   # the table and the snapshots
+        assert forked_files[every] == inline_files
+
+
+@pytest.mark.parametrize("count", [2, 3, 6, 11, 19])
+def test_writer_takes_the_first_and_the_main_process_the_last(count, forked):
+    steps = list(range(0, 50 * count, 50))
+    with cli._SnapshotWriter("unused_", steps, (8, 2)) as writer:
+        offloaded = writer.offloaded
+    # the main process: the last step and every second one before it,
+    # never the first; the writer: the rest, so the extra one when odd
+    inline = [n for i, n in enumerate(steps) if i and (count - 1 - i) % 2 == 0]
+    assert sorted(offloaded) == [n for n in steps if n not in inline]
+    assert len(offloaded) == (count + 1) // 2
+
+
+def test_slow_writer_holds_the_slots_until_it_answers(forked, tmp_path,
+                                                      monkeypatch):
+    # the writer renders from its slot only after a pause, so a slot
+    # overwritten before the writer answered would change the bytes
+    real, parent = cli._snapshot_text, os.getpid()
+    waits = []
+    answer = cli._SnapshotWriter._answer
+
+    def slow(prefixes, amps):
+        if os.getpid() != parent:
+            time.sleep(0.02)
+        return real(prefixes, amps)
+
+    def counted(self, keep=0):
+        waits.append(len(self.sent) > keep)
+        answer(self, keep)
+
+    monkeypatch.setattr(cli, "_snapshot_text", slow)
+    monkeypatch.setattr(cli._SnapshotWriter, "_answer", counted)
+    forked_files = _snapshot_files(tmp_path, monkeypatch, "forked", 50)
+    # the writer has 0, 50, 150, .., 450: an answer is due before handing
+    # over each of 150 .. 450, and two at the end
+    assert waits == [False, False, True, True, True, True, True]
+    monkeypatch.delattr(os, "fork")
+    inline_files = _snapshot_files(tmp_path, monkeypatch, "inline", 50)
+    assert forked_files == inline_files
+
+
+def test_snapshots_written_inline_without_shared_memory(forked, tmp_path,
+                                                        monkeypatch):
+    import mmap
+
+    forked_files = _snapshot_files(tmp_path, monkeypatch, "forked", 50)
+
+    def unmappable(*args):
+        raise OSError("no memory to map")
+
+    def no_start(work):
+        raise AssertionError("a writer was started without its slots")
+
+    monkeypatch.setattr(mmap, "mmap", unmappable)
+    monkeypatch.setattr(tables._Helper, "start", no_start)
+    assert _snapshot_files(tmp_path, monkeypatch, "inline", 50) == forked_files
+
+
+_SNAPSHOT_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225e-308, -1.5e-310,
+                     1e-300, -1e300, 1e300, 0.1, -2.5, math.inf, -math.inf,
+                     math.nan]),
+    st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+              st.floats(-9.999, 9.999), st.integers(-300, 299)),
+    st.floats(),
+)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(sites=st.integers(1, 40), ncomp=st.sampled_from([2, 4]),
+       data=st.data())
+def test_snapshot_text_is_the_rendered_table(sites, ncomp, data):
+    parts = data.draw(st.lists(_SNAPSHOT_FLOATS, min_size=2 * sites * ncomp,
+                               max_size=2 * sites * ncomp))
+    amps = np.array(parts).view(complex).reshape(sites, ncomp)
+    expected = tables.render_csv(
+        tables.ResultTable(columns=wavepacket.snapshot_columns(amps)))
+    assert cli._snapshot_text(cli._snapshot_prefixes(amps.shape), amps) == expected
+    # the main process renders the leg's read-only component-major view
+    view = np.ascontiguousarray(amps.T).T
+    view.flags.writeable = False
+    assert cli._snapshot_text(cli._snapshot_prefixes(view.shape), view) == expected
+
+
+def test_cli_import_loads_no_writer_or_split_leg_modules():
+    # modules only a snapshot writer or a split leg needs are loaded where
+    # those start: importing them with cli would cost every command's start
+    src = str(Path(cli.__file__).parents[1])
+    code = ("import sys, dtscatter.cli; print(sorted({'mmap', 'select', "
+            "'dtscatter.splitleg'} & set(sys.modules)))")
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 def test_inconclusive_leg_with_snapshots_is_a_flagged_row(
