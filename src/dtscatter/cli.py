@@ -515,6 +515,15 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def main(argv=None) -> int:
+    import gc
+
+    # Everything alive when main starts (the interpreter, numpy and this
+    # package) lives until exit, so no collection needs to walk it: not the
+    # full collections at interpreter shutdown, not the one numpy's lazy
+    # imports trigger mid-command, and not a forked helper's, which then
+    # copy none of this process's pages.  Once per process.
+    if not gc.get_freeze_count():
+        gc.freeze()
     parser = _ArgumentParser(
         prog="dtscatter",
         description="scattering tables for the discrete-time lattice models",

@@ -747,9 +747,15 @@ def born_series_grid(params: ThirringParams, p: float, ks,
         w = w_vector(params, p, k)
         terms = np.empty(n_max + 1, dtype=complex)
         vec = w.astype(complex)
-        for n in range(n_max + 1):
-            terms[n] = lam ** (n + 1) * (w @ vec)
-            vec = g @ vec
+        try:
+            for n in range(n_max + 1):
+                terms[n] = lam ** (n + 1) * (w @ vec)
+                vec = g @ vec
+        except OverflowError:
+            out[i] = DomainError(
+                f"Born term of order {n + 1} overflows: |lam|^{n + 1} "
+                f"passes the float range (|lam| = {abs(lam):.6g})")
+            continue
         sums = np.cumsum(terms)
         mags = np.abs(terms)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dtscatter import cli, tables, thirring, wavepacket
 from dtscatter.config import _SCHEMAS, COMMANDS, parse_config
@@ -387,6 +387,30 @@ def test_cli_import_loads_no_writer_or_split_leg_modules():
     assert out == "[]\n"
 
 
+def test_main_freezes_the_start_up_heap_once(tmp_path):
+    # importing the package freezes nothing; main freezes what is alive
+    # when it starts, so the collections left walk only what it made
+    src = str(Path(cli.__file__).parents[1])
+    code = ("import gc, sys, dtscatter.cli as cli\n"
+            "imported = gc.get_freeze_count()\n"
+            "before = len(gc.get_objects())\n"
+            "codes = [cli.main(['--config', sys.argv[1]])]\n"
+            "after, frozen = len(gc.get_objects()), gc.get_freeze_count()\n"
+            "codes.append(cli.main(['--config', sys.argv[1]]))\n"
+            "print(imported, before, after, frozen, gc.get_freeze_count(), "
+            "*codes)\n")
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run([sys.executable, "-c", code, str(GOLDEN / "born.cfg")],
+                         cwd=tmp_path, env=env, check=True,
+                         capture_output=True, text=True).stdout
+    imported, before, after, frozen, again, *codes = map(
+        int, out.splitlines()[-1].split())
+    assert imported == 0 and codes == [0, 0]
+    assert after < 0.05 * before   # 21 988 -> 240 measured
+    assert frozen > 0 and again == frozen
+
+
 def test_inconclusive_leg_with_snapshots_is_a_flagged_row(
         forked, tmp_path, monkeypatch):
     leg = wavepacket.evolve
@@ -414,6 +438,36 @@ def test_all_rows_flagged_exit_2(tmp_path, capsys):
     assert rows and all(r["flagged"] for r in rows)
     assert rows[0]["note"] != ""
     assert rows[0]["coefficient_re"] is None  # NaN -> null in JSON
+
+
+# |lam| = 1.995 at chi = 3: lam ** (n + 1) leaves the float range from
+# order 1 028, while at chi = 2 (|lam| = 1.683) n_max = 1200 stays inside it
+_OVERFLOWING = {
+    "born": ("nu=0.5", "chi=3.0", "p=1.1", "k=0.7", "n_max=1200"),
+    "amplitude": ("nu=0.5", "chi=3.0", "p=1.1", "grid.k=0.3,0.7",
+                  "born_n=1200"),
+}
+
+
+def test_born_overflow_is_a_flagged_row(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for command, overrides in _OVERFLOWING.items():
+        args = ["--config", str(GOLDEN / f"{command}.cfg"),
+                "--set", "path=out.json"]
+        for item in overrides:
+            args += ["--set", item]
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err == ""
+        rows = json.loads((tmp_path / "out.json").read_text())["rows"]
+        assert len(rows) == (1 if command == "born" else 2)
+        assert all(r["flagged"] and "Born term of order 1028 overflows"
+                   in r["note"] for r in rows)
+    args = ["--config", str(GOLDEN / "born.cfg"), "--set", "path=out.json"]
+    for item in ("nu=0.5", "chi=2.0", "p=1.1", "k=0.7", "n_max=1200"):
+        args += ["--set", item]
+    assert cli.main(args) == 0
+    rows = json.loads((tmp_path / "out.json").read_text())["rows"]
+    assert len(rows) == 1201 and not any(r["flagged"] for r in rows)
 
 
 def test_sweep_keeps_row_order_without_workers_key(tmp_path):
@@ -697,6 +751,10 @@ def _configs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_configs())
+@example(("born", {"nu": 0.5, "chi": 3.0, "p": 1.1, "k": 0.7, "n_max": 1200},
+          {}))
+@example(("amplitude", {"nu": 0.5, "chi": 3.0, "p": 1.1, "born_n": 1200},
+          {"k": [0.3, 0.7]}))
 def test_generated_configs_keep_the_cli_contract(drawn):
     command, params, grids = drawn
     with tempfile.TemporaryDirectory() as tmp:
