@@ -23,17 +23,18 @@ live on the support,
 with D = (i/tau)(exp(-i*Lambda*tau) - 1) and m~ the stepped Green
 multipliers.  So the sweep's gap ||T~ - T|| = ||X~ - X|| and its
 predicted prefactor are r x r algebra after one O(n r^2) product per
-step.  The dense n x n operators (``t_continuous_operator``,
-``t_discrete_operator``, ``t_difference``) are kept as the reference the
-support form is tested against.  The reference model for sweeps is a
-nearest-neighbour hopping ring with a few-site potential
+step.  The model itself holds only these factors (energies e, the r x r
+block of V and the r x n rows of E on the support), never an n x n
+matrix.  The dense references the support form is tested against
+(H0 and V as matrices, G0, T, the E-based T~ and their difference)
+live in the test suite's ``tests/oracles.py``.  The reference model for
+sweeps is a nearest-neighbour hopping ring with a few-site potential
 (``hopping_ring_model``), which satisfies the bounded-spectrum and
 weak-potential assumptions exactly.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +44,7 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     PoleError,
-    UncertifiedRegimeWarning,
 )
-from .lippmann import TMatrixEval
 
 # constants of the certified bound chain; exact values (3pi+4)/(4pi) and
 # (pi+2)/(4pi) from the half/half-f/half-q coefficient bookkeeping
@@ -87,64 +86,74 @@ def q_kernel(y):
 
 @dataclass(frozen=True, eq=False)
 class ContinuousModel:
-    """Dense bounded Hamiltonian pair (H0, V) with a reference energy.
+    """Bounded Hamiltonian pair (H0, V) in factored form, with a reference energy.
 
-    h0 must be Hermitian with spectrum in [0, omega_max]; v is the
-    potential.  gamma = ||G0(omega_ref + i*eps_ref) V|| is the Born
-    contraction estimate at the reference point; the Born route needs
-    gamma < 1.  An orthonormal eigenbasis of h0 may be supplied (e.g. the
-    analytic plane-wave basis of a ring); otherwise one is computed.
+    H0 = E diag(evals) E^H has its spectrum in [0, omega_max]; V acts on
+    the r sites ``support`` as the Hermitian r x r ``v_block``.  Only the
+    r x n rows ``support_evecs`` = E[support] of the orthonormal eigenbasis
+    E are held, so no n x n matrix is ever formed and the set-up is O(r n).
+    gamma = ||G0(omega_ref + i*eps_ref) V|| is the Born contraction estimate
+    at the reference point; the Born route needs gamma < 1.
 
-    The support of v is the set of its nonzero rows and columns (r sites).
-    Only that r x r block is diagonalized: v_evals (length r) and v_evecs
-    (n x r, orthonormal columns U) give V = U diag(v_evals) U^H, and
-    v_basis = U^H E (r x n) is the potential's eigenvectors in the
-    eigenbasis E of h0.  These serve the stepped potential W~ at every
-    step size and the r x r form of both T operators.
+    Only the r x r block is diagonalized: v_evals (length r) and
+    block_evecs (r x r) give V = U diag(v_evals) U^H with U = ``v_evecs``
+    (n x r, block_evecs on the support rows), and v_basis = U^H E (r x n)
+    is the potential's eigenvectors in the eigenbasis of h0.  These serve
+    the stepped potential W~ at every step size and the r x r form of both
+    T operators.
     """
 
-    h0: np.ndarray
-    v: np.ndarray
+    evals: np.ndarray
+    support: np.ndarray
+    v_block: np.ndarray
+    support_evecs: np.ndarray
     omega_ref: float
     eps_ref: float
-    basis: tuple | None = None
 
     def __post_init__(self):
-        h0 = np.asarray(self.h0, dtype=complex)
-        v = np.asarray(self.v, dtype=complex)
-        if h0.shape != v.shape or h0.ndim != 2 or h0.shape[0] != h0.shape[1]:
-            raise DomainError("h0 and v must be square matrices of equal size")
-        if np.abs(h0 - h0.conj().T).max() > 1e-12 * max(1.0, np.abs(h0).max()):
-            raise DomainError("h0 must be Hermitian")
-        if np.abs(v - v.conj().T).max() > 1e-12 * max(1.0, np.abs(v).max(), 1e-30):
-            raise DomainError("v must be Hermitian")
-        if self.basis is None:
-            evals, evecs = np.linalg.eigh(h0)
-        else:
-            evals, evecs = self.basis
-            evals = np.asarray(evals, dtype=float)
-            evecs = np.asarray(evecs, dtype=complex)
+        evals = np.asarray(self.evals)
+        if (evals.ndim != 1 or evals.size == 0 or np.iscomplexobj(evals)
+                or not np.all(np.isfinite(evals))):
+            raise DomainError("evals must be a non-empty vector of finite "
+                              "real energies")
+        evals = evals.astype(float, copy=False)
         if evals.min() < -1e-10:
             raise DomainError(
                 f"h0 spectrum must start at 0, found min {evals.min()}"
             )
-        object.__setattr__(self, "h0", h0)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "evals", evals)
-        object.__setattr__(self, "evecs", evecs)
-        nonzero = v != 0
-        support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-        v_evals, block_evecs = np.linalg.eigh(v[np.ix_(support, support)])
-        v_evecs = np.zeros((h0.shape[0], support.size), dtype=complex)
-        v_evecs[support] = block_evecs
-        v_basis = block_evecs.conj().T @ evecs[support]
-        object.__setattr__(self, "v_evals", v_evals)
-        object.__setattr__(self, "v_evecs", v_evecs)
-        object.__setattr__(self, "v_basis", v_basis)
-        object.__setattr__(self, "omega_max", float(evals.max()))
+        n = evals.size
+        support = np.asarray(self.support)
+        if support.size == 0:
+            support = support.astype(int)
+        if (support.ndim != 1 or support.dtype.kind not in "iu"
+                or len(set(support.tolist())) != support.size
+                or support.min(initial=0) < 0
+                or support.max(initial=0) >= n):
+            raise DomainError(f"support must hold distinct site indices in "
+                              f"[0, {n}), got {self.support}")
+        r = support.size
+        v_block = np.asarray(self.v_block, dtype=complex)
+        if v_block.shape != (r, r):
+            raise DomainError(f"v_block must be {r} x {r} (one row per "
+                              f"support site), got shape {v_block.shape}")
+        if (np.abs(v_block - v_block.conj().T).max(initial=0.0)
+                > 1e-12 * max(1.0, np.abs(v_block).max(initial=0.0))):
+            raise DomainError("v_block must be Hermitian")
+        support_evecs = np.asarray(self.support_evecs, dtype=complex)
+        if support_evecs.shape != (r, n):
+            raise DomainError(f"support_evecs must be {r} x {n} (the "
+                              f"eigenbasis rows on the support), got shape "
+                              f"{support_evecs.shape}")
+        v_evals, block_evecs = np.linalg.eigh(v_block)
+        v_basis = block_evecs.conj().T @ support_evecs
         # V is Hermitian, so its spectral norm is its largest |eigenvalue|
-        object.__setattr__(self, "v_norm",
-                           float(np.abs(v_evals).max(initial=0.0)))
+        v_norm = float(np.abs(v_evals).max(initial=0.0))
+        derived = dict(evals=evals, support=support, v_block=v_block,
+                       support_evecs=support_evecs, v_evals=v_evals,
+                       block_evecs=block_evecs, v_basis=v_basis,
+                       omega_max=float(evals.max()), v_norm=v_norm)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
         # G0 V = E diag(g) B^H Lambda U^H with E unitary and U orthonormal
         g = self.resolvent_multipliers(self.omega_ref + 1j * self.eps_ref)
         g0v = g[:, None] * (v_basis.conj().T * v_evals)
@@ -152,7 +161,14 @@ class ContinuousModel:
 
     @property
     def dim(self) -> int:
-        return self.h0.shape[0]
+        return self.evals.size
+
+    @property
+    def v_evecs(self) -> np.ndarray:
+        """The n x r orthonormal columns U of V = U diag(v_evals) U^H."""
+        out = np.zeros((self.dim, self.support.size), dtype=complex)
+        out[self.support] = self.block_evecs
+        return out
 
     def resolvent_multipliers(self, z: complex) -> np.ndarray:
         """1/(z - e) over the spectrum e of h0, the eigenvalues of G0(z)."""
@@ -166,11 +182,6 @@ class ContinuousModel:
         b = self.v_basis
         return (b * mult) @ b.conj().T
 
-    def green_continuous(self, z: complex) -> np.ndarray:
-        """Dense resolvent G0(z) = (z - H0)^{-1}."""
-        self.resolvent_multipliers(z)  # PoleError on the spectrum of h0
-        return np.linalg.inv(z * np.eye(self.dim) - self.h0)
-
 
 def hopping_ring_model(n: int = 128, omega_max: float = 2.0,
                        v_sites: tuple = (0, 1, 5, 9),
@@ -182,9 +193,11 @@ def hopping_ring_model(n: int = 128, omega_max: float = 2.0,
     H0 = 2J(1 - cos k) with J = omega_max/4, so the spectrum fills
     [0, omega_max] exactly; V is diagonal on at most four distinct sites,
     weak enough that the Born contraction at the reference energy stays
-    below one half.  The analytic plane-wave basis is attached so mode indices
-    mean momentum numbers m (k_m = 2*pi*m/n, energies sorted by |m|
-    pairs as produced here, not by magnitude).
+    below one half.  The support is the sites with a nonzero value, in
+    increasing order.  The analytic plane-wave basis is used, so mode
+    indices mean momentum numbers m (k_m = 2*pi*m/n, energies sorted by
+    |m| pairs as produced here, not by magnitude); only its r rows on the
+    support are built, so the model costs O(r n) memory and time.
     """
     if len(v_sites) > 4 or len(v_sites) != len(v_values):
         raise DomainError("potential support limited to at most 4 sites")
@@ -197,55 +210,17 @@ def hopping_ring_model(n: int = 128, omega_max: float = 2.0,
         raise DomainError(f"mode_index must lie in [0, n) = [0, {n}), "
                           f"got {mode_index}")
     j_hop = omega_max / 4.0
-    x = np.arange(n)
-    h0 = np.zeros((n, n))
-    h0[x, (x + 1) % n] = -j_hop
-    h0[(x + 1) % n, x] = -j_hop
-    h0[x, x] = 2.0 * j_hop
-    v = np.zeros((n, n))
-    for s, val in zip(v_sites, v_values):
-        v[s, s] = val
+    on_sites = sorted((s, val) for s, val in zip(v_sites, v_values) if val != 0)
+    support = np.array([s for s, _ in on_sites], dtype=int)
+    v_block = np.diag(np.array([val for _, val in on_sites], dtype=complex))
     modes = np.arange(n)
     kvals = 2.0 * np.pi * modes / n
     evals = 2.0 * j_hop * (1.0 - np.cos(kvals))
-    evecs = np.exp(1j * np.outer(x, kvals)) / np.sqrt(n)
-    omega_ref = float(evals[mode_index])
-    return ContinuousModel(h0=h0, v=v, omega_ref=omega_ref, eps_ref=eps_ref,
-                           basis=(evals, evecs))
-
-
-# ---------------------------------------------------------------------------
-# continuous side
-# ---------------------------------------------------------------------------
-
-def t_continuous_operator(model: ContinuousModel, z: complex) -> np.ndarray:
-    """Dense T(z) = (I - V G0(z))^{-1} V."""
-    g0 = model.green_continuous(z)
-    lhs = np.eye(model.dim) - model.v @ g0
-    return np.linalg.solve(lhs, model.v)
-
-
-def t_continuous(model: ContinuousModel, k: int, kp: int,
-                 eps: float) -> TMatrixEval:
-    """On-shell element <k'|T(omega_k + i*eps)|k> between h0 eigenmodes.
-
-    k and kp are eigenbasis column indices.  Requires the model's Born
-    contraction estimate gamma < 1; the returned residual is the operator
-    defect ||T - V - V G0 T||.
-    """
-    if model.gamma >= 1.0:
-        raise AssumptionViolationError(
-            f"Born contraction gamma = {model.gamma:.3f} >= 1 at the "
-            "model reference point"
-        )
-    z = complex(model.evals[k] + 1j * eps)
-    t_op = t_continuous_operator(model, z)
-    g0 = model.green_continuous(z)
-    residual = float(np.linalg.norm(
-        t_op - model.v - model.v @ g0 @ t_op, 2))
-    element = complex(model.evecs[:, kp].conj() @ t_op @ model.evecs[:, k])
-    return TMatrixEval(z=z, value=element, n_terms=0, converged=True,
-                       residual=residual)
+    support_evecs = np.exp(1j * np.outer(support, kvals)) / np.sqrt(n)
+    return ContinuousModel(evals=evals, support=support, v_block=v_block,
+                           support_evecs=support_evecs,
+                           omega_ref=float(evals[mode_index]),
+                           eps_ref=eps_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +296,9 @@ def w_tilde(model: ContinuousModel, tau: float):
     q0 = q_kernel(0.0)
     q = ((vvecs * (q_kernel(model.v_evals * tau) - q0)) @ vvecs.conj().T
          + q0 * np.eye(model.dim))
-    return model.v.copy(), q
+    v = np.zeros((model.dim, model.dim), dtype=complex)
+    v[np.ix_(model.support, model.support)] = model.v_block
+    return v, q
 
 
 def w_tilde_direct(model: ContinuousModel, tau: float) -> np.ndarray:
@@ -339,20 +316,20 @@ def _stepped_potential(model: ContinuousModel, tau: float) -> np.ndarray:
     return (1j / tau) * (np.exp(-1j * model.v_evals * tau) - 1.0)
 
 
-def green_discrete_operator(model: ContinuousModel, tau: float,
-                            z: complex) -> np.ndarray:
-    """Dense stepped Green operator from the multipliers."""
-    mult = green_discrete(model, tau, z)
-    return (model.evecs * mult) @ model.evecs.conj().T
+def _t_on_support(model: ContinuousModel, w: np.ndarray,
+                  g: np.ndarray) -> np.ndarray:
+    """X = (I - W A(g))^{-1} W for W = diag(w) and G = A(g), both r x r."""
+    eye = np.eye(w.size)
+    return np.linalg.solve(eye - w[:, None] * model.on_support(g), np.diag(w))
 
 
 def t_discrete_operator(model: ContinuousModel, tau: float,
                         z: complex) -> np.ndarray:
-    """Dense stepped T~(z) = (I - W~ G~0(z))^{-1} W~."""
-    wt = w_tilde_direct(model, tau)
-    gd = green_discrete_operator(model, tau, z)
-    lhs = np.eye(model.dim) - wt @ gd
-    return np.linalg.solve(lhs, wt)
+    """Dense stepped T~(z) = U X~ U^H, assembled from its support form."""
+    x_disc = _t_on_support(model, _stepped_potential(model, tau),
+                           green_discrete(model, tau, z))
+    vvecs = model.v_evecs
+    return vvecs @ x_disc @ vvecs.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -410,79 +387,9 @@ def tau_threshold(model: ContinuousModel, tau: float | None = None) -> BoundRepo
                        verdict=bool(tau <= m_star))
 
 
-def secondary_comb_indices(model: ContinuousModel, tau: float,
-                           omega_in: float) -> list[int]:
-    """Folded-energy replicas of omega_in that land back on the band.
-
-    Returns the list of nonzero integers l with omega_in + 2*pi*l/tau in
-    [0, omega_M].  Empty whenever tau < 2*pi/omega_M -- the step regime
-    where no replica channel can be on-shell.
-    """
-    _check_tau(tau)
-    step = 2.0 * np.pi / tau
-    out = []
-    l_min = int(np.floor((0.0 - omega_in) / step))
-    l_max = int(np.ceil((model.omega_max - omega_in) / step))
-    for l in range(l_min, l_max + 1):
-        if l != 0 and -1e-12 <= omega_in + step * l <= model.omega_max + 1e-12:
-            out.append(l)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the gap and its scaling
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class TrotterDifference:
-    """Measured stepped-vs-continuous T gap and its leading term.
-
-    difference: dense T~(z) - T(z); element: its (kp, k) eigenmode element.
-    leading: (tau^2/12) * T (H0 + V - z) T.  The O(tau) pieces of W~ and
-    G~0 cancel against each other, so this is the gap's leading term.
-    """
-
-    tau: float
-    z: complex
-    difference: np.ndarray
-    element: complex
-    leading: np.ndarray
-
-
-def _leading_coefficient(model: ContinuousModel, t_cont: np.ndarray,
-                         z: complex) -> np.ndarray:
-    """T (H0 + V - z) T / 12: the tau^2 coefficient of T~(z) - T(z)."""
-    shifted = model.h0 + model.v - z * np.eye(model.dim)
-    return (t_cont @ shifted @ t_cont) / 12.0
-
-
-def t_difference(model: ContinuousModel, k: int, kp: int, tau: float,
-                 eps: float) -> TrotterDifference:
-    """T~(z) - T(z) at z = omega_k + i*eps, with its leading term.
-
-    Steps larger than the certified threshold are computed anyway but
-    flagged with an uncertified-regime warning.
-    """
-    report = tau_threshold(model, tau=tau)
-    if not report.verdict:
-        warnings.warn(
-            f"tau = {tau} exceeds the certified threshold m* = "
-            f"{report.m_star:.4f}; the contraction bound does not apply",
-            UncertifiedRegimeWarning,
-        )
-    z = complex(model.evals[k] + 1j * eps)
-    t_cont = t_continuous_operator(model, z)
-    t_disc = t_discrete_operator(model, tau, z)
-    difference = t_disc - t_cont
-    bra = model.evecs[:, kp].conj()
-    ket = model.evecs[:, k]
-    return TrotterDifference(
-        tau=float(tau), z=z,
-        difference=difference,
-        element=complex(bra @ difference @ ket),
-        leading=tau ** 2 * _leading_coefficient(model, t_cont, z),
-    )
-
 
 def fit_loglog_slope(taus, values) -> tuple[float, float]:
     """Least-squares (slope, intercept) of log(values) against log(taus)."""
@@ -520,9 +427,7 @@ def convergence_sweep(model: ContinuousModel, tau_grid) -> SweepReport:
     Evaluates ||T~(z) - T(z)||_2 = ||X~ - X||_2 at z = omega_ref + i*eps_ref
     over the given geometric grid of steps (>= 4 points required) and
     returns the log-log slope and prefactor beside the predicted one.
-    Every norm and solve is r x r on the support of V (module docstring);
-    ``t_continuous_operator`` and ``t_discrete_operator`` are the dense
-    reference for the same numbers.
+    Every norm and solve is r x r on the support of V (module docstring).
     """
     taus = np.asarray(tau_grid, dtype=float)
     if taus.size >= 2:
@@ -531,20 +436,14 @@ def convergence_sweep(model: ContinuousModel, tau_grid) -> SweepReport:
             raise DomainError("tau grid must be geometric")
     z = complex(model.omega_ref + 1j * model.eps_ref)
     lam = model.v_evals
-    eye = np.eye(lam.size)
-
-    def t_on_support(w, g):
-        # (I - W G)^{-1} W for W = diag(w) and G = A(g), both r x r
-        return np.linalg.solve(eye - w[:, None] * model.on_support(g),
-                               np.diag(w))
-
-    x_cont = t_on_support(lam, model.resolvent_multipliers(z))
+    x_cont = _t_on_support(model, lam, model.resolvent_multipliers(z))
     gaps = []
     valid = []
     for tau in taus:
         try:
-            x_disc = t_on_support(_stepped_potential(model, float(tau)),
-                                  green_discrete(model, float(tau), z))
+            x_disc = _t_on_support(model,
+                                   _stepped_potential(model, float(tau)),
+                                   green_discrete(model, float(tau), z))
         except (PoleError, DomainError):
             continue
         gap = float(np.linalg.norm(x_disc - x_cont, 2))
@@ -557,7 +456,8 @@ def convergence_sweep(model: ContinuousModel, tau_grid) -> SweepReport:
         )
     slope, intercept = fit_loglog_slope(valid, gaps)
     # U^H (H0 + V - z) U = B diag(e) B^H + Lambda - z
-    shifted = model.on_support(model.evals) + np.diag(lam) - z * eye
+    shifted = (model.on_support(model.evals) + np.diag(lam)
+               - z * np.eye(lam.size))
     predicted = np.linalg.norm(x_cont @ shifted @ x_cont, 2) / 12.0
     return SweepReport(taus=np.asarray(valid), gaps=np.asarray(gaps),
                        slope=slope, intercept=intercept,

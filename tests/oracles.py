@@ -4,9 +4,10 @@ Everything here is computed differently from the package: high-precision
 arithmetic (mpmath at 30 digits), bisection instead of library arccos,
 dense matrix powers instead of analytic propagators, explicit mode sums
 instead of FFTs, `csv.writer` / one `json.dumps` instead of the
-package's column-wise table renderers, and direct loops (one bisection
-per crossing, one complex exponential per Dyson regulator) as bitwise
-twins of the package's batched kernels.  Test files freeze the resulting
+package's column-wise table renderers, dense n x n Trotter operators
+instead of the package's factored r x r support form, and direct loops
+(one bisection per crossing, one complex exponential per Dyson
+regulator) as bitwise twins of the package's batched kernels.  Test files freeze the resulting
 numbers as literals and cite the oracle function that produced them.
 """
 
@@ -14,13 +15,23 @@ import csv
 import io
 import json
 import math
+import warnings
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 
 from dtscatter import dyson as dy
-from dtscatter.errors import DtScatterError, RootEnumerationError, TruncationError
-from dtscatter.lippmann import epsilon_extrapolate
+from dtscatter import trotter as tr
+from dtscatter.errors import (
+    AssumptionViolationError,
+    DomainError,
+    DtScatterError,
+    RootEnumerationError,
+    TruncationError,
+    UncertifiedRegimeWarning,
+)
+from dtscatter.lippmann import TMatrixEval, epsilon_extrapolate
 from dtscatter.spectral import bz_grid, wrap_momentum
 from dtscatter.thirring import ROOT_BISECT_TOL, ROOT_SCAN_N
 
@@ -364,3 +375,196 @@ def second_order_reference(params, ch_in, ch_out, quad_n):
     jac = dy._out_jacobian(params, ch_out)
     pref = dy.LEG_NORM * (1j * params.chi) ** 2 / 2.0
     return complex(pref * ext.value / jac)
+
+
+# ---------------------------------------------------------------------------
+# dense Trotter operators: the n x n matrices the factored model never forms
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class DenseModel:
+    """A factored ``trotter.ContinuousModel`` beside the dense matrices it
+    was factored from: h0, v and an orthonormal eigenbasis evecs of h0
+    (columns)."""
+
+    model: tr.ContinuousModel
+    h0: np.ndarray
+    v: np.ndarray
+    evecs: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.h0.shape[0]
+
+
+def dense_model(h0, v, omega_ref, eps_ref, basis=None) -> DenseModel:
+    """Check a dense Hermitian pair (h0, v) and factor it.
+
+    h0 must be Hermitian with spectrum in [0, omega_max]; v is the
+    potential.  An orthonormal eigenbasis (evals, evecs) of h0 may be
+    supplied (e.g. the analytic plane-wave basis of a ring); otherwise one
+    is computed by eigh.  The support of v is the set of its nonzero rows
+    and columns (r sites), and the factored model gets v's r x r block
+    there and the support rows of evecs.
+    """
+    h0 = np.asarray(h0, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    if h0.shape != v.shape or h0.ndim != 2 or h0.shape[0] != h0.shape[1]:
+        raise DomainError("h0 and v must be square matrices of equal size")
+    if np.abs(h0 - h0.conj().T).max() > 1e-12 * max(1.0, np.abs(h0).max()):
+        raise DomainError("h0 must be Hermitian")
+    if np.abs(v - v.conj().T).max() > 1e-12 * max(1.0, np.abs(v).max(), 1e-30):
+        raise DomainError("v must be Hermitian")
+    if basis is None:
+        evals, evecs = np.linalg.eigh(h0)
+    else:
+        evals, evecs = basis
+        evals = np.asarray(evals, dtype=float)
+        evecs = np.asarray(evecs, dtype=complex)
+    nonzero = v != 0
+    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    model = tr.ContinuousModel(evals=evals, support=support,
+                               v_block=v[np.ix_(support, support)],
+                               support_evecs=evecs[support],
+                               omega_ref=omega_ref, eps_ref=eps_ref)
+    return DenseModel(model=model, h0=h0, v=v, evecs=evecs)
+
+
+def dense_ring(n=128, omega_max=2.0, v_sites=(0, 1, 5, 9),
+               v_values=(0.10, -0.08, 0.06, 0.07), mode_index=32,
+               eps_ref=0.2) -> DenseModel:
+    """``trotter.hopping_ring_model``'s ring as dense matrices: the n x n
+    hopping h0, the diagonal v and the full n x n plane-wave basis."""
+    j_hop = omega_max / 4.0
+    x = np.arange(n)
+    h0 = np.zeros((n, n))
+    h0[x, (x + 1) % n] = -j_hop
+    h0[(x + 1) % n, x] = -j_hop
+    h0[x, x] = 2.0 * j_hop
+    v = np.zeros((n, n))
+    for s, val in zip(v_sites, v_values):
+        v[s, s] = val
+    modes = np.arange(n)
+    kvals = 2.0 * np.pi * modes / n
+    evals = 2.0 * j_hop * (1.0 - np.cos(kvals))
+    evecs = np.exp(1j * np.outer(x, kvals)) / np.sqrt(n)
+    omega_ref = float(evals[mode_index])
+    return dense_model(h0, v, omega_ref, eps_ref, basis=(evals, evecs))
+
+
+def green_continuous(dense, z):
+    """Dense resolvent G0(z) = (z - H0)^{-1}."""
+    dense.model.resolvent_multipliers(z)  # PoleError on the spectrum of h0
+    return np.linalg.inv(z * np.eye(dense.dim) - dense.h0)
+
+
+def t_continuous_operator(dense, z):
+    """Dense T(z) = (I - V G0(z))^{-1} V."""
+    g0 = green_continuous(dense, z)
+    lhs = np.eye(dense.dim) - dense.v @ g0
+    return np.linalg.solve(lhs, dense.v)
+
+
+def t_continuous(dense, k, kp, eps):
+    """On-shell element <k'|T(omega_k + i*eps)|k> between h0 eigenmodes.
+
+    k and kp are eigenbasis column indices.  Requires the model's Born
+    contraction estimate gamma < 1; the returned residual is the operator
+    defect ||T - V - V G0 T||.
+    """
+    model = dense.model
+    if model.gamma >= 1.0:
+        raise AssumptionViolationError(
+            f"Born contraction gamma = {model.gamma:.3f} >= 1 at the "
+            "model reference point"
+        )
+    z = complex(model.evals[k] + 1j * eps)
+    t_op = t_continuous_operator(dense, z)
+    g0 = green_continuous(dense, z)
+    residual = float(np.linalg.norm(
+        t_op - dense.v - dense.v @ g0 @ t_op, 2))
+    element = complex(dense.evecs[:, kp].conj() @ t_op @ dense.evecs[:, k])
+    return TMatrixEval(z=z, value=element, n_terms=0, converged=True,
+                       residual=residual)
+
+
+def green_discrete_operator(dense, tau, z):
+    """Dense stepped Green operator E diag(m~) E^H from the multipliers."""
+    mult = tr.green_discrete(dense.model, tau, z)
+    return (dense.evecs * mult) @ dense.evecs.conj().T
+
+
+def t_discrete_dense(dense, tau, z):
+    """Dense stepped T~(z) = (I - W~ G~0(z))^{-1} W~, with G~0 built in the
+    full eigenbasis E rather than on the support."""
+    wt = tr.w_tilde_direct(dense.model, tau)
+    gd = green_discrete_operator(dense, tau, z)
+    lhs = np.eye(dense.dim) - wt @ gd
+    return np.linalg.solve(lhs, wt)
+
+
+def secondary_comb_indices(model, tau, omega_in):
+    """Folded-energy replicas of omega_in that land back on the band.
+
+    Returns the list of nonzero integers l with omega_in + 2*pi*l/tau in
+    [0, omega_M].  Empty whenever tau < 2*pi/omega_M -- the step regime
+    where no replica channel can be on-shell.
+    """
+    tr._check_tau(tau)
+    step = 2.0 * np.pi / tau
+    out = []
+    l_min = int(np.floor((0.0 - omega_in) / step))
+    l_max = int(np.ceil((model.omega_max - omega_in) / step))
+    for l in range(l_min, l_max + 1):
+        if l != 0 and -1e-12 <= omega_in + step * l <= model.omega_max + 1e-12:
+            out.append(l)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class TrotterDifference:
+    """Measured stepped-vs-continuous T gap and its leading term.
+
+    difference: dense T~(z) - T(z); element: its (kp, k) eigenmode element.
+    leading: (tau^2/12) * T (H0 + V - z) T.  The O(tau) pieces of W~ and
+    G~0 cancel against each other, so this is the gap's leading term.
+    """
+
+    tau: float
+    z: complex
+    difference: np.ndarray
+    element: complex
+    leading: np.ndarray
+
+
+def _leading_coefficient(dense, t_cont, z):
+    """T (H0 + V - z) T / 12: the tau^2 coefficient of T~(z) - T(z)."""
+    shifted = dense.h0 + dense.v - z * np.eye(dense.dim)
+    return (t_cont @ shifted @ t_cont) / 12.0
+
+
+def t_difference(dense, k, kp, tau, eps):
+    """T~(z) - T(z) at z = omega_k + i*eps, with its leading term.
+
+    Steps larger than the certified threshold are computed anyway but
+    flagged with an uncertified-regime warning.
+    """
+    report = tr.tau_threshold(dense.model, tau=tau)
+    if not report.verdict:
+        warnings.warn(
+            f"tau = {tau} exceeds the certified threshold m* = "
+            f"{report.m_star:.4f}; the contraction bound does not apply",
+            UncertifiedRegimeWarning,
+        )
+    z = complex(dense.model.evals[k] + 1j * eps)
+    t_cont = t_continuous_operator(dense, z)
+    t_disc = t_discrete_dense(dense, tau, z)
+    difference = t_disc - t_cont
+    bra = dense.evecs[:, kp].conj()
+    ket = dense.evecs[:, k]
+    return TrotterDifference(
+        tau=float(tau), z=z,
+        difference=difference,
+        element=complex(bra @ difference @ ket),
+        leading=tau ** 2 * _leading_coefficient(dense, t_cont, z),
+    )

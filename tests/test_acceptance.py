@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from dtscatter import dyson as dy
 from dtscatter import trotter as tr
 from dtscatter import wavepacket as wp
@@ -167,8 +168,9 @@ def test_criterion_5_trotter_slope_and_prefactor():
     m_star = tr.tau_threshold(model).m_star
     report = tr.convergence_sweep(model, [m_star * 0.5**j for j in range(5)])
     z = model.omega_ref + 1j * model.eps_ref
-    t_cont = tr.t_continuous_operator(model, z)
-    lead = t_cont @ (model.h0 + model.v - z * np.eye(model.dim)) @ t_cont
+    dense = oracles.dense_ring()
+    t_cont = oracles.t_continuous_operator(dense, z)
+    lead = t_cont @ (dense.h0 + dense.v - z * np.eye(model.dim)) @ t_cont
     lead_norm = float(np.linalg.norm(lead, 2)) / 12.0
     elapsed = time.monotonic() - t_start
     assert elapsed < 60.0, f"criterion budget 60 s exceeded: {elapsed:.1f} s"
@@ -184,13 +186,29 @@ def test_criterion_5_trotter_slope_and_prefactor():
 def test_criterion_5_law_at_n_1024():
     """Criterion 5's law on a 1024-site ring (mode 256, k = pi/2) within 1 s.
 
-    The sweep runs on the four-site support of V, so the ring size costs
-    only the model's O(n^2) setup; predicted_prefactor is the support form
+    The sweep runs on the four-site support of V and the model is built
+    from its O(n) factors; predicted_prefactor is the support form
     of ||T (H0 + V - z) T|| / 12, tied to the dense operators at n = 128
     by test_trotter.py::test_support_route_matches_dense_operators.
     """
     t_start = time.monotonic()
     model = tr.hopping_ring_model(n=1024, mode_index=256)
+    m_star = tr.tau_threshold(model).m_star
+    report = tr.convergence_sweep(model, [m_star * 0.5**j for j in range(5)])
+    elapsed = time.monotonic() - t_start
+    assert elapsed < 1.0, f"budget 1 s exceeded: {elapsed:.2f} s"
+    assert abs(report.slope - 2.0) <= 0.05, report.slope
+    predicted = report.predicted_prefactor
+    assert abs(report.prefactor - predicted) <= 0.1 * predicted, (
+        report.prefactor, predicted)
+
+
+def test_criterion_5_law_at_n_16384():
+    """Criterion 5's law on a 16384-site ring (mode 4096, k = pi/2) within
+    1 s, at the tolerances of the n = 1024 check: a ring no dense n x n
+    model could hold (its plane-wave basis alone would take 4 GiB)."""
+    t_start = time.monotonic()
+    model = tr.hopping_ring_model(n=16384, mode_index=4096)
     m_star = tr.tau_threshold(model).m_star
     report = tr.convergence_sweep(model, [m_star * 0.5**j for j in range(5)])
     elapsed = time.monotonic() - t_start
@@ -207,8 +225,10 @@ def test_criterion_6_bound_certification():
     rep = tr.tau_threshold(model)
     tau = rep.m_star
     z = model.omega_ref + 1j * model.eps_ref
+    dense = oracles.dense_ring()
     wg = float(np.linalg.norm(
-        tr.w_tilde_direct(model, tau) @ tr.green_discrete_operator(model, tau, z), 2))
+        tr.w_tilde_direct(model, tau)
+        @ oracles.green_discrete_operator(dense, tau, z), 2))
     bound = (rep.gamma + tr.A1_BOUND * tau * model.v_norm
              + tr.A2_BOUND * tau**2 * model.v_norm**2)
     assert wg < 1.0, f"||W~ G~0|| = {wg:.6f} not a contraction"

@@ -703,6 +703,19 @@ def test_bad_inputs_end_in_flags_or_one_error_line(
         assert rows and all(r["flagged"] and message in r["note"] for r in rows)
 
 
+def test_trotter_runs_a_large_ring(tmp_path, monkeypatch, capsys):
+    # the ring model is built from its O(r n) factors; a dense n x n
+    # plane-wave basis would need 64 GiB at this size
+    monkeypatch.chdir(tmp_path)
+    args = ["--config", str(GOLDEN / "trotter.cfg"), "--set", "path=out.json",
+            "--set", "n=65536", "--set", "mode_index=16384"]
+    assert cli.main(args) == 0
+    assert capsys.readouterr().err == ""
+    rows = json.loads((tmp_path / "out.json").read_text())["rows"]
+    assert len(rows) == 5
+    assert not any(r["flagged"] for r in rows)
+
+
 EDGE_FLOATS = (0.0, math.pi / 2, 1.0, -1.0, -0.3, math.nan, math.inf,
                -math.inf)
 EDGE_INTS = (-5, -1, 0, 40)
