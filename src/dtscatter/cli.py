@@ -32,7 +32,6 @@ from .errors import DtScatterError, OutputError
 from .spectral import make_dispersion
 from .tables import ResultTable, _Helper, _reprs, emit, write_text
 from .thirring import (
-    ROOT_BLOCK,
     ThirringParams,
     amplitude_pp,
     amplitude_pp_grid,
@@ -46,6 +45,7 @@ from .thirring import (
 from .trotter import convergence_sweep, hopping_ring_model, tau_threshold
 from .wavepacket import (
     GaussianPacketSpec,
+    evolve,
     extract_smatrix,
     snapshot_columns,
     thirring_com_model,
@@ -110,7 +110,7 @@ def _run_amplitude(cfg: RunConfig) -> ResultTable:
                    "flagged", "note"), complex_names=("coefficient", "born"))
     ks = [float(k) for k in cfg.grids["k"]]
     # each point's note comes from its first failing call: the closed form,
-    # then the Born route (one crossing solve per block of points)
+    # then the Born route (one crossing solve for every point left)
     rows: list = [None] * len(ks)
     for i, k in enumerate(ks):
         try:
@@ -118,17 +118,15 @@ def _run_amplitude(cfg: RunConfig) -> ResultTable:
         except DtScatterError as exc:
             rows[i] = exc
     todo = [i for i, c in enumerate(rows) if not isinstance(c, DtScatterError)]
-    for start in range(0, len(todo), ROOT_BLOCK):
-        block = todo[start:start + ROOT_BLOCK]
-        grid = born_series_grid(params, p, [ks[i] for i in block], born_n)
-        for i, series in zip(block, grid):
-            if isinstance(series, DtScatterError):
-                rows[i] = series
-                continue
-            c = rows[i]
-            born_c = complex(series.partial_sums[-1]
-                             / abs(jacobian_pp(params, p, ks[i])))
-            rows[i] = (c, born_c, abs(born_c - c), series.converged)
+    grid = born_series_grid(params, p, [ks[i] for i in todo], born_n)
+    for i, series in zip(todo, grid):
+        if isinstance(series, DtScatterError):
+            rows[i] = series
+            continue
+        c = rows[i]
+        born_c = complex(series.partial_sums[-1]
+                         / abs(jacobian_pp(params, p, ks[i])))
+        rows[i] = (c, born_c, abs(born_c - c), series.converged)
     for k, row in zip(ks, rows):
         if isinstance(row, DtScatterError):
             table.add_row(k=k, coefficient=_CNAN, born=_CNAN, born_gap=_NAN,
@@ -277,131 +275,78 @@ def _snapshot_text(prefixes: list, amps) -> str:
             + "\r\n".join(map(",".join, zip(prefixes, re, im))) + "\r\n")
 
 
-def _shared_slots(shape: tuple):
-    """Two (sites, components) complex arrays in one anonymous shared
-    mapping, or None when it cannot be mapped."""
-    import mmap   # loaded only where a snapshot writer may start
-
-    try:
-        buf = mmap.mmap(-1, 2 * np.dtype(complex).itemsize * shape[0] * shape[1])
-    except OSError:
-        return None
-    return np.frombuffer(buf, dtype=complex).reshape(2, *shape)
-
-
 class _SnapshotWriter:
     """The interacting leg's on_step callback: writes the snapshots.
 
-    With at least two snapshots, this process writes the last snapshot
-    and every second one before it, never the first (``steps[-1:0:-2]``),
-    inline; one helper process (``tables._Helper``) writes the others,
-    which with an odd count are one more.  The schedule is fixed, so which
-    process writes a file never depends on timing, and this process
-    renders the last snapshot while the helper finishes the one before
-    it.  A snapshot for the helper is copied into one of two slots of
-    shared memory mapped before the fork (slot k % 2 for its k-th
-    snapshot) and announced with one byte.  The helper renders and writes
-    it, then answers: a zero byte once it is written, or a one byte and
-    the error message, after which it exits.  This process waits for an
-    answer only when both slots are taken, so a helper failure stops the
-    leg at the next such wait.
-    Leaving the ``with`` block waits for the answers still due, joins the
-    helper and raises the OutputError of the earliest snapshot not
-    written, whichever process was to write it.  Without the shared
-    memory or a helper, every snapshot is written inline.  Both processes
-    render from the row prefixes built here, before the fork.
+    With at least two snapshots, one helper process (``tables._Helper``)
+    writes the first half, the larger one when the count is odd
+    (``theirs``), and this process the rest.  The helper is started at
+    step 0 and steps the leg again from that state up to its last snapshot
+    with ``evolve``, whose serial leg carries the same bits, with warnings
+    ignored, so a leakage warning is given once, here.  It sends one zero
+    byte per snapshot written, or on failure the error message, and exits.
+    This process steps the whole leg and writes the rest.  Leaving the
+    ``with`` block joins the helper.  Every step of the helper comes before
+    every step here, so its failure is the earliest and is raised in place
+    of this process's.  Without a helper, every snapshot is written here.
+    Both processes render from the row prefixes built here, before the
+    fork.
     """
 
-    def __init__(self, prefix: str, steps: list, shape: tuple):
+    def __init__(self, prefix: str, steps: list, model):
         self.paths = {n: f"{prefix}{n:05d}.csv" for n in steps}
-        self.prefixes = _snapshot_prefixes(shape) if steps else []
-        self.failures: dict = {}   # step -> OutputError
-        self.sent: list = []   # the helper's steps not yet answered, in order
-        self.handed = 0   # snapshots handed to the helper so far
-        inline = set(steps[-1:0:-2])
-        theirs = [n for n in steps if n not in inline]
-        self.slots = _shared_slots(shape) if len(steps) >= 2 else None
-        self.helper = None if self.slots is None else _Helper.start(
-            lambda *fds: self._serve(theirs, *fds))
-        # the helper's steps; empty: none
-        self.offloaded = frozenset(theirs if self.helper else ())
+        self.prefixes = (_snapshot_prefixes((model.length, model.ncomp))
+                         if steps else [])
+        self.model = model
+        # the helper's steps, if one starts
+        self.theirs = steps[:(len(steps) + 1) // 2] if len(steps) >= 2 else []
+        self.helper = None
 
     def _write(self, n: int, amps) -> None:
         write_text(self.paths[n], _snapshot_text(self.prefixes, amps))
 
-    def _serve(self, steps: list, recv_fd: int, send_fd: int) -> None:
-        """The helper's loop: write its snapshots as they are announced."""
-        for k, n in enumerate(steps):
-            if not os.read(recv_fd, 1):
-                return   # the leg ended early: nothing more is sent
-            try:
-                self._write(n, self.slots[k % 2])
-            except Exception as exc:   # reported to the parent, then exit
-                message = (str(exc) if isinstance(exc, OutputError)
-                           else f"cannot write {self.paths[n]}: {exc!r}")
-                os.write(send_fd, b"\1" + message.encode())
-                return
-            os.write(send_fd, b"\0")
+    def _serve(self, state, recv_fd: int, send_fd: int) -> None:
+        """The helper's work: the leg up to its last snapshot."""
+        written = []
+
+        def write(n, amps):
+            if n in self.paths:
+                self._write(n, amps)
+                written.append(n)
+                os.write(send_fd, b"\0")
+
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                evolve(state, self.model, self.theirs[-1], on_step=write)
+        except Exception as exc:   # reported to the parent, then exit
+            path = self.paths[self.theirs[len(written)]]
+            os.write(send_fd, (str(exc) if isinstance(exc, OutputError)
+                               else f"cannot write {path}: {exc!r}").encode())
+            raise
 
     def __call__(self, n: int, amps) -> None:
-        if n not in self.paths:
-            return
-        if n not in self.offloaded:
-            try:
-                self._write(n, amps)
-            except OutputError as exc:
-                self.failures[n] = exc
-                raise
-            return
-        self._answer(keep=1)   # a free slot
-        self.slots[self.handed % 2] = amps
-        self.handed += 1
-        try:
-            os.write(self.helper.send, b"\0")
-        except BrokenPipeError:   # the helper is gone
-            self._answer()
-            self._fail(n)
-        self.sent.append(n)
-
-    def _answer(self, keep: int = 0) -> None:
-        """Wait for answers, oldest first, until at most keep snapshots
-        are unanswered; raise the first failure."""
-        while len(self.sent) > keep:
-            n = self.sent.pop(0)
-            head = os.read(self.helper.recv, 1)
-            if head != b"\0":
-                self._fail(n, head)
-
-    def _fail(self, n: int, head: bytes = b"") -> None:
-        """Join the helper, which did not write snapshot n (head: the
-        answer's first byte, if any), and raise the reason."""
-        helper, self.helper = self.helper, None
-        self.sent.clear()   # the helper writes nothing more
-        code, rest = helper.join()
-        if head == b"\1":
-            message = rest.decode("utf-8", "replace")
-        else:
-            message = (f"cannot write {self.paths[n]}: the snapshot writer "
-                       f"process ended before writing it (exit code {code})")
-        self.failures[n] = OutputError(message)
-        raise self.failures[n]
+        if n == 0 and self.theirs:   # the helper's copy of amps keeps step 0
+            self.helper = _Helper.start(lambda *fds: self._serve(amps, *fds))
+        if n in self.paths and (self.helper is None or n not in self.theirs):
+            self._write(n, amps)
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        try:
-            self._answer()
-        except OutputError:
-            pass   # kept in self.failures
-        finally:
-            if self.helper is not None:   # the helper reads EOF and exits
-                self.helper.join()
-        if self.failures and (exc is None or isinstance(exc, Exception)):
-            earliest = self.failures[min(self.failures)]
-            if earliest is not exc:
-                raise earliest
-        return False
+        if self.helper is None:
+            return False
+        code, answer = self.helper.join()
+        message = answer.lstrip(b"\0")
+        done = len(answer) - len(message)   # snapshots the helper wrote
+        interrupted = exc is not None and not isinstance(exc, Exception)
+        if done == len(self.theirs) or interrupted:
+            return False
+        raise OutputError(
+            message.decode("utf-8", "replace")
+            or f"cannot write {self.paths[self.theirs[done]]}: the snapshot "
+               f"writer process ended before writing it (exit code {code})")
 
 
 def _run_wavepacket(cfg: RunConfig) -> ResultTable:
@@ -426,7 +371,7 @@ def _run_wavepacket(cfg: RunConfig) -> ResultTable:
                                   x0=length // 2, band=(1, 1))
         steps = _snapshot_steps(t_steps, pr["snapshot_every"])
         prefix = pr["snapshot_prefix"] or "snapshot_"
-        with _SnapshotWriter(prefix, steps, (length, model.ncomp)) as writer:
+        with _SnapshotWriter(prefix, steps, model) as writer:
             meas = extract_smatrix(model, spec, t_steps,
                                    on_step=writer if steps else None)
         diag = meas.diagonal_coefficient

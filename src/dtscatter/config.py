@@ -37,6 +37,8 @@ _SCHEMAS = {
 _INT_PARAMS = {"born_n", "n_max", "quad_n", "n", "mode_index", "length",
                "t_steps", "snapshot_every"}
 _STR_PARAMS = {"snapshot_prefix"}
+# largest trotter ring: its model and sweep hold about 320 bytes per site
+MAX_RING_SITES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -206,6 +208,9 @@ def _check_physics(params: dict, lines: dict, problems: list):
         problems.append(f"{line_of('snapshot_every')}snapshot_every must be "
                         f">= 0, got {every}")
     mode_index, n = params.get("mode_index"), params.get("n")
+    if n is not None and n > MAX_RING_SITES:
+        problems.append(f"{line_of('n')}n must be <= {MAX_RING_SITES}, "
+                        f"got {n}")
     if mode_index is not None and n is not None and not 0 <= mode_index < n:
         problems.append(f"{line_of('mode_index')}mode_index must lie in "
                         f"[0, n) = [0, {n}), got {mode_index}")

@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -214,13 +213,13 @@ def forked(monkeypatch):
     monkeypatch.setattr(tables, "_usable_cpus", lambda: 2)
 
 
-# steps 0 and 50 go to the writer process and 100 is written inline; with
-# 50 and 100 both failing, the inline failure at 100 comes first in time.
-# The writer's failure at 150 is read only once the inline failure at 200
-# has stopped the leg, and is still the one reported.
+# the 11 snapshots: the helper writes 0 .. 250, this process 300 .. 480.
+# Every helper failure comes before every failure here, so it is the one
+# reported, also when this process failed first in time (100 and 300).
 @pytest.mark.parametrize("bad,reported", [((0,), 0), ((50,), 50),
                                           ((100,), 100), ((50, 100), 50),
-                                          ((150, 200), 150)])
+                                          ((150, 200), 150), ((300,), 300),
+                                          ((100, 300), 100)])
 def test_snapshot_failure_reports_the_earliest(
         bad, reported, forked, tmp_path, monkeypatch, capsys):
     real = cli.write_text
@@ -265,7 +264,7 @@ def test_snapshot_writer_death_names_its_snapshot(forked, tmp_path,
     assert err.startswith("error: cannot write snap_00150.csv: ")
     assert "exit code 7" in err and err.count("\n") == 1
     assert not (tmp_path / "wavepacket.json").exists()
-    assert 150 in writers[0].offloaded   # step 150 is the writer's
+    assert 150 in writers[0].theirs   # step 150 is the helper's
 
 
 def _snapshot_files(tmp_path, monkeypatch, side: str, every: int) -> dict:
@@ -292,60 +291,70 @@ def test_snapshots_match_without_fork(forked, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("count", [2, 3, 6, 11, 19])
-def test_writer_takes_the_first_and_the_main_process_the_last(count, forked):
-    steps = list(range(0, 50 * count, 50))
-    with cli._SnapshotWriter("unused_", steps, (8, 2)) as writer:
-        offloaded = writer.offloaded
-    # the main process: the last step and every second one before it,
-    # never the first; the writer: the rest, so the extra one when odd
-    inline = [n for i, n in enumerate(steps) if i and (count - 1 - i) % 2 == 0]
-    assert sorted(offloaded) == [n for n in steps if n not in inline]
-    assert len(offloaded) == (count + 1) // 2
+def test_writer_takes_the_first_and_the_main_process_the_last(
+        count, forked, tmp_path, monkeypatch):
+    # each snapshot file holds the pid of the process that wrote it
+    monkeypatch.setattr(cli, "write_text",
+                        lambda path, text: Path(path).write_text(str(os.getpid())))
+    model = wavepacket.thirring_com_model(ThirringParams(nu=0.8, chi=1.0), 0.3,
+                                          length=256)
+    state = np.zeros((256, model.ncomp), dtype=complex)
+    state[128, 0] = 1.0
+    steps = list(range(0, 2 * count, 2))
+    with cli._SnapshotWriter(f"{tmp_path}/snap_", steps, model) as writer:
+        wavepacket.evolve(state, model, steps[-1], on_step=writer)
+    pids = [int((tmp_path / f"snap_{n:05d}.csv").read_text()) for n in steps]
+    # the helper: the first half, so the extra one when odd; here: the rest
+    half = (count + 1) // 2
+    assert writer.theirs == steps[:half]
+    assert len(set(pids[:half])) == 1 and os.getpid() not in pids[:half]
+    assert pids[half:] == [os.getpid()] * (count - half)
 
 
-def test_slow_writer_holds_the_slots_until_it_answers(forked, tmp_path,
-                                                      monkeypatch):
-    # the writer renders from its slot only after a pause, so a slot
-    # overwritten before the writer answered would change the bytes
-    real, parent = cli._snapshot_text, os.getpid()
-    waits = []
-    answer = cli._SnapshotWriter._answer
+def test_helper_steps_the_leg_to_its_last_snapshot(forked, tmp_path,
+                                                   monkeypatch):
+    # the helper's evolve is a leg of theirs[-1] = 250 steps; this
+    # process steps all 2T = 480 (test_snapshot_run_steps_the_interacting_leg_once)
+    legs, leg, parent = tmp_path / "legs", cli.evolve, os.getpid()
 
-    def slow(prefixes, amps):
-        if os.getpid() != parent:
-            time.sleep(0.02)
-        return real(prefixes, amps)
+    def recorded(amps, model, t_steps, on_step=None):
+        with open(legs, "a") as fh:
+            fh.write(f"{os.getpid() != parent} {t_steps}\n")
+        return leg(amps, model, t_steps, on_step=on_step)
 
-    def counted(self, keep=0):
-        waits.append(len(self.sent) > keep)
-        answer(self, keep)
-
-    monkeypatch.setattr(cli, "_snapshot_text", slow)
-    monkeypatch.setattr(cli._SnapshotWriter, "_answer", counted)
-    forked_files = _snapshot_files(tmp_path, monkeypatch, "forked", 50)
-    # the writer has 0, 50, 150, .., 450: an answer is due before handing
-    # over each of 150 .. 450, and two at the end
-    assert waits == [False, False, True, True, True, True, True]
-    monkeypatch.delattr(os, "fork")
-    inline_files = _snapshot_files(tmp_path, monkeypatch, "inline", 50)
-    assert forked_files == inline_files
+    monkeypatch.setattr(cli, "evolve", recorded)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(SNAPSHOT_ARGS) == 0
+    assert legs.read_text() == "True 250\n"
+    assert len(list(tmp_path.glob("snap_*.csv"))) == 11
 
 
-def test_snapshots_written_inline_without_shared_memory(forked, tmp_path,
-                                                        monkeypatch):
-    import mmap
-
-    forked_files = _snapshot_files(tmp_path, monkeypatch, "forked", 50)
-
-    def unmappable(*args):
-        raise OSError("no memory to map")
-
-    def no_start(work):
-        raise AssertionError("a writer was started without its slots")
-
-    monkeypatch.setattr(mmap, "mmap", unmappable)
-    monkeypatch.setattr(tables._Helper, "start", no_start)
-    assert _snapshot_files(tmp_path, monkeypatch, "inline", 50) == forked_files
+def test_leakage_warning_is_printed_once(tmp_path):
+    # T = 700 on the golden ring leaks after 192 steps, inside the helper's
+    # leg (0 .. 700) too.  Fresh interpreters, so that a line the helper
+    # printed would reach the same stderr.
+    src = str(Path(cli.__file__).parents[1])
+    code = ("import os, sys\n"
+            "from dtscatter import cli, tables\n"
+            "tables._usable_cpus = lambda: 2\n"
+            "if sys.argv[1] == 'inline':\n"
+            "    del os.fork\n"
+            "sys.exit(cli.main(sys.argv[2:]))\n")
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    args = [*SNAPSHOT_ARGS, "--set", "t_steps=700", "--set", "snapshot_every=100"]
+    reports = []
+    for side in ("forked", "inline"):
+        (tmp_path / side).mkdir()
+        run = subprocess.run([sys.executable, "-c", code, side, *args],
+                             cwd=tmp_path / side, env=env, capture_output=True,
+                             text=True)
+        assert run.returncode == 0, run.stderr
+        assert len(list((tmp_path / side).glob("snap_*.csv"))) == 15
+        reports.append(run.stderr)
+    assert reports[0] == reports[1]
+    assert reports[0].startswith("warning: BoundaryLeakageWarning: ")
+    assert reports[0].count("\n") == 1
 
 
 _SNAPSHOT_FLOATS = st.one_of(
@@ -714,6 +723,31 @@ def test_trotter_runs_a_large_ring(tmp_path, monkeypatch, capsys):
     rows = json.loads((tmp_path / "out.json").read_text())["rows"]
     assert len(rows) == 5
     assert not any(r["flagged"] for r in rows)
+
+
+def test_trotter_rejects_a_ring_too_large_to_build(tmp_path, monkeypatch,
+                                                   capsys):
+    # about 320 bytes per site: n = 10^8 would need some 32 GB; the config
+    # check stops it before anything is built
+    def no_build(**kwargs):
+        raise AssertionError("the ring model was built")
+
+    monkeypatch.setattr(cli, "hopping_ring_model", no_build)
+    monkeypatch.chdir(tmp_path)
+    args = ["--config", str(GOLDEN / "trotter.cfg"), "--set", "path=out.json",
+            "--set", "n=100000000"]
+    tracemalloc.start()
+    try:
+        code = cli.main(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: config validation failed:\n"
+        "  override: n must be <= 1048576, got 100000000\n")
+    assert peak < 1e6
+    assert not (tmp_path / "out.json").exists()
 
 
 EDGE_FLOATS = (0.0, math.pi / 2, 1.0, -1.0, -0.3, math.nan, math.inf,

@@ -524,3 +524,19 @@ def test_only_the_helper_forks_exits_and_reaps():
                 outside.append(f"{path.name}:{node.lineno} {name}")
     assert outside == []
     assert inside == {"fork", "_exit", "waitpid"}
+
+
+def test_only_the_split_leg_maps_shared_memory():
+    """mmap, by name, attribute, string or import, appears in the package
+    only in splitleg: the snapshot writer shares no memory."""
+    package = Path(tables.__file__).parent
+    seen = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.value if isinstance(node, ast.Constant)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name == "mmap":
+                seen.add(path.name)
+    assert seen == {"splitleg.py"}
