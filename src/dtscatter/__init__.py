@@ -16,7 +16,6 @@ from .thirring import (  # noqa: F401
     born_series_thirring,
     channel,
     gamma_matrix,
-    t_closed_thirring,
     umklapp_amplitudes,
     xy_factors,
 )

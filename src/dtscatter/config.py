@@ -2,9 +2,10 @@
 
 Sections: [run] (command, seed), [params] (scalar physics
 parameters), [grid] (swept variables; values are comma lists or
-inclusive ranges `lo:hi:count`), [output] (path, format).  Comments
-start with `#`; blank lines are ignored.  Parsing collects every
-problem (with line numbers) before failing.
+inclusive ranges `lo:hi:count`), [output] (path; a `.json` suffix
+writes JSON, any other CSV).  Comments start with `#`; blank lines are
+ignored.  Parsing collects every problem (with line numbers) before
+failing, and reports them all in one line.
 """
 
 from __future__ import annotations
@@ -34,11 +35,15 @@ _SCHEMAS = {
     "sweep": (("nu", "chi", "p"), {}, ("nu", "chi", "p", "k"), ("k",)),
 }
 
-_INT_PARAMS = {"born_n", "n_max", "quad_n", "n", "mode_index", "length",
-               "t_steps", "snapshot_every"}
-_STR_PARAMS = {"snapshot_prefix"}
+# an optional parameter's default fixes its type
+_DEFAULTS = {key: v for schema in _SCHEMAS.values()
+             for key, v in schema[1].items()}
+_INT_PARAMS = {key for key, v in _DEFAULTS.items() if isinstance(v, int)}
+_STR_PARAMS = {key for key, v in _DEFAULTS.items() if isinstance(v, str)}
 # largest trotter ring: its model and sweep hold about 320 bytes per site
 MAX_RING_SITES = 1 << 20
+# most entries of one grid, and of the points a sweep runs over
+MAX_GRID_POINTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -88,9 +93,18 @@ def _parse_grid_value(text: str, lineno: int, problems: list):
         if count < 1:
             problems.append(f"{_loc(lineno)}: range count must be >= 1")
             return []
+        if count > MAX_GRID_POINTS:
+            problems.append(f"{_loc(lineno)}: range count must be <= "
+                            f"{MAX_GRID_POINTS}, got {count}")
+            return []
         return [float(v) for v in np.linspace(lo, hi, count)]
+    pieces = text.split(",")
+    if len(pieces) > MAX_GRID_POINTS:
+        problems.append(f"{_loc(lineno)}: a grid holds at most "
+                        f"{MAX_GRID_POINTS} entries, got {len(pieces)}")
+        return []
     out = []
-    for piece in text.split(","):
+    for piece in pieces:
         v = _parse_scalar(piece)
         if isinstance(v, str):
             problems.append(f"{_loc(lineno)}: grid entry {piece.strip()!r} "
@@ -135,7 +149,7 @@ def _scan(text: str):
 
 
 _RUN_KEYS = ("command", "seed")
-_OUTPUT_KEYS = ("path", "format")
+_OUTPUT_KEYS = ("path",)
 
 
 def _apply_overrides(sections: dict, overrides, problems: list) -> None:
@@ -246,19 +260,9 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         if key not in _RUN_KEYS:
             problems.append(f"{_loc(run[key][1])}: unknown key {key!r} in [run]")
 
-    out_path = "results.csv"
-    out_format = None
-    if "path" in output:
-        out_path = output["path"][0]
-    if "format" in output:
-        out_format = output["format"][0]
-        if out_format not in ("csv", "json"):
-            problems.append(f"{_loc(output['format'][1])}: format must be "
-                            f"csv or json, got {out_format!r}")
-    else:
-        out_format = "json" if out_path.endswith(".json") else "csv"
+    out_path = output.get("path", ("results.csv",))[0]
     for key in output:
-        if key not in ("path", "format"):
+        if key not in _OUTPUT_KEYS:
             problems.append(f"{_loc(output[key][1])}: unknown key {key!r} "
                             f"in [output]")
 
@@ -299,6 +303,19 @@ def parse_config(text: str, overrides=()) -> RunConfig:
                 problems.append(f"{_loc(lineno)}: grid {key!r} must hold "
                                 f"finite values only")
             grids[key] = vals
+        if command == "sweep":
+            # one row per point of the product; a scalar axis counts once
+            axes = [key for key in allowed_grids if key in grids]
+            total = 1
+            for key in axes:
+                total *= len(grids[key])
+            if total > MAX_GRID_POINTS:
+                where = ", ".join(dict.fromkeys(_loc(grid_raw[key][1])
+                                                for key in axes))
+                sizes = " x ".join(f"{len(grids[key])} {key}" for key in axes)
+                problems.append(f"{where}: a sweep runs at most "
+                                f"{MAX_GRID_POINTS} points, got {total} "
+                                f"({sizes})")
         for key in sorted(set(params) & set(grids)):
             problems.append(f"{key!r} is given both as a scalar in [params] "
                             f"and as a grid in [grid]")
@@ -315,16 +332,14 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         _check_physics(params, lines, problems)
 
     if problems:
-        raise ConfigError(
-            "config validation failed:\n  " + "\n  ".join(problems),
-            problems=problems,
-        )
+        raise ConfigError("config validation failed: " + "; ".join(problems),
+                          problems=problems)
     return RunConfig(
         command=command,
         params=params,
         grids=grids,
         output_path=out_path,
-        output_format=out_format,
+        output_format="json" if out_path.endswith(".json") else "csv",
         seed=seed,
         source_lines=lines,
     )

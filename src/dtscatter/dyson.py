@@ -16,10 +16,10 @@ are:
   theta(t1-t2) * P(x1-x2, t1-t2) with theta(0) = 1;
 * pair psidag(1) psi(2): -(theta(t2-t1) - delta_{t1,t2}) * P(x2-x1, t2-t1).
 
-P(dx, dt) is the band-projector kernel (``retarded_propagator`` without
-the gate).  The equal-time delta correction is what makes same-vertex
-self-contractions vanish exactly, so vacuum bubbles and tadpoles never
-need special-casing.
+P(dx, dt) is the band-projector kernel (``retarded_propagator`` in
+``tests/oracles.py`` without the gate).  The equal-time delta correction
+is what makes same-vertex self-contractions vanish exactly, so vacuum
+bubbles and tadpoles never need special-casing.
 
 The pairing enumeration is hard-coded for orders one and two.  Relative
 vertex sums are performed in closed form: the spatial sum pins the loop
@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError, StationaryPointError, TruncationError
 from .lippmann import SHELL_TOL, epsilon_extrapolate
-from .spectral import bz_grid, quadrature_bz, wrap_momentum
+from .spectral import bz_grid, wrap_momentum
 from .thirring import (
     STATIONARY_TOL,
     ThirringChannel,
@@ -63,30 +63,6 @@ DEFAULT_QUAD_N = 32768
 # exp(i*phi - eps) is this real factor times (cos phi, sin phi), each part
 # rounded once, so damp * exp(i*phi) has its bits
 _DAMPING = tuple(np.exp(complex(-eps, 0.0)).real.item() for eps in EPS_SCHEDULE)
-
-
-def retarded_propagator(params: ThirringParams, dx: int, dt: int,
-                        quad_n: int = 2048) -> np.ndarray:
-    """The retarded single-particle kernel theta(dt) * P(dx, dt), a 2x2 block.
-
-    P(dx, dt) = (1/2pi) int dk sum_s u^s(k) u^s(k)^T e^{-i(s*omega(k)dt + k*dx)}.
-    Vanishes for dt < 0 and outside the unit-speed cone |dx| > |dt|
-    (the free step moves at most one site).  P(0, 0) = I by band
-    completeness.
-    """
-    if dt < 0:
-        return np.zeros((2, 2), dtype=complex)
-    d = params.dispersion
-
-    def integrand(k):
-        w = d.omega(k)
-        out = np.zeros((2, 2), dtype=complex)
-        for s in (+1, -1):
-            u = np.array(d.alpha(s, k))
-            out += np.outer(u, u) * np.exp(-1j * (s * w * dt + k * dx))
-        return out
-
-    return quadrature_bz(integrand, n=quad_n)
 
 
 # ---------------------------------------------------------------------------

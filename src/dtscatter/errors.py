@@ -29,14 +29,6 @@ class PoleError(DtScatterError):
         self.k = k
 
 
-class QuadratureError(DtScatterError):
-    """An integrand returned NaN/Inf at a quadrature node."""
-
-    def __init__(self, message: str, node_index: int | None = None):
-        super().__init__(message)
-        self.node_index = node_index
-
-
 class UnsupportedInteractionError(DtScatterError):
     """Interaction type outside the finite-support on-site family."""
 
@@ -105,7 +97,3 @@ class OutputError(DtScatterError):
 
 class BoundaryLeakageWarning(UserWarning):
     """Wave-packet mass near the ring boundary exceeded the monitor level."""
-
-
-class UncertifiedRegimeWarning(UserWarning):
-    """Computation performed outside the certified tau <= m* regime."""

@@ -1,12 +1,14 @@
 """Spectral substrate for the two-band Dirac walk.
 
-Dispersion, Bloch matrices, closed-form eigenvectors, free resolvent
-multipliers, and Brillouin-zone quadrature.  Everything downstream (Born
-series, two-particle reduction, wave packets) is built on these primitives.
+The dispersion omega(k) with its group velocity and closed-form band
+eigenvectors, momentum wrapping, and the uniform Brillouin-zone grid.
+Everything downstream (Born series, two-particle reduction, wave packets)
+is built on these primitives.
 
 Conventions
 -----------
-* Quasi-momenta live on the zone B = (-pi, pi]; all public entry points wrap.
+* Quasi-momenta live on the zone B = (-pi, pi]; ``wrap_momentum`` maps
+  onto it.
 * Plane waves are `<x|k> = e^{+ikx}` (numpy ``ifft`` convention), so
   multiplying by ``e^{i m k}`` in momentum space shifts position space by
   ``x -> x - m``.
@@ -20,17 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, PoleError, QuadratureError
+from .errors import DomainError
 
 __all__ = [
     "Dispersion",
     "wrap_momentum",
     "bz_grid",
     "make_dispersion",
-    "dirac_walk_matrix",
-    "dirac_eigensystem",
-    "resolvent_free",
-    "quadrature_bz",
 ]
 
 
@@ -97,67 +95,3 @@ def make_dispersion(nu: float) -> Dispersion:
     if not (0.0 <= nu <= 1.0):
         raise DomainError(f"nu must lie in [0, 1], got {nu}")
     return Dispersion(nu=float(nu))
-
-
-def dirac_walk_matrix(d: Dispersion, k: float) -> np.ndarray:
-    """Momentum-space walk step [[nu e^{ik}, -i mu], [-i mu, nu e^{-ik}]]."""
-    k = float(wrap_momentum(k))
-    return np.array(
-        [
-            [d.nu * np.exp(1j * k), -1j * d.mu],
-            [-1j * d.mu, d.nu * np.exp(-1j * k)],
-        ],
-        dtype=complex,
-    )
-
-
-def dirac_eigensystem(d: Dispersion, k: float) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form unit eigenvectors of the walk fiber at k, bands s = (+1, -1).
-
-    Satisfies D_k u = exp(-i s omega) u without a generic eigensolver.
-    """
-    k = float(wrap_momentum(k))
-    plus, minus = (np.array(d.alpha(s, k), dtype=complex) for s in (+1, -1))
-    return plus, minus
-
-
-def resolvent_free(d: Dispersion, z: complex, k, s: int):
-    """Free resolvent multiplier 1 / (z - exp(-i s omega(k))) of mode (k, s).
-
-    Raises PoleError when z sits on the spectrum at any of the given k.
-    """
-    z = complex(z)
-    lam = np.exp(-1j * s * d.omega(k))
-    dist = np.abs(z - lam)
-    if np.any(dist <= 1e-14):
-        bad = np.argmin(np.atleast_1d(dist))
-        k_bad = float(np.atleast_1d(np.asarray(k, dtype=float)).ravel()[bad])
-        raise PoleError(
-            f"resolvent evaluated on the spectrum: z = {z} hits "
-            f"exp(-i s omega(k)) at k = {k_bad}",
-            k=k_bad,
-        )
-    return 1.0 / (z - lam)
-
-
-def quadrature_bz(integrand, n: int = 2048):
-    """Zone average (1/2pi) Integral dk of a smooth periodic integrand.
-
-    Uniform trapezoid on the periodic grid (== node mean), spectrally
-    accurate for analytic integrands.  ``integrand`` maps a momentum to a
-    scalar or ndarray; NaN/Inf at any node raises QuadratureError with the
-    node index.
-    """
-    if n < 16:
-        raise DomainError(f"quadrature grid too small: n = {n} < 16")
-    nodes = bz_grid(n)
-    acc = None
-    for j, k in enumerate(nodes):
-        val = np.asarray(integrand(k), dtype=complex)
-        if not np.all(np.isfinite(val)):
-            raise QuadratureError(
-                f"integrand not finite at node {j} (k = {k})", node_index=j
-            )
-        acc = val if acc is None else acc + val
-    out = acc / n
-    return complex(out) if out.ndim == 0 else out

@@ -390,11 +390,3 @@ def emit(table: ResultTable, fmt: str, path: str) -> None:
         raise DtScatterError(f"unknown output format {fmt!r}")
     write_text(path, _split_text(_LAYOUTS[fmt](table)))
 
-
-def parse_json_table(text: str) -> ResultTable:
-    """Inverse of render_json (column order from the first row)."""
-    obj = json.loads(text)
-    table = ResultTable(metadata=obj.get("metadata", {}))
-    for row in obj.get("rows", []):
-        table.add_row(**row)
-    return table

@@ -22,9 +22,10 @@ Key objects:
   pole bookkeeping.  ``gamma_quadrature`` is the independent route
   (regularized quadrature) it must agree with; the scalar remainder
   entries of the pole route are validated against that route only.
-* ``t_closed_thirring`` / ``amplitude_pp`` -- closed forms obtained by
-  resumming the geometric Born series; ``amplitude_pp_grid`` evaluates
-  the latter over many points at once.
+* ``amplitude_pp`` -- the closed form obtained by resumming the geometric
+  Born series; ``amplitude_pp_grid`` evaluates it over many points at
+  once.  The resummed 2x2 T block the tests check it with is
+  ``t_closed_thirring`` in ``tests/oracles.py``.
 * ``umklapp_amplitudes`` -- the elastic and band-flip records related by
   exact sign flips.
 * ``born_series_thirring`` -- the partial sums themselves, kept as an
@@ -142,19 +143,6 @@ class GammaMatrix:
     roots: tuple = ()
 
 
-def com_transform(k1: float, k2: float) -> tuple[float, float]:
-    """Single-particle momenta (k1, k2) -> center-of-mass pair (p, k).
-
-    p = (k1 + k2)/2, k = (k1 - k2)/2; for k1, k2 in (-pi, pi] both land in
-    (-pi, pi] without wrapping, and com_inverse undoes this map exactly.
-    The other composition is only defined modulo the simultaneous shift
-    (p, k) -> (p + pi, k + pi), which leaves (k1, k2) unchanged.
-    """
-    k1 = float(wrap_momentum(k1))
-    k2 = float(wrap_momentum(k2))
-    return 0.5 * (k1 + k2), 0.5 * (k1 - k2)
-
-
 def com_inverse(p: float, k: float) -> tuple[float, float]:
     """Center-of-mass pair (p, k) -> single-particle momenta, wrapped."""
     return float(wrap_momentum(p + k)), float(wrap_momentum(p - k))
@@ -243,8 +231,7 @@ def jacobian_pp(params: ThirringParams, p: float, k: float) -> float:
     delta(omega(k) - omega(k')) = delta(k - k')/|J| turns a Born sum into
     an amplitude by dividing by abs(jacobian_pp).
     """
-    d = params.dispersion
-    return float(d.omega_prime(p + k) - d.omega_prime(p - k))
+    return _pair_slope(params.dispersion, +1, +1, p, k)
 
 
 def on_shell_xy(x: float, y: float) -> tuple[float, float]:
@@ -503,29 +490,6 @@ def gamma_quadrature(params: ThirringParams, p: float,
 # ---------------------------------------------------------------------------
 # Closed forms and Born series
 # ---------------------------------------------------------------------------
-
-def t_closed_thirring(params: ThirringParams, p: float, k: float) -> np.ndarray:
-    """Closed-form 2x2 T block on span(up-down, down-up).
-
-    T = lam/((lam+1)^2 x^2 - y^2) * [[(lam+1)x^2 - y^2, -lam*x*y],
-                                     [-lam*x*y, (lam+1)x^2 - y^2]].
-    Equals the geometric resummation lam*(I - lam*Gamma_Q)^{-1} of the
-    Born series on the same subspace, with (x, y) taken by on_shell_xy.
-    """
-    f = xy_factors(params, p, k)
-    x, y = on_shell_xy(f.x, f.y)
-    lam = params.lam
-    x2, y2 = x * x, y * y
-    den = (lam + 1.0) ** 2 * x2 - y2
-    if abs(den) < 1e-12:
-        raise ResonancePoleError(
-            f"T denominator (lam+1)^2 x^2 - y^2 = {den} vanishes at "
-            f"(nu, p, k, chi) = ({params.nu}, {p}, {k}, {params.chi})"
-        )
-    diag = (lam + 1.0) * x2 - y2
-    off = -lam * x * y
-    return (lam / den) * np.array([[diag, off], [off, diag]], dtype=complex)
-
 
 def _amplitude_coefficient(lam: complex, x: float, y: float) -> complex:
     # Python complex arithmetic: numpy's complex division rounds differently

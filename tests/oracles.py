@@ -9,6 +9,9 @@ instead of the package's factored r x r support form, and direct loops
 (one bisection per crossing, one complex exponential per Dyson
 regulator) as bitwise twins of the package's batched kernels.  Test files freeze the resulting
 numbers as literals and cite the oracle function that produced them.
+The last section holds references no command runs (the walk fiber, zone
+quadrature, the retarded kernel and the closed-form T block), with the
+arithmetic they had in the package.
 """
 
 import csv
@@ -27,13 +30,13 @@ from dtscatter.errors import (
     AssumptionViolationError,
     DomainError,
     DtScatterError,
+    ResonancePoleError,
     RootEnumerationError,
     TruncationError,
-    UncertifiedRegimeWarning,
 )
 from dtscatter.lippmann import TMatrixEval, epsilon_extrapolate
 from dtscatter.spectral import bz_grid, wrap_momentum
-from dtscatter.thirring import ROOT_BISECT_TOL, ROOT_SCAN_N
+from dtscatter.thirring import ROOT_BISECT_TOL, ROOT_SCAN_N, on_shell_xy, xy_factors
 
 mp.mp.dps = 30
 
@@ -193,7 +196,7 @@ def mode_sum_evolution(nu, amplitudes, t):
 
 def geometric_bz_integral(a):
     """(1/2pi) Int dk 1/(1 - a e^{-ik}) = 1 for |a| < 1 (residue theorem);
-    the package quadrature is tested against scalings of this."""
+    ``quadrature_bz`` is tested against scalings of this."""
     f = lambda k: 1.0 / (1.0 - a * mp.e ** (-1j * k))
     val = mp.quad(f, [-mp.pi, mp.pi]) / (2 * mp.pi)
     return complex(val)
@@ -568,3 +571,101 @@ def t_difference(dense, k, kp, tau, eps):
         element=complex(bra @ difference @ ket),
         leading=tau ** 2 * _leading_coefficient(dense, t_cont, z),
     )
+
+
+# ---------------------------------------------------------------------------
+# references no command runs: the walk fiber, zone quadrature, the
+# retarded kernel and the closed-form T block
+# ---------------------------------------------------------------------------
+
+class UncertifiedRegimeWarning(UserWarning):
+    """Computation performed outside the certified tau <= m* regime."""
+
+
+class QuadratureError(DtScatterError):
+    """An integrand returned NaN/Inf at a quadrature node."""
+
+    def __init__(self, message: str, node_index: int | None = None):
+        super().__init__(message)
+        self.node_index = node_index
+
+
+def dirac_walk_matrix(d, k):
+    """Momentum-space walk step [[nu e^{ik}, -i mu], [-i mu, nu e^{-ik}]]."""
+    k = float(wrap_momentum(k))
+    return np.array(
+        [
+            [d.nu * np.exp(1j * k), -1j * d.mu],
+            [-1j * d.mu, d.nu * np.exp(-1j * k)],
+        ],
+        dtype=complex,
+    )
+
+
+def quadrature_bz(integrand, n=2048):
+    """Zone average (1/2pi) Integral dk of a smooth periodic integrand.
+
+    Uniform trapezoid on the periodic grid (== node mean), spectrally
+    accurate for analytic integrands.  ``integrand`` maps a momentum to a
+    scalar or ndarray; NaN/Inf at any node raises QuadratureError with the
+    node index.
+    """
+    if n < 16:
+        raise DomainError(f"quadrature grid too small: n = {n} < 16")
+    nodes = bz_grid(n)
+    acc = None
+    for j, k in enumerate(nodes):
+        val = np.asarray(integrand(k), dtype=complex)
+        if not np.all(np.isfinite(val)):
+            raise QuadratureError(
+                f"integrand not finite at node {j} (k = {k})", node_index=j
+            )
+        acc = val if acc is None else acc + val
+    out = acc / n
+    return complex(out) if out.ndim == 0 else out
+
+
+def retarded_propagator(params, dx, dt, quad_n=2048):
+    """The retarded single-particle kernel theta(dt) * P(dx, dt), a 2x2 block.
+
+    P(dx, dt) = (1/2pi) int dk sum_s u^s(k) u^s(k)^T e^{-i(s*omega(k)dt + k*dx)}.
+    Vanishes for dt < 0 and outside the unit-speed cone |dx| > |dt|
+    (the free step moves at most one site).  P(0, 0) = I by band
+    completeness.
+    """
+    if dt < 0:
+        return np.zeros((2, 2), dtype=complex)
+    d = params.dispersion
+
+    def integrand(k):
+        w = d.omega(k)
+        out = np.zeros((2, 2), dtype=complex)
+        for s in (+1, -1):
+            u = np.array(d.alpha(s, k))
+            out += np.outer(u, u) * np.exp(-1j * (s * w * dt + k * dx))
+        return out
+
+    return quadrature_bz(integrand, n=quad_n)
+
+
+def t_closed_thirring(params, p, k):
+    """Closed-form 2x2 T block on span(up-down, down-up).
+
+    T = lam/((lam+1)^2 x^2 - y^2) * [[(lam+1)x^2 - y^2, -lam*x*y],
+                                     [-lam*x*y, (lam+1)x^2 - y^2]].
+    Equals the geometric resummation lam*(I - lam*Gamma_Q)^{-1} of the
+    Born series on the same subspace, with (x, y) taken by on_shell_xy.
+    """
+    f = xy_factors(params, p, k)
+    x, y = on_shell_xy(f.x, f.y)
+    lam = params.lam
+    x2, y2 = x * x, y * y
+    den = (lam + 1.0) ** 2 * x2 - y2
+    if abs(den) < 1e-12:
+        raise ResonancePoleError(
+            f"T denominator (lam+1)^2 x^2 - y^2 = {den} vanishes at "
+            f"(nu, p, k, chi) = ({params.nu}, {p}, {k}, {params.chi})"
+        )
+    diag = (lam + 1.0) * x2 - y2
+    off = -lam * x * y
+    return (lam / den) * np.array([[diag, off], [off, diag]], dtype=complex)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dtscatter.config import RunConfig, parse_config
+from dtscatter.config import MAX_GRID_POINTS, RunConfig, parse_config
 from dtscatter.errors import ConfigError
 
 AMPLITUDE_CFG = """\
@@ -33,13 +33,13 @@ def test_minimal_amplitude_config():
 
 
 def test_format_inference_and_override():
+    # the path's suffix is the only say in the format: no key overrides it
     cfg = parse_config(AMPLITUDE_CFG.replace("path = out.json",
                                              "path = out.csv"))
     assert cfg.output_format == "csv"
-    cfg = parse_config(AMPLITUDE_CFG + "format = csv\n")
-    assert cfg.output_format == "csv" and cfg.output_path == "out.json"
-    with pytest.raises(ConfigError, match="format must be csv or json"):
-        parse_config(AMPLITUDE_CFG + "format = xml\n")
+    with pytest.raises(ConfigError, match="line 11: unknown key 'format' in "
+                                          r"\[output\]"):
+        parse_config(AMPLITUDE_CFG + "format = csv\n")
 
 
 def test_range_grid_is_inclusive():
@@ -204,3 +204,46 @@ def test_override_validation():
     # a bad value through an override is located as 'override', not a line
     with pytest.raises(ConfigError, match="override: chi must be a number"):
         parse_config(AMPLITUDE_CFG, overrides=("params.chi=hot",))
+
+
+SWEEP_CFG = """\
+[run]
+command = sweep
+[params]
+nu = 0.8
+chi = 1.0
+[grid]
+p = 0:1:1024
+k = 0:1:1024
+[output]
+path = out.csv
+"""
+
+
+def test_grid_sizes_are_bounded():
+    # the bound is on the product of the swept axes; scalar axes count once
+    assert MAX_GRID_POINTS == 1024 * 1024
+    cfg = parse_config(SWEEP_CFG)
+    assert len(cfg.grids["p"]) * len(cfg.grids["k"]) == MAX_GRID_POINTS
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(SWEEP_CFG.replace("p = 0:1:1024", "p = 0:1:1025"))
+    assert excinfo.value.problems == [
+        "line 7, line 8: a sweep runs at most 1048576 points, got 1049600 "
+        "(1025 p x 1024 k)"]
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(SWEEP_CFG.replace("chi = 1.0\n", ""),
+                     overrides=("grid.chi=0.5,1.0",))
+    assert excinfo.value.problems == [
+        "override, line 6, line 7: a sweep runs at most 1048576 points, "
+        "got 2097152 (2 chi x 1024 p x 1024 k)"]
+    # one grid: a range count, or a comma list's entries
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(AMPLITUDE_CFG.replace("k = 0.2, 0.7, 1.3",
+                                           "k = 0:1:1048577"))
+    assert excinfo.value.problems == [
+        "line 8: range count must be <= 1048576, got 1048577"]
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(AMPLITUDE_CFG.replace("k = 0.2, 0.7, 1.3",
+                                           "k = " + "0," * MAX_GRID_POINTS))
+    assert excinfo.value.problems == [
+        "line 8: a grid holds at most 1048576 entries, got 1048577"]

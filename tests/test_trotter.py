@@ -15,7 +15,6 @@ from dtscatter.errors import (
     DomainError,
     InsufficientDataError,
     PoleError,
-    UncertifiedRegimeWarning,
 )
 
 # frozen reference numbers for the default hopping ring
@@ -303,7 +302,7 @@ def test_t_continuous_fixed_point(ring, dense_ring):
 
 def test_t_difference_element_is_quadratic(ring, dense_ring):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UncertifiedRegimeWarning)
+        warnings.simplefilter("ignore", oracles.UncertifiedRegimeWarning)
         d1 = oracles.t_difference(dense_ring, 32, 32, 0.2, ring.eps_ref)
         d2 = oracles.t_difference(dense_ring, 32, 32, 0.1, ring.eps_ref)
     ratio = abs(d1.element) / abs(d2.element)
@@ -318,10 +317,10 @@ def test_t_difference_element_is_quadratic(ring, dense_ring):
 
 
 def test_t_difference_warns_above_threshold(ring, dense_ring):
-    with pytest.warns(UncertifiedRegimeWarning):
+    with pytest.warns(oracles.UncertifiedRegimeWarning):
         oracles.t_difference(dense_ring, 32, 32, 1.6, ring.eps_ref)
     with warnings.catch_warnings():
-        warnings.simplefilter("error", UncertifiedRegimeWarning)
+        warnings.simplefilter("error", oracles.UncertifiedRegimeWarning)
         oracles.t_difference(dense_ring, 32, 32, 0.5, ring.eps_ref)  # certified: no warning
 
 
@@ -464,7 +463,7 @@ def test_sweep_predicts_the_leading_prefactor(ring, dense_ring):
         np.linalg.norm(lead, 2) / 12.0, rel=1e-12)
     # t_difference's leading term is the same law at its step
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UncertifiedRegimeWarning)
+        warnings.simplefilter("ignore", oracles.UncertifiedRegimeWarning)
         d = oracles.t_difference(dense_ring, 32, 32, 0.1, ring.eps_ref)
     assert np.linalg.norm(d.leading, 2) == pytest.approx(
         0.1**2 * rep.predicted_prefactor, rel=1e-12)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import oracles
-from dtscatter import dyson as dy
 from dtscatter import splitleg
 from dtscatter import tables
 from dtscatter import wavepacket as wp
@@ -137,7 +136,7 @@ def test_delta_evolution_matches_retarded_kernel():
         for _ in range(5):
             cur = wp.step(cur, m)
     for d in range(-6, 7):
-        blk = dy.retarded_propagator(params, -d, 5)
+        blk = oracles.retarded_propagator(params, -d, 5)
         np.testing.assert_allclose(cur[(32 + d) % 64], blk[:, 0], atol=1e-12)
     # strict cone: nothing beyond |dx| = t
     assert np.abs(cur[32 + 6:32 + 12]).max() < 1e-15
