@@ -10,22 +10,26 @@ output is a single object with `metadata` and `rows`, laid out as
 Cells are formatted by column, not by cell, in blocks of rows so that
 only one block's cell texts are alive at a time.  A column whose cells
 are all exactly `float` or all exactly `int` takes one list repr per
-block, split back into cells, so the per-cell loop runs in C; any other
-column formats cell by cell.  Each block's rows are then joined (CSV) or
-filled into one per-row template (JSON).  Both formats are laid out the
-same way (`_Layout`): a head, the row blocks' texts joined by a
-separator, and a tail.
+block, split back into cells, so the per-cell loop runs in C, or one
+repr per distinct object when its first block repeats objects (a grid
+axis); a bool or str column formats each distinct value once, any other
+column each cell.  Each block's rows are then joined (CSV) or filled
+into one per-row template (JSON).  Both formats are laid out the same
+way (`_Layout`): a head, the row blocks' texts split by a separator,
+and a tail.
 
-`emit` renders a table of at least two full blocks on two CPUs when it
-can: a helper process renders the later half of the blocks with the
-same code and sends its text down a pipe while this one renders the
-first half; the helper is always reaped before `emit` returns or
-raises.  If it cannot be started or does not finish cleanly, this
-process renders the missing half itself, so the bytes and any exception
-are those of `render_csv` / `render_json`.  `_Helper` is the package's
-one way to start, end and reap a second process; the snapshot writer
-(`cli`) and the split leg (`splitleg`) use it too.  `write_text` is the
-atomic temp-file-and-rename write that `emit` ends with.
+`emit` lays the table out, so an unserializable cell raises before
+anything is written, then writes each piece to `<path>.tmp` as it is
+rendered and renames it: no process holds the whole text or half of it.
+With two full blocks and two CPUs, a helper process renders the later
+half of the blocks with the same code into an unnamed spill file while
+this one writes the first half, then appends it; the helper is always
+reaped before `emit` returns or raises.  If it cannot be started or does
+not finish cleanly, this process renders the missing half itself, so the
+bytes and any exception are those of `render_csv` / `render_json`.
+`_Helper` is the package's one way to start, end and reap a second
+process; the snapshot writer (`cli`) and the split leg (`splitleg`) use
+it too, and `write_text` is emit's atomic write for a text already whole.
 """
 
 from __future__ import annotations
@@ -117,7 +121,7 @@ def _flat_columns(table: ResultTable):
 
 
 _TYPED = ({float}, {int})
-_JSON_SAFE = ({bool}, {str})   # kinds whose cells _json_value returns as is
+_BY_VALUE = ({bool}, {str})   # kinds whose equal cells have equal texts
 
 
 def _reprs(col) -> list:
@@ -127,16 +131,27 @@ def _reprs(col) -> list:
 _BLOCK_ROWS = 1024   # rows per formatting pass: bounds the cell texts alive
 
 
-def _blocks(cols, start: int, stop: int):
-    """Rows start..stop of the columns, cut into aligned slices of at most
-    _BLOCK_ROWS rows."""
-    for lo in range(start, stop, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, stop)
-        yield [col[lo:hi] for col in cols]
+def _column_texts(col, kind, one, reprs):
+    """The function from a block slice of col to its cell texts: reprs of
+    the slice for a typed column, one per cell for any other.  A typed
+    column whose first block repeats a cell object, and a bool or str
+    column, format each distinct object (keyed by id, so 0.0 and -0.0 or
+    two NaNs stay apart) or value once."""
+    if kind in _TYPED:
+        first = col[:_BLOCK_ROWS]
+        if len(set(map(id, first))) == len(first):
+            return reprs
+        distinct = dict(zip(map(id, col), col))
+        memo = dict(zip(distinct, reprs(list(distinct.values()))))
+        return lambda block: list(map(memo.__getitem__, map(id, block)))
+    if kind in _BY_VALUE:
+        memo = {v: one(v) for v in set(col)}
+        return lambda block: list(map(memo.__getitem__, block))
+    return lambda block: list(map(one, block))
 
 
 class _Layout:
-    """A rendering in pieces: head, each row block's text joined by sep,
+    """A rendering in pieces: head, the row blocks' texts split by sep,
     then tail.  block_text turns one block of `cols` slices into text.
     (A plain class: a dataclass would cost the import a generated
     __init__.)"""
@@ -146,20 +161,19 @@ class _Layout:
         self.head, self.cols, self.n_rows = head, cols, n_rows
         self.block_text, self.sep, self.tail = block_text, sep, tail
 
-    def rows_text(self, start: int, stop: int) -> str:
-        return self.sep.join(map(self.block_text,
-                                 _blocks(self.cols, start, stop)))
+    def write_rows(self, write, start: int, stop: int) -> None:
+        """Pass the texts of the row blocks from start (a block seam) to
+        stop to write, one block at a time, each but row 0's after sep."""
+        for lo in range(start, stop, _BLOCK_ROWS):
+            if lo:
+                write(self.sep)
+            hi = min(lo + _BLOCK_ROWS, stop)
+            write(self.block_text([col[lo:hi] for col in self.cols]))
 
     def text(self) -> str:
-        return "".join((self.head, self.rows_text(0, self.n_rows), self.tail))
-
-
-def _format_cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+        parts = [self.head]
+        self.write_rows(parts.append, 0, self.n_rows)
+        return "".join(parts) + self.tail
 
 
 _needs_quotes = re.compile('[,"\r\n]').search
@@ -180,16 +194,21 @@ def _csv_records(rows, one_field: bool) -> str:
     return "\r\n".join(lines) + "\r\n"
 
 
+def _csv_cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return _csv_field(repr(v) if isinstance(v, float) else str(v))
+
+
 def _csv_layout(table: ResultTable) -> _Layout:
     names, cols, kinds = _flat_columns(table)
-    typed = [kind in _TYPED for kind in kinds]
+    texts = [_column_texts(col, kind, _csv_cell, _reprs)
+             for col, kind in zip(cols, kinds)]
     one_field = len(names) == 1
 
     def block_text(block) -> str:
-        cells = [_reprs(col) if t
-                 else [_csv_field(_format_cell(v)) for v in col]
-                 for t, col in zip(typed, block)]
-        return _csv_records(zip(*cells), one_field)
+        return _csv_records(zip(*[f(col) for f, col in zip(texts, block)]),
+                            one_field)
 
     return _Layout(_csv_records([map(_csv_field, names)], one_field), cols,
                    table.n_rows, block_text)
@@ -225,10 +244,8 @@ def _json_text(v) -> str:
     return _dump_nested(v).replace("\n", _ROW_INDENT)
 
 
-def _json_cells(typed: bool, values) -> list:
-    """A column block's JSON texts: its reprs when typed, else per value."""
-    if not typed:
-        return list(map(_json_text, values))
+def _json_reprs(values) -> list:
+    """A typed column's reprs as JSON: NaN as null, infinities refused."""
     texts = _reprs(values)
     if "inf" in texts or "-inf" in texts:
         raise ValueError("Out of range float values are not JSON compliant")
@@ -239,27 +256,27 @@ def _json_cells(typed: bool, values) -> list:
 
 def _json_layout(table: ResultTable) -> _Layout:
     names, cols, kinds = _flat_columns(table)
-    typed = [kind in _TYPED for kind in kinds]
     # a repeated name keeps its first place and its last column, as in a dict
-    kept = list({name: i for i, name in enumerate(names)}.items())
+    kept = list({name: i for i, name in enumerate(names)}.values())
     # every unserializable cell raises before any out-of-range float
-    values = [col if kind in _TYPED or kind in _JSON_SAFE
+    values = [col if kind in _TYPED or kind in _BY_VALUE
               else list(map(_json_value, col))
               for kind, col in zip(kinds, cols)]
     head = json.dumps({"metadata": _json_value(table.metadata), "rows": []},
                       indent=1, allow_nan=False)
     template = "  {" + ",".join(
-        _ROW_INDENT + json.dumps(name).replace("%", "%%") + ": %s"
-        for name, _ in kept) + "\n  }"
+        _ROW_INDENT + json.dumps(names[i]).replace("%", "%%") + ": %s"
+        for i in kept) + "\n  }"
+    if not table.n_rows:
+        return _Layout(head + "\n", [], 0, None)
+    texts = [_column_texts(values[i], kinds[i], _json_text, _json_reprs)
+             for i in kept]
 
     def block_text(block) -> str:
-        cells = [_json_cells(typed[i], col)
-                 for (_, i), col in zip(kept, block)]
+        cells = [f(col) for f, col in zip(texts, block)]
         return ",\n".join(template % row for row in zip(*cells))
 
-    if not table.n_rows:
-        return _Layout(head + "\n", [], 0, block_text)
-    return _Layout(head[:-len("[]\n}")] + "[\n", [values[i] for _, i in kept],
+    return _Layout(head[:-len("[]\n}")] + "[\n", [values[i] for i in kept],
                    table.n_rows, block_text, ",\n", "\n ]\n}\n")
 
 
@@ -274,13 +291,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:   # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _send(fd: int, data) -> None:
-    """Write all of a buffer (bytes, or a contiguous array) to fd."""
-    view = memoryview(data).cast("B")
-    while view:
-        view = view[os.write(fd, view):]
 
 
 class _Helper:
@@ -342,51 +352,79 @@ class _Helper:
         return os.waitstatus_to_exitcode(status), b"".join(chunks)
 
 
-def _split_text(layout: _Layout) -> str:
-    """The layout's text, its later half of row blocks rendered by a
-    helper process when there are two full blocks and a helper starts.
+def _spill_rows(layout: _Layout, spill, cut: int) -> None:
+    """The helper's work: the row blocks from cut on, as UTF-8, to spill."""
+    layout.write_rows(lambda t: spill.write(t.encode()), cut, layout.n_rows)
+    spill.flush()
 
-    The helper sends its half as UTF-8.  If it does not exit 0, or none
-    starts, this process renders that half itself, so bytes and exceptions
-    are the serial path's.
-    """
+
+def _write_body(layout: _Layout, write, fh, path: str) -> None:
+    """The row blocks; with two full blocks, the later half rendered by a
+    helper process into a spill file beside path, left with no name
+    (tempfile.TemporaryFile), while this process writes the first half,
+    then copied on.  If the spill or the helper cannot be had, or the
+    helper does not exit 0, this process renders that half itself."""
+    import shutil, tempfile   # loaded with numpy already
     n = layout.n_rows
     if n < 2 * _BLOCK_ROWS:
-        return layout.text()
+        return layout.write_rows(write, 0, n)
     cut = _BLOCK_ROWS * round(n / (2 * _BLOCK_ROWS))   # the seam nearest n/2
-    helper = _Helper.start(
-        lambda recv, send: _send(send, layout.rows_text(cut, n).encode()))
-    if helper is None:
-        return layout.text()
     try:
-        mine = layout.rows_text(0, cut)
-    finally:
-        code, theirs = helper.join()
-    theirs = theirs.decode() if code == 0 else layout.rows_text(cut, n)
-    return "".join((layout.head, mine, layout.sep, theirs, layout.tail))
+        spill = tempfile.TemporaryFile(dir=os.path.dirname(path) or ".")
+    except OSError:
+        return layout.write_rows(write, 0, n)
+    with spill:
+        helper = _Helper.start(lambda *fds: _spill_rows(layout, spill, cut))
+        if helper is None:
+            return layout.write_rows(write, 0, n)
+        try:
+            layout.write_rows(write, 0, cut)
+        finally:
+            code, _ = helper.join()
+        if code != 0:
+            return layout.write_rows(write, cut, n)
+        spill.seek(0)
+        shutil.copyfileobj(spill, fh)   # in 64 KiB reads
+
+
+def _write_layout(layout: _Layout, fh, path: str) -> None:
+    """Head, row blocks (_write_body) and tail into the binary file fh."""
+    def write(text: str) -> None:
+        fh.write(text.encode())
+
+    write(layout.head)
+    _write_body(layout, write, fh, path)
+    write(layout.tail)
 
 
 _LAYOUTS = {"csv": _csv_layout, "json": _json_layout}
 
 
-def write_text(path: str, text: str) -> None:
-    """Write text through a temp file and a rename; I/O failures are
-    surfaced with the path attached."""
+def _write_atomic(path: str, write_to) -> None:
+    """write_to(a binary file) on a temp file renamed to path; on failure
+    the temp file goes, and I/O failures are raised with the path."""
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            write_to(fh)
         os.replace(tmp, path)
-    except OSError as exc:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
-        raise OutputError(f"cannot write {path}: {exc}") from exc
+        if isinstance(exc, OSError):
+            raise OutputError(f"cannot write {path}: {exc}") from exc
+        raise
+
+
+def write_text(path: str, text: str) -> None:
+    """Write text as UTF-8 through a temp file and a rename."""
+    _write_atomic(path, lambda fh: fh.write(text.encode()))
 
 
 def emit(table: ResultTable, fmt: str, path: str) -> None:
-    """Render the table (on two CPUs when it is large: _split_text) and
-    write it with write_text."""
+    """Lay the table out, then write it piece by piece (_write_layout)
+    through a temp file and a rename."""
     if fmt not in _LAYOUTS:
         raise DtScatterError(f"unknown output format {fmt!r}")
-    write_text(path, _split_text(_LAYOUTS[fmt](table)))
-
+    layout = _LAYOUTS[fmt](table)
+    _write_atomic(path, lambda fh: _write_layout(layout, fh, path))

@@ -151,7 +151,8 @@ def _lattice(amps, model: WalkModel | None = None) -> np.ndarray:
 
 def _normalized(amps) -> np.ndarray:
     amps = _lattice(amps)
-    norm = float(np.linalg.norm(amps))
+    parts = amps.ravel().view(float)   # re, im of each entry in turn
+    norm = float(np.sqrt(np.sum(parts * parts)))
     if norm == 0.0:
         raise DomainError("cannot normalize the zero state")
     return amps / norm
@@ -242,9 +243,10 @@ def step(amps, model: WalkModel) -> np.ndarray:
 
 
 def _boundary_mass(amps: np.ndarray) -> float:
-    dens = np.sum(np.abs(amps) ** 2, axis=1)
+    """|amp|^2 over the BOUNDARY_WINDOW sites at each end of the ring."""
     w = BOUNDARY_WINDOW
-    return float(dens[:w].sum() + dens[-w:].sum())
+    return float(np.sum(np.abs(amps[:w]) ** 2, axis=1).sum()
+                 + np.sum(np.abs(amps[-w:]) ** 2, axis=1).sum())
 
 
 def _read_only(view: np.ndarray) -> np.ndarray:
@@ -430,7 +432,7 @@ def extract_smatrix(model: WalkModel, spec_in: GaussianPacketSpec,
         )
     out = free_evolve(middle, model, -t_steps)
 
-    diag = complex(np.vdot(packet, out)) - 1.0
+    diag = complex(np.sum(packet.conj() * out)) - 1.0
 
     _, bands = model.mode_data
     ft = np.fft.fft(out, axis=0) / np.sqrt(model.length)

@@ -12,6 +12,8 @@ is installed, or in a checkout with
 
 import hashlib
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,9 +37,9 @@ def test_cli_output_matches_golden(command, tmp_path, monkeypatch):
 # sha256 of the snapshot files as the two-leg snapshot writer wrote them;
 # the one-leg writer must reproduce them byte for byte
 SNAPSHOT_SHA256 = {
-    "snap_00000.csv": "381bf88617e3c845bfe5157df616941b885027fb774150c5487b15652d1524af",
-    "snap_00240.csv": "2f2d567a97a24b4cb6d4a11f6e5d825aff2142387663ea6322633bfb27c9e127",
-    "snap_00480.csv": "5f9c6a12fcc9b020e7da0b90c6f282550f507d298bf628b05fdb883261c90849",
+    "snap_00000.csv": "0a97e736934af660a611a743044b36485d5f6bd5d2e46501597e9e8b53084674",
+    "snap_00240.csv": "2ebed99705ae7bb1b1420cfe5fa8c4bee59455049f3c6d6957f4e48bd247a156",
+    "snap_00480.csv": "23b79b37b51858bc330c1207d287ae00240cbfd8f8726cb18dec414435c0584c",
 }
 
 
@@ -56,16 +58,19 @@ def test_wavepacket_snapshots_match_digests(tmp_path, monkeypatch):
 # (sigma_x = 64, length = 4096, t_steps = 900), where the golden config's
 # length = 1024 leaves last-bit drift in the longer run unseen
 DEFAULT_WAVEPACKET_SHA256 = (
-    "e5e4a2bdc8ecd57fa7c80610db4ba14e0f0dd866366d69cf24572a09aef07ad6")
+    "4d43496bbe76e4535499846f5e65f9e43ec98657af648f07480e64bece5ef9e2")
+
+
+DEFAULT_WAVEPACKET_CFG = ("[run]\ncommand = wavepacket\n"
+                          "[params]\nnu = 0.8\nchi = 1.0\np = 0.3\nk0 = 0.7\n"
+                          "[output]\npath = wavepacket.json\n")
 
 
 def test_wavepacket_default_config_matches_digest(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
     cfg = tmp_path / "default.cfg"
-    cfg.write_text("[run]\ncommand = wavepacket\n"
-                   "[params]\nnu = 0.8\nchi = 1.0\np = 0.3\nk0 = 0.7\n"
-                   "[output]\npath = wavepacket.json\n")
+    cfg.write_text(DEFAULT_WAVEPACKET_CFG)
     assert cli.main(["--config", str(cfg)]) == 0
     digest = hashlib.sha256((tmp_path / "wavepacket.json").read_bytes())
     assert digest.hexdigest() == DEFAULT_WAVEPACKET_SHA256
@@ -76,6 +81,25 @@ def test_wavepacket_default_config_matches_digest_in_one_process(
     # without os.fork the 4096-site leg is stepped by this process alone
     monkeypatch.delattr(os, "fork")
     test_wavepacket_default_config_matches_digest(tmp_path, monkeypatch)
+
+
+def test_wavepacket_default_config_digest_with_one_blas_thread(tmp_path):
+    # at L = 4096 a BLAS dot product is long enough for OpenBLAS to split
+    # it between threads, which sums in another order; the packet's norm
+    # and overlap are numpy reductions, so the table must not depend on
+    # the BLAS thread count.  A fresh interpreter, since OpenBLAS reads
+    # the variable when it is loaded.
+    (tmp_path / "default.cfg").write_text(DEFAULT_WAVEPACKET_CFG)
+    src = str(Path(cli.__file__).parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
+           "OPENBLAS_NUM_THREADS": "1", "SOURCE_DATE_EPOCH": "0"}
+    run = subprocess.run([sys.executable, "-m", "dtscatter.cli",
+                          "--config", "default.cfg"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    digest = hashlib.sha256((tmp_path / "wavepacket.json").read_bytes())
+    assert digest.hexdigest() == DEFAULT_WAVEPACKET_SHA256
 
 
 # sha256 of perfbench's seed-0 `series` amplitude tables (32 k points each,

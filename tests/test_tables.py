@@ -4,6 +4,8 @@ import ast
 import json
 import math
 import os
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -290,14 +292,38 @@ def test_rows_across_blocks_render_like_reference():
     assert render_csv(one) == oracles.render_csv_reference(one)
 
 
-# --- the split renderer: row blocks shared with one forked process --------
+# --- the split write: row blocks shared with one forked process ----------
 
 _SEAM_ROWS = (1023, 1024, 1025, 2047, 2048, 2049)
 
 
-def _split(fmt, table):
-    """What emit writes: the layout rendered by _split_text."""
-    return tables._split_text(tables._LAYOUTS[fmt](table))
+def _open_fds() -> int:
+    fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
+    return len(os.listdir(fd_dir))
+
+
+def _emitted(fmt, table):
+    """The text emit writes to a fresh directory.  Whether emit returns or
+    raises, the directory keeps no temp or spill file and no fd is left
+    open.  (The directory is removed without shutil.rmtree, which calls
+    os.open: one test refuses that call.)"""
+    before = _open_fds()
+    tmp = tempfile.mkdtemp()
+    path = os.path.join(tmp, f"out.{fmt}")
+    try:
+        try:
+            emit(table, fmt, path)
+        except Exception:
+            assert os.listdir(tmp) == []
+            raise
+        finally:
+            assert _open_fds() == before
+        assert os.listdir(tmp) == [f"out.{fmt}"]
+        return Path(path).read_bytes().decode()
+    finally:
+        for name in os.listdir(tmp):
+            os.remove(os.path.join(tmp, name))
+        os.rmdir(tmp)
 
 
 def _serial(fmt, table):
@@ -319,11 +345,6 @@ def two_cpus(monkeypatch):
     forks, real = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
     return forks
-
-
-def _open_fds() -> int:
-    fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
-    return len(os.listdir(fd_dir))
 
 
 def _seam_table(n: int) -> ResultTable:
@@ -349,7 +370,7 @@ def test_split_render_at_block_seams(n, two_cpus):
     for t in (table, one):
         for fmt, reference in (("csv", oracles.render_csv_reference),
                                ("json", oracles.render_json_reference)):
-            text = _split(fmt, t)
+            text = _emitted(fmt, t)
             assert text == _serial(fmt, t) == reference(t)
     # a renderer is forked only for two full blocks, once per rendering
     assert len(two_cpus) == (4 if n >= 2 * tables._BLOCK_ROWS else 0)
@@ -368,18 +389,30 @@ _SPLIT_CELLS = {
 
 
 @st.composite
+def _aliased_floats(draw):
+    """Float objects that print apart though equal (0.0 and -0.0) or are
+    distinct though alike (several NaNs, float(repr(x)) copies), in a
+    drawn order: repeated down a column, they tell a memo keyed by
+    identity from one keyed by value."""
+    xs = draw(st.lists(_SPLIT_FLOATS, min_size=1, max_size=3))
+    return draw(st.permutations([0.0, -0.0, float("nan"), float("nan"), *xs,
+                                 *(float(repr(x)) for x in xs)]))
+
+
+@st.composite
 def _long_tables(draw):
-    """Up to 5 000 rows; each column repeats a short drawn pattern, so
-    drawing stays cheap at any length."""
+    """Up to 5 000 rows; each column repeats a short drawn pattern of cell
+    objects, so drawing stays cheap at any length."""
     n_rows = draw(st.sampled_from(_SEAM_ROWS) | st.integers(0, 5000))
     names = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4,
                           unique=True))
     columns, complex_names = {}, []
     for name in names:
-        kind = draw(st.sampled_from(sorted(_SPLIT_CELLS)))
-        pattern = draw(st.lists(_SPLIT_CELLS[kind], min_size=1, max_size=5))
+        kind = draw(st.sampled_from(sorted(_SPLIT_CELLS) + ["aliased"]))
+        pattern = draw(_aliased_floats() if kind == "aliased" else
+                       st.lists(_SPLIT_CELLS[kind], min_size=1, max_size=5))
         columns[name] = [pattern[i % len(pattern)] for i in range(n_rows)]
-        if kind in ("float", "complex") and draw(st.booleans()):
+        if kind in ("float", "complex", "aliased") and draw(st.booleans()):
             complex_names.append(name)
     return ResultTable(columns=columns, metadata={"rows": n_rows},
                        complex_columns=frozenset(complex_names))
@@ -392,7 +425,7 @@ def test_split_render_matches_serial_and_reference(table):
         mp.setattr(tables, "_usable_cpus", lambda: 2)
         for fmt, reference in (("csv", oracles.render_csv_reference),
                                ("json", oracles.render_json_reference)):
-            text = _split(fmt, table)
+            text = _emitted(fmt, table)
             assert text == _serial(fmt, table) == reference(table)
 
 
@@ -407,7 +440,7 @@ def test_split_render_raises_like_serial(bad, at, two_cpus):
     table = ResultTable(columns={"x": x, "flagged": [False] * n})
     before = _open_fds()
     for fmt in ("csv", "json"):
-        got = _raised(lambda t: _split(fmt, t), table)
+        got = _raised(lambda t: _emitted(fmt, t), table)
         assert got == _raised(lambda t: _serial(fmt, t), table)
         if fmt == "json":
             assert isinstance(got, tuple)   # a refusal, not a text
@@ -422,33 +455,40 @@ def test_split_render_without_fork_or_second_cpu(monkeypatch):
     want = {fmt: _serial(fmt, table) for fmt in ("csv", "json")}
     monkeypatch.setattr(tables, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one CPU"))
-    assert {fmt: _split(fmt, table) for fmt in want} == want
+    assert {fmt: _emitted(fmt, table) for fmt in want} == want
     monkeypatch.setattr(tables, "_usable_cpus", lambda: 2)
     monkeypatch.delattr(os, "fork")
-    assert {fmt: _split(fmt, table) for fmt in want} == want
+    assert {fmt: _emitted(fmt, table) for fmt in want} == want
 
 
 def test_split_render_survives_a_failed_renderer(two_cpus, monkeypatch):
     table = _seam_table(4000)
     want = {fmt: _serial(fmt, table) for fmt in ("csv", "json")}
-    # the renderer exits nonzero before it writes: this process renders
-    # the missing half itself
-    monkeypatch.setattr(tables, "_send", lambda fd, data: os._exit(1))
-    assert {fmt: _split(fmt, table) for fmt in want} == want
+    # the renderer writes part of its half to the spill file, then exits
+    # nonzero: this process renders the missing half itself
+    def broken(layout, spill, cut):
+        spill.write(b"partial")
+        spill.flush()
+        os._exit(1)
+
+    monkeypatch.setattr(tables, "_spill_rows", broken)
+    assert {fmt: _emitted(fmt, table) for fmt in want} == want
     assert len(two_cpus) == 2
 
 
-@pytest.mark.parametrize("broken", ["pipe", "fork"])
+@pytest.mark.parametrize("broken", ["pipe", "fork", "open"])
 def test_split_render_without_pipe_or_process(broken, monkeypatch):
+    # "open" refuses the spill file (the output is opened by io.open)
     def refuse(*args):
         raise OSError(11, "Resource temporarily unavailable")
 
     table = _seam_table(4000)
     want = {fmt: _serial(fmt, table) for fmt in ("csv", "json")}
+    tempfile.gettempdir()   # found (with os.open) before os.open is refused
     monkeypatch.setattr(tables, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(os, broken, refuse)
     before = _open_fds()
-    assert {fmt: _split(fmt, table) for fmt in want} == want
+    assert {fmt: _emitted(fmt, table) for fmt in want} == want
     assert _open_fds() == before
 
 
@@ -462,7 +502,41 @@ def test_emit_writes_the_split_rendering(two_cpus, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.json"]
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_holds_no_half_of_the_text(fmt, cpus, tmp_path, monkeypatch):
+    # the memory emit allocates past its layout (whose column copies are
+    # not counted) stays below half the text: it writes block by block
+    n = 20_000
+    table = ResultTable(columns={name: [i / 7.0 + j for i in range(n)]
+                                 for j, name in enumerate("abcde")})
+    half = len(_serial(fmt, table)) / 2
+    monkeypatch.setattr(tables, "_usable_cpus", lambda: cpus)
+    lay_out, laid_out = tables._LAYOUTS[fmt], []
+
+    def measured(t):
+        layout = lay_out(t)
+        tracemalloc.reset_peak()
+        laid_out.append(tracemalloc.get_traced_memory()[0])
+        return layout
+
+    monkeypatch.setitem(tables._LAYOUTS, fmt, measured)
+    tracemalloc.start()
+    try:
+        emit(table, fmt, str(tmp_path / f"out.{fmt}"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / f"out.{fmt}").read_bytes() == _serial(fmt, table).encode()
+    assert peak - laid_out[0] < half
+
+
 # --- the helper process: the one place that forks, exits and reaps -------
+
+def _send(fd: int, data: bytes) -> None:
+    while data:
+        data = data[os.write(fd, data):]
+
 
 def _received(fd: int) -> bytes:
     data = b""
@@ -472,11 +546,11 @@ def _received(fd: int) -> bytes:
 
 
 def _echo_reversed(recv, send):
-    tables._send(send, _received(recv)[::-1])
+    _send(send, _received(recv)[::-1])
 
 
 def _send_then_raise(recv, send):
-    tables._send(send, _received(recv))
+    _send(send, _received(recv))
     raise RuntimeError("the work failed")
 
 
@@ -495,7 +569,7 @@ def test_helper_exit_code_and_unread_bytes(work, code, unread, two_cpus,
     # each work reads to EOF first, so its exit cannot break the send
     before = _open_fds()
     helper = tables._Helper.start(work)
-    tables._send(helper.send, b"ping")
+    _send(helper.send, b"ping")
     assert helper.join() == (code, unread)
     assert _open_fds() == before
     assert capfd.readouterr() == ("", "")   # a raising work prints nothing
