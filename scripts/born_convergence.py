@@ -9,10 +9,11 @@ within the order budget and are marked with a dash.
 
 import numpy as np
 
+from dtscatter.errors import DtScatterError
 from dtscatter.thirring import (
     ThirringParams,
     amplitude_pp,
-    born_series_thirring,
+    born_series_grid,
     jacobian_pp,
 )
 
@@ -20,8 +21,9 @@ N_MAX = 60
 REL_TOL = 1e-8
 
 
-def first_hit(params, p, k):
-    series = born_series_thirring(params, p, k, n_max=N_MAX)
+def first_hit(params, p, k, series):
+    if isinstance(series, DtScatterError):
+        raise series
     closed = (amplitude_pp(params, p, k).coefficient
               * abs(jacobian_pp(params, p, k)))
     rel = np.abs(series.partial_sums - closed) / abs(closed)
@@ -42,8 +44,9 @@ def main():
         for chi in chis:
             params = ThirringParams(nu=nu, chi=chi)
             for p in ps:
-                for k in ks:
-                    n_star, ratio = first_hit(params, p, k)
+                grid = born_series_grid(params, p, ks, N_MAX)
+                for k, series in zip(ks, grid):
+                    n_star, ratio = first_hit(params, p, k, series)
                     tag = "-" if n_star is None else str(n_star)
                     n_unreached += n_star is None
                     print(f"{nu:5.2f} {chi:5.2f} {p:5.2f} {k:5.2f}"

@@ -109,14 +109,17 @@ def _run_amplitude(cfg: RunConfig) -> ResultTable:
     table.declare(("k", "coefficient", "born", "born_gap", "converged",
                    "flagged", "note"), complex_names=("coefficient", "born"))
     ks = [float(k) for k in cfg.grids["k"]]
-    # each point's note comes from its first failing call: the closed form,
-    # then the Born route (one crossing solve for every point left)
-    rows: list = [None] * len(ks)
-    for i, k in enumerate(ks):
-        try:
-            rows[i] = amplitude_pp(params, p, k).coefficient
-        except DtScatterError as exc:
-            rows[i] = exc
+    # each point's note comes from its first failing call: the closed form
+    # (one array pass; the scalar call gives the typed error of each point
+    # the pass left open), then the Born route (one crossing solve for
+    # every point left)
+    rows = amplitude_pp_grid(params, [p] * len(ks), ks)
+    for i, c in enumerate(rows):
+        if c is None:
+            try:
+                rows[i] = amplitude_pp(params, p, ks[i]).coefficient
+            except DtScatterError as exc:
+                rows[i] = exc
     todo = [i for i, c in enumerate(rows) if not isinstance(c, DtScatterError)]
     grid = born_series_grid(params, p, [ks[i] for i in todo], born_n)
     for i, series in zip(todo, grid):

@@ -40,10 +40,15 @@ _DEFAULTS = {key: v for schema in _SCHEMAS.values()
              for key, v in schema[1].items()}
 _INT_PARAMS = {key for key, v in _DEFAULTS.items() if isinstance(v, int)}
 _STR_PARAMS = {key for key, v in _DEFAULTS.items() if isinstance(v, str)}
-# largest trotter ring: its model and sweep hold about 320 bytes per site
+# largest ring: a trotter model and sweep hold about 320 bytes per site,
+# a wavepacket run about 450
 MAX_RING_SITES = 1 << 20
-# most entries of one grid, and of the points a sweep runs over
+# most entries of one grid, of the points a sweep runs over, of a dyson
+# run's quadrature nodes and of the snapshots a wavepacket run writes
 MAX_GRID_POINTS = 1 << 20
+# most Born terms one run sums, each held as a partial sum and a ratio:
+# n_max + 1 for born, (k points) x (born_n + 1) for amplitude
+MAX_BORN_TERMS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -195,9 +200,10 @@ def _apply_overrides(sections: dict, overrides, problems: list) -> None:
 
 
 def _check_physics(params: dict, lines: dict, problems: list):
-    def line_of(key):
-        n = lines.get(key)
-        return "" if n is None else f"{_loc(n)}: "
+    def line_of(*keys):
+        locs = ", ".join(dict.fromkeys(_loc(lines[key]) for key in keys
+                                       if key in lines))
+        return f"{locs}: " if locs else ""
 
     bad = {key for key, v in params.items()
            if isinstance(v, float) and not np.isfinite(v)}
@@ -221,10 +227,22 @@ def _check_physics(params: dict, lines: dict, problems: list):
     if every is not None and every < 0:
         problems.append(f"{line_of('snapshot_every')}snapshot_every must be "
                         f">= 0, got {every}")
+    for key, bound in (("n", MAX_RING_SITES), ("length", MAX_RING_SITES),
+                       ("quad_n", MAX_GRID_POINTS),
+                       ("n_max", MAX_BORN_TERMS - 1)):
+        v = params.get(key)
+        if v is not None and v > bound:
+            problems.append(f"{line_of(key)}{key} must be <= {bound}, "
+                            f"got {v}")
+    t_steps = params.get("t_steps")
+    if t_steps is not None and t_steps > 0 and every is not None and every > 0:
+        count = -(-2 * t_steps // every) + 1   # cli._snapshot_steps
+        if count > MAX_GRID_POINTS:
+            problems.append(f"{line_of('t_steps', 'snapshot_every')}a "
+                            f"wavepacket run writes at most {MAX_GRID_POINTS} "
+                            f"snapshots, got {count} (t_steps = {t_steps}, "
+                            f"snapshot_every = {every})")
     mode_index, n = params.get("mode_index"), params.get("n")
-    if n is not None and n > MAX_RING_SITES:
-        problems.append(f"{line_of('n')}n must be <= {MAX_RING_SITES}, "
-                        f"got {n}")
     if mode_index is not None and n is not None and not 0 <= mode_index < n:
         problems.append(f"{line_of('mode_index')}mode_index must lie in "
                         f"[0, n) = [0, {n}), got {mode_index}")
@@ -330,6 +348,17 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         for key, default in optional.items():
             params.setdefault(key, default)
         _check_physics(params, lines, problems)
+        if command == "amplitude" and "k" in grids and params["born_n"] > 0:
+            # every point's series is held until the table is built
+            total = len(grids["k"]) * (params["born_n"] + 1)
+            if total > MAX_BORN_TERMS:
+                where = ", ".join(dict.fromkeys(
+                    _loc(n) for n in (grid_raw["k"][1], lines.get("born_n"))
+                    if n is not None))
+                problems.append(f"{where}: an amplitude run sums at most "
+                                f"{MAX_BORN_TERMS} Born terms, got {total} "
+                                f"({len(grids['k'])} k x "
+                                f"{params['born_n'] + 1} orders)")
 
     if problems:
         raise ConfigError("config validation failed: " + "; ".join(problems),

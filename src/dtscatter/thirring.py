@@ -678,8 +678,13 @@ def born_series_grid(params: ThirringParams, p: float, ks,
     Entry i is the BornSeries of ``born_series_thirring(params, p, ks[i],
     n_max)``, or the DtScatterError that call raises; n_max < 1 raises
     DomainError for the whole grid.  One ``_band_pair_roots`` call finds
-    the crossings of every point's pair energy; the Gamma assembly and the
-    power loop run point by point.
+    the crossings of every point's pair energy, and the Gamma blocks are
+    assembled point by point.  The power loop then runs on the stacked
+    blocks of ROOT_BLOCK points: each order takes one batched ``np.matmul``
+    for the block's <w|vec> and one for its Gamma vec, which give every
+    point the bits of its own ``w @ vec`` and ``g @ vec``.  The coupling
+    powers lam^(n+1) are Python complex powers, one per order; the first
+    that leaves the float range fails every point that has a Gamma block.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
@@ -695,34 +700,56 @@ def born_series_grid(params: ThirringParams, p: float, ks,
         else:
             pending.append((i, k, float(wrap_momentum(omega))))
     solved = _band_pair_roots(d, p, [omega_c for _, _, omega_c in pending])
-    # Gamma commutes exactly with swapping the two coin factors (k -> -k in
-    # the defining integral), which is what makes w an eigenvector and the
-    # terms geometric.  The evaluated block carries O(root-tolerance)
-    # asymmetry that power iteration would amplify, so enforce the symmetry.
-    sw = [0, 2, 1, 3]
     lam = params.lam
-    for (i, k, omega_c), roots in zip(pending, solved):
-        try:
-            g = _gamma_from_roots(d, p, omega_c, roots).block
-        except DtScatterError as exc:
-            out[i] = exc
+    powers = np.empty(n_max + 1, dtype=complex)
+    overflow = None
+    try:
+        for n in range(n_max + 1):
+            powers[n] = lam ** (n + 1)
+    except OverflowError:
+        overflow = (f"Born term of order {n + 1} overflows: |lam|^{n + 1} "
+                    f"passes the float range (|lam| = {abs(lam):.6g})")
+    for start in range(0, len(pending), ROOT_BLOCK):
+        index, gammas, weights = [], [], []
+        for (i, k, omega_c), roots in zip(pending[start:start + ROOT_BLOCK],
+                                          solved[start:start + ROOT_BLOCK]):
+            try:
+                gamma = _gamma_from_roots(d, p, omega_c, roots).block
+            except DtScatterError as exc:
+                out[i] = exc
+                continue
+            if overflow is not None:
+                out[i] = DomainError(overflow)
+                continue
+            index.append(i)
+            gammas.append(gamma)
+            weights.append(w_vector(params, p, k))
+        if not index:
             continue
-        g = 0.5 * (g + g[np.ix_(sw, sw)])
-        w = w_vector(params, p, k)
-        terms = np.empty(n_max + 1, dtype=complex)
-        vec = w.astype(complex)
-        try:
-            for n in range(n_max + 1):
-                terms[n] = lam ** (n + 1) * (w @ vec)
-                vec = g @ vec
-        except OverflowError:
-            out[i] = DomainError(
-                f"Born term of order {n + 1} overflows: |lam|^{n + 1} "
-                f"passes the float range (|lam| = {abs(lam):.6g})")
-            continue
-        sums = np.cumsum(terms)
+        # Gamma commutes exactly with swapping the two coin factors (k -> -k
+        # in the defining integral), which is what makes w an eigenvector and
+        # the terms geometric.  The evaluated block carries O(root-tolerance)
+        # asymmetry that power iteration would amplify, so enforce the
+        # symmetry.
+        sw = [0, 2, 1, 3]
+        g = np.stack(gammas)
+        g = 0.5 * (g + g[:, sw][:, :, sw])
+        w = np.stack(weights).astype(complex)[:, None, :]   # rows <w|
+        vec = w.reshape(len(index), 4, 1)                   # columns |w>
+        dots = np.empty((n_max + 1, len(index), 1, 1), dtype=complex)
+        for n in range(n_max + 1):
+            np.matmul(w, vec, out=dots[n])
+            vec = np.matmul(g, vec)
+        # a term past the float range is inf or nan, as a scalar product is;
+        # numpy's vector loop can also raise the overflow flag in lanes that
+        # hold no point, so the flags are not reported
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = np.multiply(powers, dots[:, :, 0, 0].T, order="C")
+        sums = np.cumsum(terms, axis=1)
         mags = np.abs(terms)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(mags[:-1] > 0.0, mags[1:] / mags[:-1], 0.0)
-        out[i] = BornSeries(partial_sums=sums, term_ratios=ratios)
+            ratios = np.where(mags[:, :-1] > 0.0,
+                              mags[:, 1:] / mags[:, :-1], 0.0)
+        for row, i in enumerate(index):
+            out[i] = BornSeries(partial_sums=sums[row], term_ratios=ratios[row])
     return out

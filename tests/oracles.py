@@ -6,8 +6,9 @@ dense matrix powers instead of analytic propagators, explicit mode sums
 instead of FFTs, `csv.writer` / one `json.dumps` instead of the
 package's column-wise table renderers, dense n x n Trotter operators
 instead of the package's factored r x r support form, and direct loops
-(one bisection per crossing, one complex exponential per Dyson
-regulator) as bitwise twins of the package's batched kernels.  Test files freeze the resulting
+(one bisection per crossing, one matrix-vector product per point and
+Born order, one complex exponential per Dyson regulator) as bitwise
+twins of the package's batched kernels.  Test files freeze the resulting
 numbers as literals and cite the oracle function that produced them.
 The last section holds references no command runs (the walk fiber, zone
 quadrature, the retarded kernel and the closed-form T block), with the
@@ -25,6 +26,7 @@ import mpmath as mp
 import numpy as np
 
 from dtscatter import dyson as dy
+from dtscatter import thirring as th
 from dtscatter import trotter as tr
 from dtscatter.errors import (
     AssumptionViolationError,
@@ -317,6 +319,61 @@ def band_pair_roots(d, s1, s2, p, omega_target):
     for r in roots:
         if not out or abs(r - out[-1]) > 1e-10:
             out.append(r)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Born partial sums, one point and one matrix-vector product at a time
+# ---------------------------------------------------------------------------
+
+def born_series_grid_reference(params, p, ks, n_max):
+    """thirring.born_series_grid with its power loop run point by point.
+
+    The crossings and Gamma blocks come from the package's own solve; each
+    point then takes its own ``w @ vec`` and ``g @ vec`` per order.  The
+    package must return these partial sums and ratios, or this error with
+    this text, bit for bit.
+    """
+    if n_max < 1:
+        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    d = params.dispersion
+    out = [None] * len(ks)
+    pending = []
+    for i, k in enumerate(ks):
+        omega = th.two_particle_omega(params, p, k, +1, +1)
+        try:
+            th._check_gamma_args(params, p, omega)
+        except DtScatterError as exc:
+            out[i] = exc
+        else:
+            pending.append((i, k, float(wrap_momentum(omega))))
+    solved = th._band_pair_roots(d, p, [omega_c for _, _, omega_c in pending])
+    sw = [0, 2, 1, 3]
+    lam = params.lam
+    for (i, k, omega_c), roots in zip(pending, solved):
+        try:
+            g = th._gamma_from_roots(d, p, omega_c, roots).block
+        except DtScatterError as exc:
+            out[i] = exc
+            continue
+        g = 0.5 * (g + g[np.ix_(sw, sw)])
+        w = th.w_vector(params, p, k)
+        terms = np.empty(n_max + 1, dtype=complex)
+        vec = w.astype(complex)
+        try:
+            for n in range(n_max + 1):
+                terms[n] = lam ** (n + 1) * (w @ vec)
+                vec = g @ vec
+        except OverflowError:
+            out[i] = DomainError(
+                f"Born term of order {n + 1} overflows: |lam|^{n + 1} "
+                f"passes the float range (|lam| = {abs(lam):.6g})")
+            continue
+        sums = np.cumsum(terms)
+        mags = np.abs(terms)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(mags[:-1] > 0.0, mags[1:] / mags[:-1], 0.0)
+        out[i] = th.BornSeries(partial_sums=sums, term_ratios=ratios)
     return out
 
 

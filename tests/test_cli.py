@@ -551,23 +551,34 @@ path = unused.csv
 """)
 
 
-def test_batched_amplitude_matches_pointwise_routes():
+def test_batched_amplitude_matches_pointwise_routes(monkeypatch):
     # every note the command writes comes from the first failing pointwise
-    # call: k > pi/2 (closed form), the resonance at chi = pi, k = 0 (closed
-    # form), the flat (+,+) crossing at k = 0 and 1e-9 (Born route), and a
-    # degenerate p; the grid spans more than one block of the crossing solve
-    ks = [0.0, 1e-9, 1.6, math.pi / 2] + [0.05 * i for i in range(1, 40)]
+    # call: k < 0 and k > pi/2 (closed form), the resonance at chi = pi,
+    # k = 0 (closed form), the flat (+,+) crossing at k = 0 and 1e-9 (Born
+    # route), and a degenerate p; p = 2.4 has a negative slope jacobian_pp;
+    # the grid spans more than one block of the crossing solve
+    ks = [0.0, 1e-9, -0.3, 1.6, math.pi / 2] + [0.05 * i for i in range(1, 40)]
     assert len(ks) > thirring.ROOT_BLOCK
+    scalar_calls = []
+    monkeypatch.setattr(cli, "amplitude_pp", lambda *args: scalar_calls.append(
+        args[1:]) or amplitude_pp(*args))
     notes = set()
     for nu, chi, p in ((0.8, 1.0, 0.3), (0.5, 2.5, 1.1), (0.3, math.pi, -0.4),
-                       (0.8, 1.0, 0.0)):
+                       (0.8, 1.0, 0.0), (0.8, 1.0, 2.4)):
         params = ThirringParams(nu=nu, chi=chi)
+        scalar_calls.clear()
         cols = cli.run(_amplitude_cfg(nu, chi, p, ks)).columns
+        closed_open = []
         for i, k in enumerate(ks):
             try:
-                c = amplitude_pp(params, p, k).coefficient
+                try:
+                    c = amplitude_pp(params, p, k).coefficient
+                except DtScatterError:
+                    closed_open.append((p, k))
+                    raise
                 series = born_series_thirring(params, p, k, 12)
-                born = complex(series.partial_sums[-1] / jacobian_pp(params, p, k))
+                born = complex(series.partial_sums[-1]
+                               / abs(jacobian_pp(params, p, k)))
                 want = (c, born, abs(born - c), series.converged, False, "")
             except DtScatterError as exc:
                 nan = complex(math.nan, math.nan)
@@ -576,6 +587,9 @@ def test_batched_amplitude_matches_pointwise_routes():
                 "coefficient", "born", "born_gap", "converged", "flagged", "note"))
             assert repr(got) == repr(want), (nu, chi, p, k)
             notes.add(want[-1].split(" ")[0])
+        # the closed column is one array pass; only the points it leaves
+        # open go through the scalar call, for their typed error
+        assert scalar_calls == closed_open
     assert notes == {"", "relative", "band", "amplitude", "total"}
 
 
@@ -779,6 +793,53 @@ def test_grids_too_large_to_build_are_config_errors(tmp_path, monkeypatch,
     assert capsys.readouterr().err == (
         f"error: config validation failed: {problem}\n")
     assert peak < 1e6
+    assert not (tmp_path / "out.csv").exists()
+
+
+# (command, the largest accepted sizes, sizes one step past them, problem);
+# the golden amplitude config has four k points, so born_n = 262 143 sums
+# 4 x 262 144 = 2^20 Born terms
+_SIZE_BOUNDS = [
+    ("born", ("n_max=1048575",), ("n_max=10000000000000",),
+     "override: n_max must be <= 1048575, got 10000000000000"),
+    ("born", ("n_max=1048575",), ("n_max=1048576",),
+     "override: n_max must be <= 1048575, got 1048576"),
+    ("amplitude", ("born_n=262143",), ("born_n=262144",),
+     "line 8, override: an amplitude run sums at most 1048576 Born terms, "
+     "got 1048580 (4 k x 262145 orders)"),
+    ("dyson", ("quad_n=1048576",), ("quad_n=10000000000000",),
+     "override: quad_n must be <= 1048576, got 10000000000000"),
+    ("wavepacket", ("length=1048576",), ("length=10000000000000",),
+     "override: length must be <= 1048576, got 10000000000000"),
+    ("wavepacket", ("t_steps=1048575", "snapshot_every=2"),
+     ("t_steps=10000000000000", "snapshot_every=1"),
+     "override: a wavepacket run writes at most 1048576 snapshots, got "
+     "20000000000001 (t_steps = 10000000000000, snapshot_every = 1)"),
+]
+
+
+@pytest.mark.parametrize("command,at_bound,past_bound,problem", _SIZE_BOUNDS,
+                         ids=["n_max", "n_max+1", "born_n", "quad_n",
+                              "length", "snapshots"])
+def test_sizes_too_large_to_run_are_config_errors(tmp_path, monkeypatch,
+                                                  capsys, command, at_bound,
+                                                  past_bound, problem):
+    # each size past its bound used to end in numpy's _ArrayMemoryError
+    # traceback (or a list of 2 x 10^13 snapshot steps)
+    text = (GOLDEN / f"{command}.cfg").read_text()
+    parse_config(text, overrides=at_bound)
+
+    def no_run(cfg):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    monkeypatch.chdir(tmp_path)
+    args = ["--config", str(GOLDEN / f"{command}.cfg"), "--set", "path=out.csv"]
+    for item in past_bound:
+        args += ["--set", item]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: config validation failed: {problem}\n")
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -222,6 +222,64 @@ def test_t_closed_equals_born_resummation():
         complex(series.partial_sums[-1]), rel=1e-12)
 
 
+def _born_bits(entry):
+    """A Born grid entry as comparable bits: its error's type and text, or
+    its partial sums' and term ratios' dtype, shape and bytes."""
+    if isinstance(entry, DtScatterError):
+        return type(entry), str(entry)
+    return tuple((a.dtype, a.shape, a.tobytes())
+                 for a in (entry.partial_sums, entry.term_ratios))
+
+
+# more points than one block of the power loop, and across its seam the
+# flat (+,+) crossing at k = 0 (StationaryPointError), k = pi/2 and k off
+# the branch [0, pi/2]
+BORN_SEAM_KS = ([0.05 * i for i in range(1, 29)] + [0.0, np.pi / 2, -0.4,
+                1.9, -2.8, 3.0] + [0.7 + 0.01 * i for i in range(10)])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(nu=st.floats(min_value=0.05, max_value=0.99),
+       chi=st.one_of(st.floats(min_value=-np.pi, max_value=np.pi),
+                     st.just(3.0)),
+       p=st.one_of(st.floats(min_value=-np.pi, max_value=np.pi),
+                   st.sampled_from([0.5 * np.pi, -0.5 * np.pi, 0.0])),
+       ks=st.lists(st.one_of(st.floats(min_value=-np.pi, max_value=np.pi),
+                             st.sampled_from([0.0, 0.5 * np.pi, -0.3, 1.9])),
+                   max_size=2 * thirring.ROOT_BLOCK + 3),
+       n_max=st.one_of(st.integers(min_value=1, max_value=60),
+                       st.just(1100)))
+@example(nu=0.8, chi=1.0, p=0.3, ks=BORN_SEAM_KS, n_max=40)
+@example(nu=0.8, chi=1.0, p=0.5 * np.pi, ks=[0.3, 0.7], n_max=12)
+@example(nu=0.5, chi=3.0, p=1.1, ks=BORN_SEAM_KS, n_max=1100)   # order 1 028
+@example(nu=0.5, chi=3.0, p=1.1, ks=[0.0, 0.7], n_max=1027)     # just inside
+def test_born_grid_matches_pointwise_oracle_bitwise(nu, chi, p, ks, n_max):
+    """The stacked power loop gives every point the partial sums and term
+    ratios of its own loop bit for bit, or the same error type and text:
+    across block seams, at out-of-branch and stationary k, at degenerate
+    p, and where lam^(n+1) leaves the float range."""
+    params = ThirringParams(nu=nu, chi=chi)
+    got = thirring.born_series_grid(params, p, ks, n_max)
+    want = oracles.born_series_grid_reference(params, p, ks, n_max)
+    assert [_born_bits(e) for e in got] == [_born_bits(e) for e in want]
+
+
+def test_born_grid_edge_examples_reach_their_errors():
+    # the explicit examples above take the paths they are there for
+    assert BORN_SEAM_KS.index(0.0) < thirring.ROOT_BLOCK < len(BORN_SEAM_KS)
+    def notes(params, p, ks, n_max):
+        return {type(e).__name__ if isinstance(e, DtScatterError) else ""
+                for e in thirring.born_series_grid(params, p, ks, n_max)}
+
+    assert notes(ThirringParams(0.8, 1.0), 0.3, BORN_SEAM_KS, 40) == \
+        {"", "StationaryPointError"}
+    assert notes(ThirringParams(0.8, 1.0), 0.5 * np.pi, [0.3], 12) == \
+        {"DegenerateMomentumError"}
+    (err,) = thirring.born_series_grid(ThirringParams(0.5, 3.0), 1.1, [0.7], 1100)
+    assert isinstance(err, DomainError)
+    assert str(err).startswith("Born term of order 1028 overflows")
+
+
 
 # pi/2 < |p| < pi, where the band-pair slope jacobian_pp is negative
 NEGATIVE_SLOPE = [(0.8, 2.4, 0.7), (0.8, -2.4, 0.7), (0.8, 2.0, 0.7),
