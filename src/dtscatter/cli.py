@@ -101,6 +101,19 @@ def _run_dispersion(cfg: RunConfig) -> ResultTable:
     return table
 
 
+def _closed_coefficients(params: ThirringParams, ps: list, ks: list) -> list:
+    """The closed-form coefficient at each (p, k), from one array pass, or
+    the typed error of the scalar call at a point the pass left open."""
+    out = amplitude_pp_grid(params, ps, ks)
+    for i, c in enumerate(out):
+        if c is None:
+            try:
+                out[i] = amplitude_pp(params, ps[i], ks[i]).coefficient
+            except DtScatterError as exc:
+                out[i] = exc
+    return out
+
+
 def _run_amplitude(cfg: RunConfig) -> ResultTable:
     pr = cfg.params
     params = ThirringParams(nu=pr["nu"], chi=pr["chi"])
@@ -109,27 +122,18 @@ def _run_amplitude(cfg: RunConfig) -> ResultTable:
     table.declare(("k", "coefficient", "born", "born_gap", "converged",
                    "flagged", "note"), complex_names=("coefficient", "born"))
     ks = [float(k) for k in cfg.grids["k"]]
-    # each point's note comes from its first failing call: the closed form
-    # (one array pass; the scalar call gives the typed error of each point
-    # the pass left open), then the Born route (one crossing solve for
-    # every point left)
-    rows = amplitude_pp_grid(params, [p] * len(ks), ks)
-    for i, c in enumerate(rows):
-        if c is None:
-            try:
-                rows[i] = amplitude_pp(params, p, ks[i]).coefficient
-            except DtScatterError as exc:
-                rows[i] = exc
+    # each point's note comes from its first failing call: the closed form,
+    # then the Born route (one crossing solve for every point left)
+    rows = _closed_coefficients(params, [p] * len(ks), ks)
     todo = [i for i, c in enumerate(rows) if not isinstance(c, DtScatterError)]
     grid = born_series_grid(params, p, [ks[i] for i in todo], born_n)
     for i, series in zip(todo, grid):
         if isinstance(series, DtScatterError):
             rows[i] = series
-            continue
-        c = rows[i]
-        born_c = complex(series.partial_sums[-1]
-                         / abs(jacobian_pp(params, p, ks[i])))
-        rows[i] = (c, born_c, abs(born_c - c), series.converged)
+        else:
+            c, jac = rows[i], abs(jacobian_pp(params, p, ks[i]))
+            born_c = complex(series.partial_sums[-1] / jac)
+            rows[i] = (c, born_c, abs(born_c - c), series.converged)
     for k, row in zip(ks, rows):
         if isinstance(row, DtScatterError):
             table.add_row(k=k, coefficient=_CNAN, born=_CNAN, born_gap=_NAN,
@@ -414,17 +418,10 @@ def _run_sweep(cfg: RunConfig) -> ResultTable:
         except DtScatterError as exc:
             coefficient, flagged, note = [_CNAN] * n, [True] * n, [str(exc)] * n
         else:
-            coefficient = amplitude_pp_grid(params, p_col, k_col)
-            flagged, note = [False] * n, [""] * n
-            # the scalar closed form resolves what the pass left open, so
-            # its typed error is the one source of each note
-            for i, c in enumerate(coefficient):
-                if c is None:
-                    try:
-                        coefficient[i] = amplitude_pp(
-                            params, p_col[i], k_col[i]).coefficient
-                    except DtScatterError as exc:
-                        coefficient[i], flagged[i], note[i] = _CNAN, True, str(exc)
+            closed = _closed_coefficients(params, p_col, k_col)
+            flagged = [isinstance(c, DtScatterError) for c in closed]
+            note = [str(c) if f else "" for c, f in zip(closed, flagged)]
+            coefficient = [_CNAN if f else c for c, f in zip(closed, flagged)]
         table.add_rows(nu=[nu] * n, chi=[chi] * n, p=p_col, k=k_col,
                        coefficient=coefficient, flagged=flagged, note=note)
     return table

@@ -45,10 +45,6 @@ class DegenerateMomentumError(DtScatterError):
     """Total quasi-momentum sits on a degeneracy of the two-particle bands."""
 
 
-class RootEnumerationError(DtScatterError):
-    """On-shell root finding failed to bracket/refine all roots."""
-
-
 class StationaryPointError(DtScatterError):
     """An on-shell root coincides with a stationary point of the band."""
 

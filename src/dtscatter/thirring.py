@@ -45,7 +45,6 @@ from .errors import (
     DtScatterError,
     PoleError,
     ResonancePoleError,
-    RootEnumerationError,
     StationaryPointError,
 )
 from .lippmann import AmplitudeRecord, epsilon_extrapolate
@@ -58,16 +57,11 @@ STATIONARY_TOL = 1e-8
 # Proximity to p = n*pi/2 (where the relative-coordinate reduction
 # degenerates) that is rejected outright.
 DEGENERATE_P_TOL = 1e-12
-# Residue route: scan cells per band pair, the bisection width of each
-# crossing, and the (s1, s2) band pairs in Gamma's order, also as signs;
-# the scan nodes include both zone ends.
-ROOT_SCAN_N = 2048
-ROOT_BISECT_TOL = 1e-13
+# Residue route: the (s1, s2) band pairs in Gamma's order, also as signs.
 _BAND_PAIRS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
 _PAIR_SIGNS = np.array(_BAND_PAIRS, dtype=float)
-_SCAN_K = -np.pi + 2.0 * np.pi * np.arange(ROOT_SCAN_N + 1) / ROOT_SCAN_N
-# Targets per block of the crossing solve: about 32 kB of scan per target.
-ROOT_BLOCK = 32
+# Points per stacked block of the Born power loop.
+BORN_BLOCK = 32
 # Quadrature route: zone grid and the regulators extrapolated to zero.
 GAMMA_QUAD_N = 8192
 GAMMA_EPS = tuple(0.1 * 0.5 ** j for j in range(5))
@@ -254,91 +248,46 @@ def on_shell_xy(x: float, y: float) -> tuple[float, float]:
 def _band_pair_roots(d: Dispersion, p: float, omegas) -> list:
     """All k in (-pi, pi] with s1*w(p+k) + s2*w(p-k) = omega mod 2pi, per target.
 
-    Entry t holds one item per (s1, s2) of _BAND_PAIRS for the target
-    omegas[t]: the sorted crossings, or the RootEnumerationError of a pair
-    whose bisection missed one, for the caller to raise in pair order.  The
-    combination is smooth and 2pi-periodic in k, so its crossings of
-    omega + 2*pi*Z are found by tracking the integer part of
-    (omega^{s1s2}(k) - omega)/(2pi) on a dense scan, one bracket per integer
-    level in a scan cell.  The band sums on the scan are shared by every
-    target.  Targets are taken ROOT_BLOCK at a time, which bounds the working
-    set: their cells are scanned one band pair at a time, and all their
-    brackets are bisected at once, each by the steps of a scalar bisection,
-    so a target's roots do not depend on the other targets.
+    Entry t holds the sorted crossings of each (s1, s2) of _BAND_PAIRS at
+    omegas[t].  With cos w = nu cos q and h = omega/2, squaring
+    cos(s1*w(p+k) + s2*w(p-k)) = cos(omega) gives, for all four pairs,
+
+      sin^2 k = sin^2 h (nu^2 cos^2 p - cos^2 h) / (nu^2 (sin^2 h - sin^2 p)),
+      cos^2 k = cos^2 h (sin^2 h - nu^2 sin^2 p) / (nu^2 (sin^2 h - sin^2 p)),
+
+    singular only at omega = +-2p, where Gamma's remainder diverges.  Of the
+    candidates +-k0 and +-(pi - k0), k0 = atan2(|sin k|, |cos k|), a pair
+    keeps those where its energy meets omega: to 1e-9, and to half of
+    |2 omega| mod 2pi, so that a crossing of -omega, which squaring also
+    admits, does not count.  A vanishing factor in brackets is a tangency
+    at a band edge (k = 0, pi or +-pi/2), which rounding moves by about
+    1e-8 or removes: a candidate moves to the edge point wherever the
+    energy there meets omega to 4 ulp of pi, so that it has zero slope.
+    Crossings less than 1e-10 apart, across the zone seam too, count once.
     """
-    band = (_PAIR_SIGNS[:, :1] * d.omega(p + _SCAN_K)
-            + _PAIR_SIGNS[:, 1:] * d.omega(p - _SCAN_K))
-    # k = pi is k = -pi: one value at both zone ends, so a crossing on the
-    # seam is bracketed at one end even when the two evaluations differ
-    band[:, -1] = band[:, 0]
     omegas = np.asarray(omegas, dtype=float)
-    out = []
-    for start in range(0, omegas.size, ROOT_BLOCK):
-        out += _block_roots(d, p, band, omegas[start:start + ROOT_BLOCK])
-    return out
-
-
-def _block_roots(d: Dispersion, p: float, band: np.ndarray,
-                 omegas: np.ndarray) -> list:
-    """_band_pair_roots for one block of targets, given the band sums."""
-    # (x - omega)/(2pi) rounds monotonically in x, so the level range of a
-    # cell is that of the lower and the upper band sum at its ends
-    low = np.minimum(band[:, :-1], band[:, 1:])
-    high = np.maximum(band[:, :-1], band[:, 1:])
-    # one bracket per (pair, target, cell, integer level), in that order
-    found = []
-    lo, hi = (np.empty((omegas.size, ROOT_SCAN_N)) for _ in range(2))
-    for j in range(len(_BAND_PAIRS)):
-        np.subtract(low[j], omegas[:, None], out=lo)
-        lo /= 2.0 * np.pi
-        np.ceil(lo, out=lo)
-        np.subtract(high[j], omegas[:, None], out=hi)
-        hi /= 2.0 * np.pi
-        np.floor(hi, out=hi)
-        target, cell = np.nonzero(hi >= lo)
-        n = (hi[target, cell] - lo[target, cell]).astype(int) + 1
-        offset = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-        target, cell = np.repeat(target, n), np.repeat(cell, n)
-        found.append((target, np.full(target.size, j), cell,
-                      lo[target, cell] + offset))
-    target, pair, cell, m = (np.concatenate(a) for a in zip(*found))
-    s1, s2, om = _PAIR_SIGNS[pair, 0], _PAIR_SIGNS[pair, 1], omegas[target]
-
-    def level(k):
-        return (s1 * d.omega(p + k) + s2 * d.omega(p - k) - om) / (2.0 * np.pi)
-
-    x0, g0 = _SCAN_K[cell], (band[pair, cell] - om) / (2.0 * np.pi) - m
-    x1 = np.where(g0 == 0.0, x0, _SCAN_K[cell + 1])  # exact hit at the left endpoint
-    run = np.ones(m.size, dtype=bool)
-    for _ in range(200):
-        run &= x1 - x0 > ROOT_BISECT_TOL
-        if not run.any():
-            break
-        xm = 0.5 * (x0 + x1)
-        gm = level(xm) - m
-        left = run & (g0 * gm < 0.0)
-        right = run & ~left
-        x1 = np.where(left | (right & (gm == 0.0)), xm, x1)
-        x0 = np.where(right, xm, x0)
-        g0 = np.where(right, gm, g0)
-        run &= gm != 0.0
-    root = 0.5 * (x0 + x1)
-    resid = level(root) - m
-    out = [[[] for _ in _BAND_PAIRS] for _ in omegas]
-    # de-duplicate brackets (and exact node hits) that found the same crossing
-    order = np.lexsort((root, pair, target))
-    for t, j, r in zip(target[order].tolist(), pair[order].tolist(),
-                       root[order].tolist()):
-        kept = out[t][j]
-        if not kept or abs(r - kept[-1]) > 1e-10:
-            kept.append(r)
-    # a pair's first bracket in scan order that missed names its failure
-    for b in np.flatnonzero(np.abs(resid) > 1e-9).tolist():
-        t, j = target[b], pair[b]
-        if not isinstance(out[t][j], RootEnumerationError):
-            out[t][j] = RootEnumerationError(
-                f"bisection failed to pin a band crossing near k = {root[b]} "
-                f"(residual {resid[b]:.3e})")
+    sin2h, cos2h = np.sin(0.5 * omegas) ** 2, np.cos(0.5 * omegas) ** 2
+    nu2 = d.nu * d.nu
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = nu2 * (sin2h - np.sin(p) ** 2)
+        sin2k = sin2h * (nu2 * np.cos(p) ** 2 - cos2h) / den
+        cos2k = cos2h * (sin2h - nu2 * np.sin(p) ** 2) / den
+        # [k0 (nan where rounding takes a square below zero), edge point]
+        k = np.stack([np.arctan2(np.sqrt(sin2k), np.sqrt(cos2k)),
+                      np.where(sin2k < cos2k, 0.0, _HALF_PI)])
+        cand = wrap_momentum(np.stack([k, -k, np.pi - k, k - np.pi], axis=-1))
+        energy = (_PAIR_SIGNS[:, 0, None, None, None] * d.omega(p + cand)
+                  + _PAIR_SIGNS[:, 1, None, None, None] * d.omega(p - cand))
+        miss = np.abs(wrap_momentum(energy - omegas[:, None]))
+        at_edge = miss[:, 1] <= 4.0 * np.spacing(np.pi)
+        tol = np.minimum(1e-9, 0.5 * np.abs(wrap_momentum(2.0 * omegas)))
+        hit = at_edge | (miss[:, 0] < tol[:, None])
+    cand = np.where(at_edge, cand[1], cand[0])
+    out = [[] for _ in range(omegas.size)]
+    for j, t in np.ndindex(hit.shape[:2]):
+        roots = np.sort(cand[j, t, hit[j, t]])
+        gaps = np.diff(roots, append=roots[:1] + 2.0 * np.pi)
+        out[t].append(roots[gaps > 1e-10].tolist())
     return out
 
 
@@ -357,10 +306,13 @@ def gamma_matrix(params: ThirringParams, p: float,
                  omega_target: float) -> GammaMatrix:
     """Gamma(z) at z -> exp(-i*omega_target) from outside the unit circle.
 
-    Radial-limit Gamma via pole bookkeeping (fast, exact up to the
-    crossing solves); ``gamma_quadrature`` is the slow independent route,
-    and the two agree to better than 1e-6 away from stationary band
-    points.  Depends on (nu, p, omega_target) only, not on chi.
+    Radial-limit Gamma via pole bookkeeping, exact up to rounding;
+    ``gamma_quadrature`` is the slow independent route.  The two agree to
+    1e-6 where the tests compare them (the (+,+) shell at (nu, p, k) =
+    (0.8, 0.3, 0.7); omega = 0 and pi at p = 0.3, 0.7, 1.1), but not at
+    (0.8, 0.3) and omega = +-1.409 or +-0.47.  In a band gap, where the
+    route has no principal-value term, it raises DomainError.  Depends on
+    (nu, p, omega_target) only, not on chi.
 
     Gamma(z) depends on z = exp(-i*omega) only, so omega_target is first
     reduced to its principal representative in (-pi, pi]; the crossing
@@ -370,11 +322,10 @@ def gamma_matrix(params: ThirringParams, p: float,
     matrix.  A crossing on sin(2k) = 0 (at k = 0, +-pi/2 or pi, where it
     meets its mirror at -k or k + pi) takes the side it moves to as omega
     moves toward the middle of its branch, +-pi/2, so that it counts once,
-    as on either side of that omega; a crossing found at both zone ends
-    counts once too.  Each kept crossing contributes its projector over
-    the signed slope of the band-pair energy; the slope-independent
-    remainder is a fixed diagonal in the corner entries, with scalar form
-    validated against the quadrature route.
+    as on either side of that omega.  Each kept crossing contributes its
+    projector over the signed slope of the band-pair energy; the
+    slope-independent remainder is a fixed diagonal in the corner entries,
+    with scalar form validated against the quadrature route.
     """
     _check_gamma_args(params, p, omega_target)
     d = params.dispersion
@@ -391,30 +342,32 @@ def _gamma_from_roots(d: Dispersion, p: float, omega_c: float,
                       pair_roots: list) -> GammaMatrix:
     """gamma_matrix's block from one target's ``_band_pair_roots`` entry.
 
-    omega_c is already on the principal branch.  Raises, in pair order, a
-    pair's RootEnumerationError or the StationaryPointError of a kept
-    crossing, then the PoleError of a diverging remainder entry.
+    omega_c is already on the principal branch.  Raises StationaryPointError
+    for bands flat to double precision (the crossing solve divides by nu^2)
+    or, in pair order, for a kept crossing with near-zero slope; then the
+    PoleError of a diverging remainder entry; then DomainError where no
+    crossing is kept.
     """
+    if d.omega(0.0) == d.omega(np.pi):
+        raise StationaryPointError(
+            f"the bands are flat to double precision at nu = {d.nu}: every "
+            "crossing is stationary"
+        )
     positive = omega_c >= 0.0
     toward = 1.0 if omega_c < (_HALF_PI if positive else -_HALF_PI) else -1.0
     total = np.zeros((4, 4), dtype=complex)
     kept: list[tuple[float, int, int]] = []
     for (s1, s2), roots in zip(_BAND_PAIRS, pair_roots):
-        if isinstance(roots, RootEnumerationError):
-            raise roots
-        if len(roots) > 1 and roots[0] + 2.0 * np.pi - roots[-1] <= 1e-10:
-            roots = roots[1:]  # one crossing, found at -pi and at pi
         for kr in roots:
             s2k = np.sin(2.0 * kr)
+            slope = _pair_slope(d, s1, s2, p, kr)
             if abs(s2k) <= 1e-12:
-                slope = _pair_slope(d, s1, s2, p, kr)
                 if abs(slope) >= STATIONARY_TOL:
                     # sign of sin(2k) after omega moves by `toward`
                     s2k = np.cos(2.0 * kr) * toward * slope
             keep = (s2k >= -1e-12) if positive else (s2k < 1e-12)
             if not keep:
                 continue
-            slope = _pair_slope(d, s1, s2, p, kr)
             if abs(slope) < STATIONARY_TOL:
                 raise StationaryPointError(
                     f"band pair ({s1:+d},{s2:+d}) crosses omega = {omega_c} "
@@ -424,9 +377,7 @@ def _gamma_from_roots(d: Dispersion, p: float, omega_c: float,
             total += np.outer(v, v) / slope
             kept.append((float(kr), s1, s2))
 
-    h_plus = omega_c + 2.0 * p
-    h_minus = omega_c - 2.0 * p
-    for idx, h in ((0, h_plus), (3, h_minus)):
+    for idx, h in ((0, omega_c + 2.0 * p), (3, omega_c - 2.0 * p)):
         den = np.exp(-1j * h) - 1.0
         if abs(den) < 1e-12:
             raise PoleError(
@@ -436,6 +387,12 @@ def _gamma_from_roots(d: Dispersion, p: float, omega_c: float,
             )
         total[idx, idx] += 1.0 / den
     total[2, 2] += -1.0
+    if not kept:
+        raise DomainError(
+            f"omega = {omega_c} lies in a band gap at total momentum {p}: no "
+            "band pair crosses it, and the residue route leaves out the "
+            "principal-value term Gamma has there"
+        )
 
     return GammaMatrix(z=complex(np.exp(-1j * omega_c)), block=total,
                        roots=tuple(kept))
@@ -680,7 +637,7 @@ def born_series_grid(params: ThirringParams, p: float, ks,
     DomainError for the whole grid.  One ``_band_pair_roots`` call finds
     the crossings of every point's pair energy, and the Gamma blocks are
     assembled point by point.  The power loop then runs on the stacked
-    blocks of ROOT_BLOCK points: each order takes one batched ``np.matmul``
+    blocks of BORN_BLOCK points: each order takes one batched ``np.matmul``
     for the block's <w|vec> and one for its Gamma vec, which give every
     point the bits of its own ``w @ vec`` and ``g @ vec``.  The coupling
     powers lam^(n+1) are Python complex powers, one per order; the first
@@ -709,10 +666,10 @@ def born_series_grid(params: ThirringParams, p: float, ks,
     except OverflowError:
         overflow = (f"Born term of order {n + 1} overflows: |lam|^{n + 1} "
                     f"passes the float range (|lam| = {abs(lam):.6g})")
-    for start in range(0, len(pending), ROOT_BLOCK):
+    for start in range(0, len(pending), BORN_BLOCK):
         index, gammas, weights = [], [], []
-        for (i, k, omega_c), roots in zip(pending[start:start + ROOT_BLOCK],
-                                          solved[start:start + ROOT_BLOCK]):
+        for (i, k, omega_c), roots in zip(pending[start:start + BORN_BLOCK],
+                                          solved[start:start + BORN_BLOCK]):
             try:
                 gamma = _gamma_from_roots(d, p, omega_c, roots).block
             except DtScatterError as exc:
@@ -728,7 +685,7 @@ def born_series_grid(params: ThirringParams, p: float, ks,
             continue
         # Gamma commutes exactly with swapping the two coin factors (k -> -k
         # in the defining integral), which is what makes w an eigenvector and
-        # the terms geometric.  The evaluated block carries O(root-tolerance)
+        # the terms geometric.  The evaluated block carries rounding-level
         # asymmetry that power iteration would amplify, so enforce the
         # symmetry.
         sw = [0, 2, 1, 3]

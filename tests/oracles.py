@@ -2,13 +2,14 @@
 
 Everything here is computed differently from the package: high-precision
 arithmetic (mpmath at 30 digits), bisection instead of library arccos,
-dense matrix powers instead of analytic propagators, explicit mode sums
+a scan and bisection instead of the closed-form band crossings, dense
+matrix powers instead of analytic propagators, explicit mode sums
 instead of FFTs, `csv.writer` / one `json.dumps` instead of the
 package's column-wise table renderers, dense n x n Trotter operators
 instead of the package's factored r x r support form, and direct loops
-(one bisection per crossing, one matrix-vector product per point and
-Born order, one complex exponential per Dyson regulator) as bitwise
-twins of the package's batched kernels.  Test files freeze the resulting
+(one matrix-vector product per point and Born order, one complex
+exponential per Dyson regulator) as bitwise twins of the package's
+batched kernels.  Test files freeze the resulting
 numbers as literals and cite the oracle function that produced them.
 The last section holds references no command runs (the walk fiber, zone
 quadrature, the retarded kernel and the closed-form T block), with the
@@ -33,12 +34,11 @@ from dtscatter.errors import (
     DomainError,
     DtScatterError,
     ResonancePoleError,
-    RootEnumerationError,
     TruncationError,
 )
 from dtscatter.lippmann import TMatrixEval, epsilon_extrapolate
 from dtscatter.spectral import bz_grid, wrap_momentum
-from dtscatter.thirring import ROOT_BISECT_TOL, ROOT_SCAN_N, on_shell_xy, xy_factors
+from dtscatter.thirring import on_shell_xy, xy_factors
 
 mp.mp.dps = 30
 
@@ -266,13 +266,24 @@ def render_json_reference(table):
 # Gamma band crossings, one scan cell and one bisection at a time
 # ---------------------------------------------------------------------------
 
+# scan cells over the zone (the nodes include both ends) and the bisection
+# width of each crossing
+ROOT_SCAN_N = 2048
+ROOT_BISECT_TOL = 1e-13
+
+
+class RootEnumerationError(Exception):
+    """The scan-and-bisect reference failed to pin a crossing."""
+
+
 def band_pair_roots(d, s1, s2, p, omega_target):
     """All k in (-pi, pi] with s1*w(p+k) + s2*w(p-k) = omega_target mod 2pi.
 
-    The scalar form of the package's batched crossing solve: a Python loop
-    over the scan cells, one bracket per integer level of
+    Found numerically, against the package's closed-form solve: a Python
+    loop over the scan cells, one bracket per integer level of
     (omega^{s1s2}(k) - omega_target)/(2pi) in each cell, each bisected on
-    its own.  The package must return these roots bit for bit.
+    its own to ROOT_BISECT_TOL.  A crossing on the zone seam, found at -pi
+    and at pi, counts once.
     """
     def level(k):
         return (s1 * d.omega(p + k) + s2 * d.omega(p - k) - omega_target) / (2.0 * np.pi)
@@ -290,7 +301,8 @@ def band_pair_roots(d, s1, s2, p, omega_target):
                 roots.append(float(a))  # exact hit at the left endpoint
                 continue
             ga, gb = fa - m, fb - m
-            if ga * gb > 0.0:
+            # signs, not products, which underflow for tiny levels
+            if np.sign(ga) * np.sign(gb) > 0.0:
                 continue
             x0, x1, g0 = a, b, ga
             for _ in range(200):
@@ -301,7 +313,7 @@ def band_pair_roots(d, s1, s2, p, omega_target):
                 if gm == 0.0:
                     x0 = x1 = xm
                     break
-                if g0 * gm < 0.0:
+                if np.sign(g0) * np.sign(gm) < 0.0:
                     x1 = xm
                 else:
                     x0, g0 = xm, gm
@@ -319,6 +331,8 @@ def band_pair_roots(d, s1, s2, p, omega_target):
     for r in roots:
         if not out or abs(r - out[-1]) > 1e-10:
             out.append(r)
+    if len(out) > 1 and out[0] + 2.0 * np.pi - out[-1] <= 1e-10:
+        out = out[1:]
     return out
 
 

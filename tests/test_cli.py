@@ -558,7 +558,7 @@ def test_batched_amplitude_matches_pointwise_routes(monkeypatch):
     # route), and a degenerate p; p = 2.4 has a negative slope jacobian_pp;
     # the grid spans more than one block of the crossing solve
     ks = [0.0, 1e-9, -0.3, 1.6, math.pi / 2] + [0.05 * i for i in range(1, 40)]
-    assert len(ks) > thirring.ROOT_BLOCK
+    assert len(ks) > thirring.BORN_BLOCK
     scalar_calls = []
     monkeypatch.setattr(cli, "amplitude_pp", lambda *args: scalar_calls.append(
         args[1:]) or amplitude_pp(*args))
@@ -635,14 +635,15 @@ def test_amplitude_and_born_at_half_pi(p):
     assert cols["closed_gap"][-1] < 1e-8
 
 
-def test_amplitude_solves_crossings_once_per_block(monkeypatch):
+def test_amplitude_solves_crossings_once_per_call(monkeypatch):
+    # one crossing solve for the whole grid, more than one Born block
     calls = []
     solve = thirring._band_pair_roots
     monkeypatch.setattr(thirring, "_band_pair_roots",
                         lambda d, p, ws: calls.append(len(ws)) or solve(d, p, ws))
-    cli.run(_amplitude_cfg(0.8, 1.0, 0.3, [0.1 + 0.04 * i for i in range(32)]))
-    assert sum(calls) == 32
-    assert len(calls) <= -(-32 // thirring.ROOT_BLOCK)
+    n = thirring.BORN_BLOCK + 8
+    cli.run(_amplitude_cfg(0.8, 1.0, 0.3, [0.1 + 1.2 * i / n for i in range(n)]))
+    assert calls == [n]
 
 
 def test_amplitude_working_set_is_bounded():

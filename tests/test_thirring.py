@@ -14,12 +14,10 @@ from dtscatter.errors import (
     DtScatterError,
     PoleError,
     ResonancePoleError,
-    RootEnumerationError,
     StationaryPointError,
 )
-from dtscatter.spectral import make_dispersion
+from dtscatter.spectral import make_dispersion, wrap_momentum
 from dtscatter.thirring import (
-    ROOT_SCAN_N,
     ThirringParams,
     amplitude_pp,
     born_series_thirring,
@@ -246,7 +244,7 @@ BORN_SEAM_KS = ([0.05 * i for i in range(1, 29)] + [0.0, np.pi / 2, -0.4,
                    st.sampled_from([0.5 * np.pi, -0.5 * np.pi, 0.0])),
        ks=st.lists(st.one_of(st.floats(min_value=-np.pi, max_value=np.pi),
                              st.sampled_from([0.0, 0.5 * np.pi, -0.3, 1.9])),
-                   max_size=2 * thirring.ROOT_BLOCK + 3),
+                   max_size=2 * thirring.BORN_BLOCK + 3),
        n_max=st.one_of(st.integers(min_value=1, max_value=60),
                        st.just(1100)))
 @example(nu=0.8, chi=1.0, p=0.3, ks=BORN_SEAM_KS, n_max=40)
@@ -266,7 +264,7 @@ def test_born_grid_matches_pointwise_oracle_bitwise(nu, chi, p, ks, n_max):
 
 def test_born_grid_edge_examples_reach_their_errors():
     # the explicit examples above take the paths they are there for
-    assert BORN_SEAM_KS.index(0.0) < thirring.ROOT_BLOCK < len(BORN_SEAM_KS)
+    assert BORN_SEAM_KS.index(0.0) < thirring.BORN_BLOCK < len(BORN_SEAM_KS)
     def notes(params, p, ks, n_max):
         return {type(e).__name__ if isinstance(e, DtScatterError) else ""
                 for e in thirring.born_series_grid(params, p, ks, n_max)}
@@ -349,6 +347,16 @@ def test_gamma_remainder_pole_carries_its_message():
     assert exc.value.k is None
 
 
+@pytest.mark.parametrize("omega", [-0.763, 1.0, -1.0])
+def test_gamma_in_band_gap_is_rejected(omega):
+    # no band pair crosses these omegas at (nu, p) = (0.8, 0.3), and the
+    # residue route has no principal-value term for the gap
+    d = make_dispersion(0.8)
+    assert thirring._band_pair_roots(d, 0.3, [omega]) == [[[], [], [], []]]
+    with pytest.raises(DomainError, match="band gap"):
+        gamma_matrix(ThirringParams(nu=0.8, chi=1.0), 0.3, omega)
+
+
 def test_flat_band_rejected_quickly():
     # at nu = 1e-300 every scan node is an exact level hit; the root scan
     # must record them in one pass, not re-match each node against the list
@@ -358,11 +366,12 @@ def test_flat_band_rejected_quickly():
     assert time.monotonic() - t0 < 0.25
 
 
-# omegas whose scan holds an exact level hit at nu = 0.8, p = 0.3: the
-# (+,-) level is zero on scan node 1300, and on node 1536 (k = pi/2), where
-# the (+,-) pair is stationary, so the crossing is a tangency
+# omegas whose reference scan holds an exact level hit at nu = 0.8,
+# p = 0.3: the (+,-) level is zero on scan node 1300, and on node 1536
+# (k = pi/2), where the (+,-) pair is stationary, so the crossing is a
+# tangency
 _D08 = make_dispersion(0.8)
-_NODE_K = [-np.pi + 2.0 * np.pi * i / ROOT_SCAN_N for i in (1300, 1536)]
+_NODE_K = [-np.pi + 2.0 * np.pi * i / oracles.ROOT_SCAN_N for i in (1300, 1536)]
 NODE_HIT_OMEGA, TANGENT_HIT_OMEGA = (
     float(_D08.omega(0.3 + k) - _D08.omega(0.3 - k)) for k in _NODE_K)
 REF_OMEGA_PP = two_particle_omega(ThirringParams(nu=0.8, chi=1.0), 0.3, 0.7, +1, +1)
@@ -372,25 +381,18 @@ def _off_degenerate_p(p):
     return abs(p - 0.5 * np.pi * round(p / (0.5 * np.pi))) >= 1e-3
 
 
-# a target whose levels (omega - band)/(2pi) are too coarse to pin a (+,+)
-# crossing at nu = 0.8, p = 0.3: the scalar bisection raises for that pair
-FAILING_OMEGA = 826920240935.2672
-
-
-def _oracle_roots(d, p, omega):
-    """Per pair: the scalar roots as hex strings, or the error's text."""
-    out = []
-    for s1, s2 in thirring._BAND_PAIRS:
-        try:
-            out.append([r.hex() for r in oracles.band_pair_roots(d, s1, s2, p, omega)])
-        except RootEnumerationError as exc:
-            out.append(str(exc))
-    return out
-
-
-def _as_oracle(got):
-    return [str(r) if isinstance(r, RootEnumerationError) else
-            [x.hex() for x in r] for r in got]
+def _assert_roots_match_oracle(d, p, omega, got):
+    """Per band pair: the reference scan's count of crossings, each within
+    1e-12 of a reference root (across the zone seam too) and on shell to
+    1e-12."""
+    for (s1, s2), roots in zip(thirring._BAND_PAIRS, got):
+        want = np.array(oracles.band_pair_roots(d, s1, s2, p, omega))
+        assert len(roots) == want.size, (s1, s2, roots, want)
+        for k in roots:
+            dist = np.abs(wrap_momentum(k - want)).min()
+            assert dist <= 1e-12, (s1, s2, k, want)
+            energy = s1 * d.omega(p + k) + s2 * d.omega(p - k)
+            assert abs(wrap_momentum(energy - omega)) <= 1e-12, (s1, s2, k)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -399,52 +401,37 @@ def _as_oracle(got):
                    exclude_min=True).filter(_off_degenerate_p),
        omega=st.floats(min_value=-np.pi, max_value=np.pi, exclude_min=True))
 @example(nu=0.8, p=0.3, omega=NODE_HIT_OMEGA)
-@example(nu=0.8, p=0.3, omega=TANGENT_HIT_OMEGA)
 @example(nu=0.8, p=0.3, omega=REF_OMEGA_PP)
+@example(nu=0.8, p=0.3, omega=1e-10)
+@example(nu=0.8, p=0.3, omega=np.pi - 1e-10)
 def test_band_pair_roots_match_scalar_oracle(nu, p, omega):
-    """The crossing solve returns the scalar bisection's roots (or its
-    error) bit for bit, band pair by band pair."""
+    """The closed-form crossings are the reference scan's, band pair by
+    band pair.  Within 1e-9 of omega = 0 or pi, the crossings of -omega
+    (which squaring admits too) also meet omega to 1e-9, and must not
+    count."""
     d = make_dispersion(nu)
     (got,) = thirring._band_pair_roots(d, p, [omega])
-    assert _as_oracle(got) == _oracle_roots(d, p, omega)
+    _assert_roots_match_oracle(d, p, omega, got)
 
 
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(drawn=st.lists(st.floats(min_value=-np.pi, max_value=np.pi,
                                 exclude_min=True), max_size=8))
 def test_band_pair_roots_batch_matches_scalar_oracle(drawn):
-    """Every target of a batch that spans more than one block gets its
-    scalar roots; one target's RootEnumerationError leaves its neighbours'
-    roots alone."""
+    """Every target of a batch gets the reference scan's crossings."""
     d = make_dispersion(0.8)
-    distinct = [NODE_HIT_OMEGA, FAILING_OMEGA, TANGENT_HIT_OMEGA,
-                REF_OMEGA_PP] + drawn
-    omegas = distinct * (thirring.ROOT_BLOCK // len(distinct) + 1)
-    want = {omega: _oracle_roots(d, 0.3, omega) for omega in distinct}
-    assert isinstance(want[FAILING_OMEGA][0], str)
+    omegas = [NODE_HIT_OMEGA, REF_OMEGA_PP] + drawn
     got = thirring._band_pair_roots(d, 0.3, omegas)
-    assert len(got) == len(omegas) > thirring.ROOT_BLOCK
+    assert len(got) == len(omegas)
     for omega, roots in zip(omegas, got):
-        assert _as_oracle(roots) == want[omega]
+        _assert_roots_match_oracle(d, 0.3, omega, roots)
 
 
-def test_earlier_pair_failure_takes_precedence(monkeypatch):
-    # a point reports the first failure in pair order: the (+,+) roots, then
-    # the (+,+) slopes, before anything of the (+,-) pair
-    params = ThirringParams(nu=0.8, chi=1.0)
-    omega = two_particle_omega(params, 0.3, 0.0, +1, +1)  # (+,+) flat at k = 0
-    solve = thirring._band_pair_roots
-    stub = RootEnumerationError("stub")
-    monkeypatch.setattr(thirring, "_band_pair_roots",
-                        lambda d, p, ws: [r[:1] + [stub] * 3
-                                          for r in solve(d, p, ws)])
-    with pytest.raises(StationaryPointError, match=r"band pair \(\+1,\+1\)"):
-        gamma_matrix(params, 0.3, omega)
-    monkeypatch.setattr(thirring, "_band_pair_roots",
-                        lambda d, p, ws: [[stub] + r[1:]
-                                          for r in solve(d, p, ws)])
-    with pytest.raises(RootEnumerationError, match="stub"):
-        gamma_matrix(params, 0.3, omega)
+def test_tangent_crossing_is_stationary():
+    # the (+,-) pair touches omega at k = pi/2 with zero slope, where the
+    # crossing's position is ill-conditioned
+    with pytest.raises(StationaryPointError, match=r"band pair \(\+1,-1\)"):
+        gamma_matrix(ThirringParams(nu=0.8, chi=1.0), 0.3, TANGENT_HIT_OMEGA)
 
 
 @pytest.mark.parametrize("p", [0.3, 0.7])
