@@ -1,7 +1,7 @@
 """Scattering theory for discrete-time quantum dynamics on the lattice.
 
-Born/Lippmann-Schwinger solvers for single-step unitaries, the exactly
-solvable two-fermion collision model, time-ordered perturbation theory,
+The exactly solvable two-fermion collision model with its Born
+(Lippmann-Schwinger) series, time-ordered perturbation theory,
 stepped-vs-continuous T-matrix gap certificates, and a direct
 wave-packet simulator used as a numerical oracle.
 """

@@ -39,8 +39,7 @@ from math import factorial
 import numpy as np
 
 from .errors import DomainError, StationaryPointError, TruncationError
-from .lippmann import SHELL_TOL, epsilon_extrapolate
-from .spectral import bz_grid, wrap_momentum
+from .spectral import bz_grid, epsilon_extrapolate, wrap_momentum
 from .thirring import (
     STATIONARY_TOL,
     ThirringChannel,
@@ -53,6 +52,9 @@ from .thirring import (
 # first-order (+,+) elastic coefficient to equal i*chi*(y-x)/(2(x+y));
 # reused unchanged at second order.
 LEG_NORM = +1.0
+
+# channels conserve total momentum and quasi-energy (mod 2pi) to this
+SHELL_TOL = 1e-9
 
 # damping regulators of the relative-time sums, extrapolated to zero, and
 # the bound on the extrapolation's self-estimate

@@ -29,18 +29,6 @@ class PoleError(DtScatterError):
         self.k = k
 
 
-class UnsupportedInteractionError(DtScatterError):
-    """Interaction type outside the finite-support on-site family."""
-
-
-class SingularKernelError(DtScatterError):
-    """The closed-form solve hit a numerically singular kernel."""
-
-    def __init__(self, message: str, condition_number: float | None = None):
-        super().__init__(message)
-        self.condition_number = condition_number
-
-
 class DegenerateMomentumError(DtScatterError):
     """Total quasi-momentum sits on a degeneracy of the two-particle bands."""
 

@@ -1,7 +1,8 @@
 """Spectral substrate for the two-band Dirac walk.
 
 The dispersion omega(k) with its group velocity and closed-form band
-eigenvectors, momentum wrapping, and the uniform Brillouin-zone grid.
+eigenvectors, momentum wrapping, the uniform Brillouin-zone grid, and the
+polynomial eps -> 0 extrapolation of regulated zone sums.
 Everything downstream (Born series, two-particle reduction, wave packets)
 is built on these primitives.
 
@@ -22,12 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InsufficientDataError
 
 __all__ = [
     "Dispersion",
+    "Extrapolation",
     "wrap_momentum",
     "bz_grid",
+    "epsilon_extrapolate",
     "make_dispersion",
 ]
 
@@ -40,6 +43,36 @@ def wrap_momentum(k):
 def bz_grid(n: int) -> np.ndarray:
     """Uniform zone grid of n nodes, k_j = -pi + 2pi(j+1)/n in (-pi, pi]."""
     return -np.pi + 2.0 * np.pi * (np.arange(1, n + 1)) / n
+
+
+@dataclass(frozen=True)
+class Extrapolation:
+    value: complex | np.ndarray
+    error: float
+
+
+def epsilon_extrapolate(values, eps) -> Extrapolation:
+    """Polynomial extrapolation of values(eps) to eps = 0.
+
+    value is the full-degree interpolant through every sample, evaluated
+    at eps = 0; error is its distance from the interpolant that drops the
+    largest regulator.  Trailing axes of ``values`` are extrapolated entry
+    by entry, and error is then the largest of the entry errors.
+    """
+    values = np.asarray(values, dtype=complex)
+    eps = np.asarray(eps, dtype=float)
+    if values.shape[:1] != eps.shape:
+        raise InsufficientDataError("values and eps schedules differ in length")
+    if eps.size < 3:
+        raise InsufficientDataError("need at least 3 samples to extrapolate")
+    if np.any(np.diff(eps) >= 0.0) or eps[-1] <= 0:
+        raise InsufficientDataError("eps schedule must decrease strictly toward 0")
+    flat = values.reshape(eps.size, -1)
+    full = np.polyfit(eps, flat, eps.size - 1)[-1]
+    drop = np.polyfit(eps[1:], flat[1:], eps.size - 2)[-1]
+    value = full.reshape(values.shape[1:])
+    return Extrapolation(value=complex(value) if value.ndim == 0 else value,
+                         error=float(np.abs(full - drop).max()))
 
 
 @dataclass(frozen=True)

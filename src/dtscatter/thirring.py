@@ -47,8 +47,8 @@ from .errors import (
     ResonancePoleError,
     StationaryPointError,
 )
-from .lippmann import AmplitudeRecord, epsilon_extrapolate
-from .spectral import Dispersion, bz_grid, make_dispersion, wrap_momentum
+from .spectral import (Dispersion, bz_grid, epsilon_extrapolate, make_dispersion,
+                       wrap_momentum)
 
 _HALF_PI = 0.5 * np.pi
 
@@ -108,6 +108,22 @@ class ThirringChannel:
     s1: int
     s2: int
     omega: float
+
+
+@dataclass(frozen=True)
+class AmplitudeRecord:
+    """On-shell amplitude: the factor multiplying the conservation delta.
+
+    The element is coefficient * delta_2pi(omega' - omega).  ``comb_index``
+    l satisfies omega' = omega + 2 pi l for the stored representative
+    channel pair.
+    """
+
+    in_channel: ThirringChannel
+    out_channel: ThirringChannel
+    comb_index: int
+    coefficient: complex
+    note: str = ""
 
 
 @dataclass(frozen=True)

@@ -125,10 +125,6 @@ class WalkModel:
         return kk, bands
 
 
-def single_particle_model(nu: float, chi: float, length: int = 2048) -> WalkModel:
-    return WalkModel(nu=nu, chi=chi, length=length, total_momentum=None)
-
-
 def thirring_com_model(params: ThirringParams, p: float,
                        length: int = 4096) -> WalkModel:
     """Relative-coordinate model of the two-fermion problem at fixed p."""
@@ -445,31 +441,6 @@ def extract_smatrix(model: WalkModel, spec_in: GaussianPacketSpec,
         channel_weights=weights,
         boundary_mass=_boundary_mass(out),
     )
-
-
-def transmission_reflection(out_amps, model: WalkModel,
-                            k0: float, band: int = +1) -> tuple[float, float]:
-    """Forward/backward probabilities of a single-particle out-state.
-
-    Bins the band-projected momentum density by the sign of the group
-    velocity relative to the incoming packet's; the residue (other band,
-    stationary bins) is the leakage, so T + R + leakage = 1 exactly.
-    """
-    if model.total_momentum is not None:
-        raise DomainError("transmission_reflection applies to the "
-                          "single-particle model")
-    d = model.dispersion
-    kk, bands = model.mode_data
-    ft = np.fft.fft(_lattice(out_amps), axis=0) / np.sqrt(model.length)
-    _, vec = bands[(band,)]
-    dens = np.abs(np.einsum("ck,kc->k", vec, ft)) ** 2
-    v = band * d.omega_prime(kk)
-    v_in = band * d.omega_prime(k0)
-    if abs(v_in) < 1e-12:
-        raise DomainError(f"incoming group velocity vanishes at k0={k0}")
-    forward = v * np.sign(v_in) > 1e-12
-    backward = v * np.sign(v_in) < -1e-12
-    return float(dens[forward].sum()), float(dens[backward].sum())
 
 
 def snapshot_columns(amps: np.ndarray) -> dict:

@@ -12,11 +12,14 @@ exponential per Dyson regulator) as bitwise twins of the package's
 batched kernels.  Test files freeze the resulting
 numbers as literals and cite the oracle function that produced them.
 The last section holds references no command runs (the walk fiber, zone
-quadrature, the retarded kernel and the closed-form T block), with the
-arithmetic they had in the package.
+quadrature, the retarded kernel, the closed-form T block, and the
+single-walker Lippmann-Schwinger route with the packet's forward /
+backward split it is checked against), with the arithmetic they had in
+the package.
 """
 
 import csv
+import functools
 import io
 import json
 import math
@@ -29,15 +32,16 @@ import numpy as np
 from dtscatter import dyson as dy
 from dtscatter import thirring as th
 from dtscatter import trotter as tr
+from dtscatter import wavepacket as wp
 from dtscatter.errors import (
     AssumptionViolationError,
     DomainError,
     DtScatterError,
+    PoleError,
     ResonancePoleError,
     TruncationError,
 )
-from dtscatter.lippmann import TMatrixEval, epsilon_extrapolate
-from dtscatter.spectral import bz_grid, wrap_momentum
+from dtscatter.spectral import Extrapolation, bz_grid, epsilon_extrapolate, wrap_momentum
 from dtscatter.thirring import on_shell_xy, xy_factors
 
 mp.mp.dps = 30
@@ -646,7 +650,8 @@ def t_difference(dense, k, kp, tau, eps):
 
 # ---------------------------------------------------------------------------
 # references no command runs: the walk fiber, zone quadrature, the
-# retarded kernel and the closed-form T block
+# retarded kernel, the closed-form T block and the single-walker
+# Lippmann-Schwinger route
 # ---------------------------------------------------------------------------
 
 class UncertifiedRegimeWarning(UserWarning):
@@ -740,3 +745,313 @@ def t_closed_thirring(params, p, k):
     diag = (lam + 1.0) * x2 - y2
     off = -lam * x * y
     return (lam / den) * np.array([[diag, off], [off, diag]], dtype=complex)
+
+
+# The single-walker route: the step U = U0 V with V a diagonal on-site
+# phase on finitely many sites, so W = U0^dag U - I = V - I is a finite-rank
+# diagonal block.  The Born series, its closed resummation and the
+# eps-regularized improper S-matrix elements all live on that block, at
+# z = exp(-i * omega_in + eps) just outside the unit circle, extrapolated
+# to eps -> 0+.
+
+# regulators of the improper elements, extrapolated to eps -> 0
+EPS_SCHEDULE = tuple(1e-2 * 2.0 ** (-j) for j in range(5))
+# Born series: stop once a term's norm is below BORN_TOL, give up after
+# BORN_MAX_N terms
+BORN_TOL = 1e-12
+BORN_MAX_N = 200
+
+
+class UnsupportedInteractionError(DtScatterError):
+    """Interaction type outside the finite-support on-site family."""
+
+
+class SingularKernelError(DtScatterError):
+    """The closed-form solve hit a numerically singular kernel."""
+
+    def __init__(self, message: str, condition_number: float | None = None):
+        super().__init__(message)
+        self.condition_number = condition_number
+
+
+@dataclass(frozen=True)
+class OnSitePhase:
+    """Diagonal on-site phase V = sum_x e^{-i chi f(x)} |x><x| (identity elsewhere).
+
+    ``f`` maps lattice site -> real weight; only finitely many sites appear.
+    """
+
+    chi: float
+    f: dict[int, float]
+
+    def __post_init__(self):
+        if not isinstance(self.f, dict):
+            raise UnsupportedInteractionError(
+                "on-site phase must be described by a finite site -> weight map"
+            )
+        for x, v in self.f.items():
+            if not np.isfinite(v) or not np.isreal(v):
+                raise UnsupportedInteractionError(
+                    f"non-finite/non-real weight at site {x}: {v}"
+                )
+
+
+@dataclass(frozen=True)
+class FiniteRankInteraction:
+    """W = V - I restricted to its support sites (internal dim per site)."""
+
+    support: tuple[int, ...]
+    internal_dim: int
+    action: np.ndarray  # (r*d, r*d) complex block, r = len(support)
+    rank: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "action", np.asarray(self.action, dtype=complex))
+
+
+@dataclass(frozen=True)
+class TMatrixEval:
+    z: complex
+    value: np.ndarray  # complex block on the interaction support
+    n_terms: int
+    converged: bool
+    residual: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", np.asarray(self.value, dtype=complex))
+
+
+@dataclass(frozen=True)
+class LSAmplitude:
+    """On-shell element coefficient * delta_2pi(omega' - omega) between walk
+    modes (k, s), with omega' = omega + 2 pi * comb_index, and the
+    extrapolation's flag and self-estimate."""
+
+    in_channel: tuple[float, int]
+    out_channel: tuple[float, int]
+    comb_index: int
+    coefficient: complex
+    flagged: bool = False
+    note: str = ""
+    error_estimate: float = 0.0
+
+
+def w_operator(v):
+    """Interaction kernel W = U0^dag (U0 V) - I = V - I on its support."""
+    d = 2  # two internal components of the walk
+    support = tuple(
+        sorted(
+            x
+            for x, fx in v.f.items()
+            if fx != 0.0 and np.exp(-1j * v.chi * fx) != 1.0
+        )
+    )
+    r = len(support)
+    diag = np.zeros(r * d, dtype=complex)
+    for i, x in enumerate(support):
+        diag[i * d : (i + 1) * d] = np.exp(-1j * v.chi * v.f[x]) - 1.0
+    return FiniteRankInteraction(
+        support=support, internal_dim=d, action=np.diag(diag), rank=r
+    )
+
+
+@functools.lru_cache(maxsize=4)
+def _mode_projectors(disp, n):
+    """Eigenvalues e^{-i s omega(k)} and 2x2 band projectors of the walk
+    fiber ``dirac_walk_matrix`` on the n-node zone grid: (lam_plus,
+    lam_minus, P_plus, P_minus), the projectors of shape (n, 2, 2).  They
+    do not depend on z, so the regulators of one element share them, read
+    only."""
+    k = bz_grid(n)
+    w = disp.omega(k)
+    out = []
+    lams = []
+    for s in (+1, -1):
+        a = np.stack(disp.alpha(s, k), axis=-1)
+        out.append((a[:, :, None] * a[:, None, :]).astype(complex))
+        lams.append(np.exp(-1j * s * w))
+    data = lams[0], lams[1], out[0], out[1]
+    for array in data:
+        array.flags.writeable = False
+    return data
+
+
+def support_kernel(disp, z, support, n=2048):
+    """Position-space block of G0(z) U0 = (z - U0)^{-1} U0 on the support.
+
+    Entry ((x', a), (x, b)) = (1/2pi) Integral dk e^{i k (x' - x)}
+    [ (z - D_k)^{-1} D_k ]_{ab}, evaluated by zone quadrature.
+    """
+    k = bz_grid(n)
+    lam_a, lam_b, p_a, p_b = _mode_projectors(disp, n)
+    m = np.zeros((n, 2, 2), dtype=complex)
+    for lam, p in ((lam_a, p_a), (lam_b, p_b)):
+        den = z - lam
+        closest = np.argmin(np.abs(den))
+        if np.abs(den[closest]) <= 1e-14:
+            raise PoleError(
+                f"spectral parameter z = {z} collides with the free spectrum",
+                k=float(k[closest]),
+            )
+        m += (lam / den)[:, None, None] * p
+    r = len(support)
+    d = 2
+    block = np.zeros((r * d, r * d), dtype=complex)
+    xs = np.asarray(support)
+    for i, xp in enumerate(xs):
+        for j, x in enumerate(xs):
+            phase = np.exp(1j * k * (xp - x))
+            block[i * d : (i + 1) * d, j * d : (j + 1) * d] = (
+                np.tensordot(phase, m, axes=(0, 0)) / n
+            )
+    return block
+
+
+def t_matrix_born(w, disp, z, quad_n=2048):
+    """Sum the Born series on the support block until the last term < BORN_TOL.
+
+    Non-convergence is reported through ``converged=False``.
+    """
+    if w.rank == 0:
+        return TMatrixEval(z=z, value=w.action.copy(), n_terms=0, converged=True, residual=0.0)
+    kernel = w.action @ support_kernel(disp, z, w.support, n=quad_n)
+    term = w.action.copy()
+    total = term.copy()
+    n_terms = 1
+    residual = float(np.linalg.norm(term))
+    for n in range(1, BORN_MAX_N + 1):
+        term = kernel @ term
+        total += term
+        n_terms = n + 1
+        residual = float(np.linalg.norm(term))
+        if residual < BORN_TOL:
+            return TMatrixEval(z=z, value=total, n_terms=n_terms, converged=True, residual=residual)
+    return TMatrixEval(z=z, value=total, n_terms=n_terms, converged=False, residual=residual)
+
+
+def t_matrix_closed(w, disp, z, quad_n=2048):
+    """Closed resummation T = (I - W G0 U0)^{-1} W on the support block."""
+    if w.rank == 0:
+        return TMatrixEval(z=z, value=w.action.copy(), n_terms=0, converged=True, residual=0.0)
+    kernel = w.action @ support_kernel(disp, z, w.support, n=quad_n)
+    a = np.eye(kernel.shape[0]) - kernel
+    cond = float(np.linalg.cond(a))
+    if not np.isfinite(cond) or cond > 1e12:
+        raise SingularKernelError(
+            f"closed T-matrix solve is singular (cond = {cond:.3e})",
+            condition_number=cond,
+        )
+    value = np.linalg.solve(a, w.action)
+    return TMatrixEval(z=z, value=value, n_terms=1, converged=True, residual=0.0)
+
+
+def fixed_point_residual(w, disp, eval_, quad_n=2048):
+    """|| T - (W + W G0 U0 T) || on the support block."""
+    kernel = w.action @ support_kernel(disp, eval_.z, w.support, n=quad_n)
+    return float(np.linalg.norm(eval_.value - (w.action + kernel @ eval_.value)))
+
+
+def _plane_wave_on_support(disp, support, k, s):
+    """Improper mode (k, s) sampled on the support sites, e^{ikx} u^s_k."""
+    a_up, a_dn = disp.alpha(s, k)
+    u = np.array([a_up, a_dn], dtype=complex)
+    return np.concatenate([np.exp(1j * k * x) * u for x in support])
+
+
+def s_matrix_element(w, disp, in_channel, out_channel, quad_n=32768):
+    """eps -> 0 improper S-matrix element between walk modes.
+
+    Off the quasi-energy shell (mod 2 pi, tolerance dyson.SHELL_TOL) the
+    comb selection rule forces a zero record.  On shell the coefficient is
+    the factor multiplying the conservation delta_2pi(omega' - omega),
+    taken through EPS_SCHEDULE; a growing extrapolation error flags the
+    record and keeps the smallest-regulator sample.  The default quad_n
+    resolves the pole width at the smallest regulator (2 048 nodes do not).
+    """
+    k_in, s_in = float(wrap_momentum(in_channel[0])), int(in_channel[1])
+    k_out, s_out = float(wrap_momentum(out_channel[0])), int(out_channel[1])
+    w_in = s_in * disp.omega(k_in)
+    w_out = s_out * disp.omega(k_out)
+    l = int(np.round((w_out - w_in) / (2.0 * np.pi)))
+    if abs(w_out - w_in - 2.0 * np.pi * l) > dy.SHELL_TOL:
+        return LSAmplitude(
+            in_channel=(k_in, s_in),
+            out_channel=(k_out, s_out),
+            comb_index=0,
+            coefficient=0.0,
+            note="off-shell",
+        )
+    if w.rank == 0:
+        # free theory: S = I, so the delta coefficient vanishes
+        return LSAmplitude(
+            in_channel=(k_in, s_in),
+            out_channel=(k_out, s_out),
+            comb_index=l,
+            coefficient=0.0,
+            note="empty interaction support",
+        )
+    vec_in = _plane_wave_on_support(disp, w.support, k_in, s_in)
+    vec_out = _plane_wave_on_support(disp, w.support, k_out, s_out)
+    vals = []
+    for eps in EPS_SCHEDULE:
+        z = np.exp(-1j * w_in + eps)
+        t = t_matrix_closed(w, disp, z, quad_n=quad_n)
+        vals.append(vec_out.conj() @ t.value @ vec_in)
+    ext = epsilon_extrapolate(vals, EPS_SCHEDULE)
+    prev = epsilon_extrapolate(vals[1:], EPS_SCHEDULE[1:]).error
+    if ext.error > 4.0 * prev and ext.error > 1e-12:
+        note = (f"extrapolation diverging: successive corrections {prev:.3e} "
+                f"-> {ext.error:.3e}")
+        ext = Extrapolation(value=vals[-1], error=float("inf"))
+        flagged = True
+    else:
+        flagged = ext.error > 1e-6
+        note = "extrapolation orders disagree" if flagged else ""
+    # The support sandwich is the full on-shell factor in momentum-
+    # normalized channels (the mode normalization folds the 2 pi of the
+    # conservation comb into it).
+    return LSAmplitude(
+        in_channel=(k_in, s_in),
+        out_channel=(k_out, s_out),
+        comb_index=l,
+        coefficient=complex(ext.value),
+        flagged=flagged,
+        note=note,
+        error_estimate=ext.error,
+    )
+
+
+def channel_amplitude(record, disp):
+    """Physical single-channel amplitude c with S = 1 + c on that channel.
+
+    The stored element is coefficient * delta_2pi(omega(k') - omega(k)); the
+    comb contributes delta(k' - k_out)/|omega'(k_out)| at the outgoing root,
+    so on momentum-normalized channels c = coefficient / |omega'(k_out)|.
+    """
+    k_out = record.out_channel[0]
+    vg = abs(disp.omega_prime(k_out))
+    return record.coefficient / vg
+
+
+def transmission_reflection(out_amps, model, k0, band=+1):
+    """Forward/backward probabilities of a single-particle out-state.
+
+    Bins the band-projected momentum density by the sign of the group
+    velocity relative to the incoming packet's; the residue (other band,
+    stationary bins) is the leakage, so T + R + leakage = 1 exactly.
+    """
+    if model.total_momentum is not None:
+        raise DomainError("transmission_reflection applies to the "
+                          "single-particle model")
+    d = model.dispersion
+    kk, bands = model.mode_data
+    ft = np.fft.fft(wp._lattice(out_amps), axis=0) / np.sqrt(model.length)
+    _, vec = bands[(band,)]
+    dens = np.abs(np.einsum("ck,kc->k", vec, ft)) ** 2
+    v = band * d.omega_prime(kk)
+    v_in = band * d.omega_prime(k0)
+    if abs(v_in) < 1e-12:
+        raise DomainError(f"incoming group velocity vanishes at k0={k0}")
+    forward = v * np.sign(v_in) > 1e-12
+    backward = v * np.sign(v_in) < -1e-12
+    return float(dens[forward].sum()), float(dens[backward].sum())

@@ -388,12 +388,19 @@ def test_cli_import_loads_no_writer_or_split_leg_modules():
     # those start: importing them with cli would cost every command's start
     src = str(Path(cli.__file__).parents[1])
     code = ("import sys, dtscatter.cli; print(sorted({'mmap', 'select', "
-            "'dtscatter.splitleg'} & set(sys.modules)))")
+            "'dtscatter.splitleg'} & set(sys.modules))); "
+            "print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'dtscatter'))")
     path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out == "[]\n"
+    forbidden, package = out.splitlines()
+    assert forbidden == "[]"
+    # and no module that no command runs comes back onto every start
+    assert package == str(["dtscatter"] + [f"dtscatter.{m}" for m in (
+        "cli", "config", "dyson", "errors", "spectral", "tables", "thirring",
+        "trotter", "wavepacket")])
 
 
 def test_main_freezes_the_start_up_heap_once(tmp_path):

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 import oracles
-from dtscatter import lippmann
-from dtscatter.errors import PoleError, UnsupportedInteractionError
-from dtscatter.lippmann import (
+from dtscatter.errors import PoleError
+from dtscatter.spectral import epsilon_extrapolate, make_dispersion
+from oracles import (
     EPS_SCHEDULE,
     OnSitePhase,
     TMatrixEval,
+    UnsupportedInteractionError,
     channel_amplitude,
-    epsilon_extrapolate,
     fixed_point_residual,
     s_matrix_element,
     support_kernel,
@@ -19,7 +19,6 @@ from dtscatter.lippmann import (
     t_matrix_closed,
     w_operator,
 )
-from dtscatter.spectral import make_dispersion
 
 # single-site phase walk at (nu, k0, chi) = (0.8, 0.5, 1.0), quad_n = 32768:
 # converged to 4e-13 against a doubled grid, unitarity closes to 7e-11,
@@ -132,7 +131,7 @@ def test_s_matrix_element_flags_diverging_extrapolation(monkeypatch):
         return TMatrixEval(z=z, value=value * np.eye(2), n_terms=1,
                            converged=True, residual=0.0)
 
-    monkeypatch.setattr(lippmann, "t_matrix_closed", fake_closed)
+    monkeypatch.setattr(oracles, "t_matrix_closed", fake_closed)
     disp, w = _setup()
     rec = s_matrix_element(w, disp, (0.5, +1), (0.5, +1))
     assert len(calls) == 5

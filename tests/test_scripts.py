@@ -19,20 +19,14 @@ PACKAGE = sorted((ROOT / "src" / "dtscatter").glob("*.py"))
 
 # public names of src/ that nothing in src/, scripts/ or the tracer names,
 # each with the reason it stays in the package
-_LS_ROUTE = "single-particle LS route, kept for a command (ROADMAP direction 9)"
 _DIRECTION_12 = "independent Gamma / umklapp route (ROADMAP direction 12)"
 _DIRECTION_5 = "Trotter expansions for the second-order bound (ROADMAP direction 5)"
 _EMIT_BYTES = "emit's output is defined as these renderers' bytes"
 KEPT = {
-    "lippmann.w_operator": _LS_ROUTE,
-    "lippmann.t_matrix_born": _LS_ROUTE,
-    "lippmann.fixed_point_residual": _LS_ROUTE,
-    "lippmann.s_matrix_element": _LS_ROUTE,
-    "lippmann.channel_amplitude": _LS_ROUTE,
-    "wavepacket.single_particle_model": _LS_ROUTE,
-    "wavepacket.transmission_reflection": _LS_ROUTE,
     "thirring.gamma_quadrature": _DIRECTION_12,
     "thirring.umklapp_amplitudes": _DIRECTION_12,
+    "trotter.A1_BOUND": _DIRECTION_5,
+    "trotter.A2_BOUND": _DIRECTION_5,
     "trotter.bernoulli_split": _DIRECTION_5,
     "trotter.w_tilde": _DIRECTION_5,
     "trotter.w_tilde_direct": _DIRECTION_5,
@@ -47,6 +41,20 @@ def _load_tracer():
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     return tracer
+
+
+def _public_name(stmt):
+    """The public name a top-level statement defines, or None: a function,
+    a class, or an UPPER_CASE constant."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        name = stmt.name
+    elif (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+          and isinstance(stmt.targets[0], ast.Name)
+          and stmt.targets[0].id.isupper()):
+        name = stmt.targets[0].id
+    else:
+        return None
+    return None if name.startswith("_") else name
 
 
 def _named(node) -> set:
@@ -76,24 +84,25 @@ def test_bench_tracer_targets_resolve():
 
 
 def test_every_public_name_in_the_package_is_reached():
-    # A public top-level function or class of src/ must be named in src/
-    # outside its own definition (an import or __all__ does not count), be
-    # named in scripts/, be a tracer target, or be kept in KEPT with its
-    # reason.  Test-only references belong in tests/oracles.py.
-    defined = {}      # "module.name" -> its top-level statement
+    # A public top-level function, class or UPPER_CASE constant of src/
+    # must be named in src/ outside its own definition (an import or
+    # __all__ does not count), be named in scripts/, be a tracer target,
+    # or be kept in KEPT with its reason.  Test-only references belong in
+    # tests/oracles.py.
+    defined = {}      # "module.name" -> (name, its top-level statement)
     reads = []        # (top-level statement, the names it reads)
     for path in PACKAGE:
         for stmt in ast.parse(path.read_text()).body:
-            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                    and not stmt.name.startswith("_")):
-                defined[f"{path.stem}.{stmt.name}"] = stmt
+            name = _public_name(stmt)
+            if name is not None:
+                defined[f"{path.stem}.{name}"] = (name, stmt)
             reads.append((stmt, _named(stmt)))
     in_scripts = set().union(*(_named(ast.parse(p.read_text())) for p in SCRIPTS))
     traced = {f"{module}.{name}" for module, name in _load_tracer().TARGETS}
     unreached = {
-        key for key, stmt in defined.items()
-        if stmt.name not in in_scripts and key not in traced
-        and not any(stmt.name in names for other, names in reads
+        key for key, (name, stmt) in defined.items()
+        if name not in in_scripts and key not in traced
+        and not any(name in names for other, names in reads
                     if other is not stmt)}
     assert sorted(unreached - set(KEPT)) == []
     # a kept name that gains a caller leaves KEPT

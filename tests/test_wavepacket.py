@@ -32,7 +32,7 @@ COM_DIAG_REF = -0.1041081238946 + 0.3053787527171011j
 
 
 def test_packet_normalization_and_peak():
-    m = wp.single_particle_model(0.8, 1.0, length=512)
+    m = wp.WalkModel(0.8, 1.0, length=512)
     st = wp.build_packet(m, wp.GaussianPacketSpec(k0=0.5, sigma_x=16.0, x0=256))
     assert np.linalg.norm(st) == pytest.approx(1.0, abs=1e-12)
     ft = np.fft.fft(st, axis=0)
@@ -42,7 +42,7 @@ def test_packet_normalization_and_peak():
 
 
 def test_packet_validation():
-    m = wp.single_particle_model(0.8, 1.0, length=512)
+    m = wp.WalkModel(0.8, 1.0, length=512)
     with pytest.raises(GeometryError):
         wp.build_packet(m, wp.GaussianPacketSpec(k0=0.5, sigma_x=16.0, x0=100))
     with pytest.raises(DomainError):
@@ -53,7 +53,7 @@ def test_packet_validation():
 
 
 def test_step_unitary_and_local():
-    m = wp.single_particle_model(0.8, 1.3, length=128)
+    m = wp.WalkModel(0.8, 1.3, length=128)
     amps = np.zeros((128, 2), dtype=complex)
     amps[64, 0] = 1.0
     nxt = wp.step(amps, m)
@@ -72,7 +72,7 @@ def test_step_unitary_and_local():
 def test_free_stepper_matches_mode_sum():
     # chi = 0: the local stepper, the spectral propagator, and an explicit
     # plane-wave resummation must agree to rounding
-    m = wp.single_particle_model(0.8, 0.0, length=128)
+    m = wp.WalkModel(0.8, 0.0, length=128)
     st = wp.band_project(
         m, wp.build_packet(m, wp.GaussianPacketSpec(k0=0.5, sigma_x=8.0, x0=64)),
         (1,))
@@ -95,7 +95,7 @@ def test_evolve_matches_step_bitwise():
     # order, so every state it reaches agrees with step bit for bit
     rng = np.random.default_rng(0)
     params = ThirringParams(nu=0.8, chi=1.0)
-    cases = ((wp.single_particle_model(0.8, 1.0, length=128),
+    cases = ((wp.WalkModel(0.8, 1.0, length=128),
               wp.GaussianPacketSpec(k0=0.5, sigma_x=8.0, x0=64)),
              (wp.thirring_com_model(params, 0.3, length=256),
               wp.GaussianPacketSpec(k0=0.7, sigma_x=8.0, x0=128, band=(1, 1))))
@@ -127,7 +127,7 @@ def test_evolve_matches_step_bitwise():
 def test_delta_evolution_matches_retarded_kernel():
     # column of U0^t against the quadrature kernel (source-relative dx)
     params = ThirringParams(nu=0.8, chi=1.0)
-    m = wp.single_particle_model(0.8, 0.0, length=64)
+    m = wp.WalkModel(0.8, 0.0, length=64)
     amps = np.zeros((64, 2), dtype=complex)
     amps[32, 0] = 1.0
     cur = amps
@@ -144,21 +144,21 @@ def test_delta_evolution_matches_retarded_kernel():
 
 
 def test_free_evolve_roundtrip():
-    m = wp.single_particle_model(0.8, 1.0, length=256)
+    m = wp.WalkModel(0.8, 1.0, length=256)
     st = wp.build_packet(m, wp.GaussianPacketSpec(k0=0.7, sigma_x=12.0, x0=128))
     back = wp.free_evolve(wp.free_evolve(st, m, 37), m, -37)
     np.testing.assert_allclose(back, st, atol=1e-13)
 
 
 def test_norm_drift_under_stepping():
-    m = wp.single_particle_model(0.8, 1.0, length=512)
+    m = wp.WalkModel(0.8, 1.0, length=512)
     st = wp.build_packet(m, wp.GaussianPacketSpec(k0=0.5, sigma_x=16.0, x0=256))
     out = wp.evolve(st, m, 256)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
 def test_zero_coupling_smatrix_is_identity():
-    m = wp.single_particle_model(0.8, 0.0, length=1024)
+    m = wp.WalkModel(0.8, 0.0, length=1024)
     meas = wp.extract_smatrix(
         m, wp.GaussianPacketSpec(k0=0.5, sigma_x=16.0, x0=512), 300)
     assert abs(meas.diagonal_coefficient) < 1e-8
@@ -167,7 +167,7 @@ def test_zero_coupling_smatrix_is_identity():
 
 
 def test_single_particle_sandwich_frozen():
-    m = wp.single_particle_model(0.8, 1.0, length=2048)
+    m = wp.WalkModel(0.8, 1.0, length=2048)
     spec = wp.GaussianPacketSpec(k0=0.5, sigma_x=32.0, x0=1024)
     meas = wp.extract_smatrix(m, spec, 600)
     assert meas.diagonal_coefficient == pytest.approx(SP_DIAG_REF, rel=1e-9)
@@ -177,12 +177,40 @@ def test_single_particle_sandwich_frozen():
     packet = packet / np.linalg.norm(packet)
     out = wp.free_evolve(wp.evolve(wp.free_evolve(packet, m, -600), m, 1200),
                          m, -600)
-    t_prob, r_prob = wp.transmission_reflection(out, m, 0.5, band=+1)
+    t_prob, r_prob = oracles.transmission_reflection(out, m, 0.5, band=+1)
     assert t_prob == pytest.approx(SP_T_REF, rel=1e-9)
     assert r_prob == pytest.approx(SP_R_REF, rel=1e-9)
     assert t_prob + r_prob == pytest.approx(1.0, abs=1e-12)
     assert t_prob == pytest.approx(abs(1.0 + C_FWD) ** 2, abs=5e-4)
     assert r_prob == pytest.approx(abs(C_BACK) ** 2, abs=5e-4)
+
+
+def test_single_particle_packet_matches_ls_per_bin():
+    # At fixed k the sandwich is diagonal in the FFT momentum bins once the
+    # packet has cleared the site, so each bin's ratio is the LS amplitude
+    # itself, with no envelope average: forward a_out(k)/a_in(k) - 1, and
+    # backward a_out(-k)/a_in(k) (the site sits at L/2, where e^{2ikx} = 1)
+    m = wp.WalkModel(0.8, 1.0, length=2048)
+    spec = wp.GaussianPacketSpec(k0=0.5, sigma_x=32.0, x0=1024)
+    packet = wp.band_project(m, wp.build_packet(m, spec), (1,))
+    packet = packet / np.linalg.norm(packet)
+    out = wp.free_evolve(wp.evolve(wp.free_evolve(packet, m, -600), m, 1200),
+                         m, -600)
+    kk, bands = m.mode_data
+    _, vec = bands[(1,)]
+    a_in, a_out = (np.einsum("ck,kc->k", vec,
+                             np.fft.fft(st, axis=0) / np.sqrt(m.length))
+                   for st in (packet, out))
+    disp = m.dispersion
+    w = oracles.w_operator(oracles.OnSitePhase(chi=1.0, f={0: -1.0}))
+    for i in np.argsort(np.abs(kk - 0.5))[:3]:
+        k, back = float(kk[i]), -i % m.length
+        assert kk[back] == -k
+        c_fwd, c_back = (oracles.channel_amplitude(
+            oracles.s_matrix_element(w, disp, (k, +1), (k_out, +1)), disp)
+            for k_out in (k, -k))
+        assert abs(a_out[i] / a_in[i] - 1.0 - c_fwd) <= 1e-9
+        assert abs(a_out[back] / a_in[i] - c_back) <= 1e-9
 
 
 def test_fixed_p_sandwich_frozen():
@@ -214,17 +242,17 @@ def test_exchange_involution_and_antisymmetry():
     again = wp.antisymmetrize(m, anti)
     np.testing.assert_allclose(again, anti, atol=1e-13)
     with pytest.raises(DomainError):
-        wp.exchange(wp.single_particle_model(0.8, 1.0, length=256), st)
+        wp.exchange(wp.WalkModel(0.8, 1.0, length=256), st)
 
 
 def test_unswept_packet_is_inconclusive():
-    m = wp.single_particle_model(0.8, 1.0, length=512)
+    m = wp.WalkModel(0.8, 1.0, length=512)
     with pytest.raises(ScatteringInconclusiveError):
         wp.extract_smatrix(m, wp.GaussianPacketSpec(k0=0.5, sigma_x=16.0, x0=256), 8)
 
 
 def test_boundary_leakage_warns():
-    m = wp.single_particle_model(0.8, 1.0, length=128)
+    m = wp.WalkModel(0.8, 1.0, length=128)
     amps = np.zeros((128, 2), dtype=complex)
     amps[1, 0] = 1.0
     with pytest.warns(BoundaryLeakageWarning):
@@ -236,15 +264,15 @@ def test_transmission_reflection_guards():
     mc = wp.thirring_com_model(params, 0.3, length=256)
     st = np.ones((256, 4), dtype=complex)
     with pytest.raises(DomainError):
-        wp.transmission_reflection(st, mc, 0.5)
-    m = wp.single_particle_model(0.8, 1.0, length=256)
+        oracles.transmission_reflection(st, mc, 0.5)
+    m = wp.WalkModel(0.8, 1.0, length=256)
     st1 = np.ones((256, 2), dtype=complex)
     with pytest.raises(DomainError):
-        wp.transmission_reflection(st1, m, 0.0)  # vanishing group velocity
+        oracles.transmission_reflection(st1, m, 0.0)  # vanishing group velocity
 
 
 def test_extract_smatrix_reports_each_interacting_step_once():
-    m = wp.single_particle_model(0.8, 1.0, length=1024)
+    m = wp.WalkModel(0.8, 1.0, length=1024)
     spec = wp.GaussianPacketSpec(k0=0.5, sigma_x=16.0, x0=512)
     seen = []
     meas = wp.extract_smatrix(m, spec, 300,
@@ -258,7 +286,7 @@ def test_extract_smatrix_reports_each_interacting_step_once():
 def test_on_step_view_is_read_only():
     # the callback sees the stepping buffer itself; a write would change
     # the evolution, so it is refused and the measurement stays the same
-    m = wp.single_particle_model(0.8, 1.0, length=1024)
+    m = wp.WalkModel(0.8, 1.0, length=1024)
     spec = wp.GaussianPacketSpec(k0=0.5, sigma_x=16.0, x0=512)
     refused = []
 
@@ -283,7 +311,7 @@ def test_snapshot_rows_schema():
 
 
 def test_state_guards():
-    m = wp.single_particle_model(0.8, 1.0, length=128)
+    m = wp.WalkModel(0.8, 1.0, length=128)
     with pytest.raises(DomainError, match=r"shape \(sites, components\)"):
         wp.evolve(np.ones(128, dtype=complex), m, 1)
     # a state on the interaction center in the uu component is its own
@@ -300,7 +328,7 @@ def test_state_guards():
 # components are dropped, which is not unitary
 @pytest.mark.parametrize("shape", [(128, 2), (512, 2), (256, 4)])
 def test_state_shape_must_match_model(shape):
-    m = wp.single_particle_model(0.8, 1.0, length=256)
+    m = wp.WalkModel(0.8, 1.0, length=256)
     amps = np.ones(shape, dtype=complex)
     for run in (lambda: wp.step(amps, m), lambda: wp.evolve(amps, m, 1),
                 lambda: wp.free_evolve(amps, m, 1)):
@@ -339,7 +367,7 @@ def two_cpus(monkeypatch):
 
 def _split_models():
     params = ThirringParams(nu=0.8, chi=1.0)
-    return (wp.single_particle_model(0.8, 1.0, length=SPLIT_LENGTH),
+    return (wp.WalkModel(0.8, 1.0, length=SPLIT_LENGTH),
             wp.thirring_com_model(params, 0.3, length=SPLIT_LENGTH))
 
 
