@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import itertools
+import operator
 import os
 import sys
 import warnings
@@ -45,10 +46,11 @@ from .thirring import (
 from .trotter import convergence_sweep, hopping_ring_model, tau_threshold
 from .wavepacket import (
     GaussianPacketSpec,
-    evolve,
+    evolve_odd,
     extract_smatrix,
     snapshot_columns,
     thirring_com_model,
+    unfold_odd,
 )
 
 _NAN = float("nan")
@@ -265,19 +267,37 @@ def _snapshot_steps(t_steps: int, every: int) -> list:
     return [*range(0, 2 * t_steps, every), 2 * t_steps] if every > 0 else []
 
 
-def _snapshot_prefixes(shape: tuple) -> list:
-    """The "site,component" start of each row of a (sites, components)
-    snapshot, in row order."""
-    cols = snapshot_columns(np.zeros(shape))
-    return list(map("{},{}".format, cols["site"], cols["component"]))
+def _snapshot_layout(length: int) -> tuple:
+    """(row prefixes, gather) of the snapshot of an exchange-odd ring of
+    `length` sites from its half (``wavepacket.fold_odd``): the
+    "site,component" start of each row in row order, and a function that
+    picks each row's cell, in row order, from the texts of the half's
+    cells followed by the texts of their negations."""
+    cols = snapshot_columns(np.zeros((length, 4)))
+    prefixes = list(map("{},{}".format, cols["site"], cols["component"]))
+    cells = (length // 2 + 1) * 4
+    # the ring of cell numbers 1 .. cells, negated where mirrored
+    signed = unfold_odd(np.arange(1, cells + 1).reshape(-1, 4)).ravel()
+    gather = np.where(signed > 0, signed - 1, cells - signed - 1)
+    return prefixes, operator.itemgetter(*gather.tolist())
 
 
-def _snapshot_text(prefixes: list, amps) -> str:
-    """render_csv(ResultTable(columns=snapshot_columns(amps))), built from
-    the row prefixes of amps' shape: the header, then one "prefix,re,im"
-    row per (site, component), re and im from one list repr each."""
-    re = _reprs(amps.real.ravel().tolist())
-    im = _reprs(amps.imag.ravel().tolist())
+def _signed_reprs(values: list) -> list:
+    """The reprs of values, then those of their negations: each text with
+    its sign flipped ('-0.0' <-> '0.0', 'inf' <-> '-inf'; 'nan' stays)."""
+    texts = _reprs(values)
+    return texts + [t[1:] if t[0] == "-" else t if t == "nan" else "-" + t
+                    for t in texts]
+
+
+def _snapshot_text(layout: tuple, half) -> str:
+    """render_csv(ResultTable(columns=snapshot_columns(unfold_odd(half)))),
+    built from the layout of the ring (``_snapshot_layout``): the header,
+    then one "prefix,re,im" row per (site, component), re and im picked
+    from one list repr each of the half's cells and their sign flips."""
+    prefixes, gather = layout
+    re = gather(_signed_reprs(half.real.ravel().tolist()))
+    im = gather(_signed_reprs(half.imag.ravel().tolist()))
     return ("site,component,re,im\r\n"
             + "\r\n".join(map(",".join, zip(prefixes, re, im))) + "\r\n")
 
@@ -285,58 +305,59 @@ def _snapshot_text(prefixes: list, amps) -> str:
 class _SnapshotWriter:
     """The interacting leg's on_step callback: writes the snapshots.
 
+    Each step it sees is the read-only half of the exchange-odd state
+    (``wavepacket.evolve_odd``), and each snapshot is the whole ring.
     With at least two snapshots, one helper process (``tables._Helper``)
     writes the first half, the larger one when the count is odd
     (``theirs``), and this process the rest.  The helper is started at
-    step 0 and steps the leg again from that state up to its last snapshot
-    with ``evolve``, whose serial leg carries the same bits, with warnings
+    step 0 and steps the leg again from that half up to its last snapshot
+    with ``evolve_odd``, which carries the same bits, with warnings
     ignored, so a leakage warning is given once, here.  It sends one zero
     byte per snapshot written, or on failure the error message, and exits.
     This process steps the whole leg and writes the rest.  Leaving the
     ``with`` block joins the helper.  Every step of the helper comes before
     every step here, so its failure is the earliest and is raised in place
     of this process's.  Without a helper, every snapshot is written here.
-    Both processes render from the row prefixes built here, before the
+    Both processes render from the ring's layout built here, before the
     fork.
     """
 
     def __init__(self, prefix: str, steps: list, model):
         self.paths = {n: f"{prefix}{n:05d}.csv" for n in steps}
-        self.prefixes = (_snapshot_prefixes((model.length, model.ncomp))
-                         if steps else [])
+        self.layout = _snapshot_layout(model.length) if steps else None
         self.model = model
         # the helper's steps, if one starts
         self.theirs = steps[:(len(steps) + 1) // 2] if len(steps) >= 2 else []
         self.helper = None
 
-    def _write(self, n: int, amps) -> None:
-        write_text(self.paths[n], _snapshot_text(self.prefixes, amps))
+    def _write(self, n: int, half) -> None:
+        write_text(self.paths[n], _snapshot_text(self.layout, half))
 
     def _serve(self, state, recv_fd: int, send_fd: int) -> None:
         """The helper's work: the leg up to its last snapshot."""
         written = []
 
-        def write(n, amps):
+        def write(n, half):
             if n in self.paths:
-                self._write(n, amps)
+                self._write(n, half)
                 written.append(n)
                 os.write(send_fd, b"\0")
 
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                evolve(state, self.model, self.theirs[-1], on_step=write)
+                evolve_odd(state, self.model, self.theirs[-1], on_step=write)
         except Exception as exc:   # reported to the parent, then exit
             path = self.paths[self.theirs[len(written)]]
             os.write(send_fd, (str(exc) if isinstance(exc, OutputError)
                                else f"cannot write {path}: {exc!r}").encode())
             raise
 
-    def __call__(self, n: int, amps) -> None:
-        if n == 0 and self.theirs:   # the helper's copy of amps keeps step 0
-            self.helper = _Helper.start(lambda *fds: self._serve(amps, *fds))
+    def __call__(self, n: int, half) -> None:
+        if n == 0 and self.theirs:   # the helper's copy of half keeps step 0
+            self.helper = _Helper.start(lambda *fds: self._serve(half, *fds))
         if n in self.paths and (self.helper is None or n not in self.theirs):
-            self._write(n, amps)
+            self._write(n, half)
 
     def __enter__(self):
         return self

@@ -28,8 +28,8 @@ reaped before `emit` returns or raises.  If it cannot be started or does
 not finish cleanly, this process renders the missing half itself, so the
 bytes and any exception are those of `render_csv` / `render_json`.
 `_Helper` is the package's one way to start, end and reap a second
-process; the snapshot writer (`cli`) and the split leg (`splitleg`) use
-it too, and `write_text` is emit's atomic write for a text already whole.
+process; the snapshot writer (`cli`) uses it too, and `write_text` is
+emit's atomic write for a text already whole.
 """
 
 from __future__ import annotations

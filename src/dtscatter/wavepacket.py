@@ -17,8 +17,11 @@ finite-time sandwich U0^{-T} U^{2T} U0^{-T} applied to a band-projected
 Gaussian packet; the free legs are applied spectrally (exact integer-
 step diagonalization), the middle leg runs the local stepper.  ``step``
 is the reference kernel; ``evolve`` runs a component-major copy of its
-arithmetic on preallocated buffers and agrees with it bit for bit, also
-when two processes share an unobserved leg (``splitleg``).
+arithmetic on preallocated buffers and agrees with it bit for bit.  The
+fixed-p sandwich keeps only the exchange-odd (fermionic) part of the
+state, which the walk keeps odd, so its interacting leg (``evolve_odd``)
+steps the half of the ring r = 0 .. L/2 from the center and refills the
+sites beyond the reflection's two fixed points from their mirror images.
 """
 
 from __future__ import annotations
@@ -213,13 +216,16 @@ def band_project(model: WalkModel, amps, label: tuple) -> np.ndarray:
     return _lattice(np.fft.ifft(proj[:, None] * vec.T, axis=0))
 
 
+_SWAP = [0, 2, 1, 3]   # exchange's swap of the internal factors: ud <-> du
+
+
 def exchange(model: WalkModel, amps) -> np.ndarray:
     """Particle exchange on the relative coordinate: reflect y about the
     interaction center and swap the internal tensor factors."""
     if model.total_momentum is None:
         raise DomainError("exchange is defined for the fixed-p two-particle model")
     idx = (2 * model.center - np.arange(model.length)) % model.length
-    return _lattice(amps, model)[idx[:, None], [0, 2, 1, 3]]
+    return _lattice(amps, model)[idx[:, None], _SWAP]
 
 
 def antisymmetrize(model: WalkModel, amps) -> np.ndarray:
@@ -296,38 +302,64 @@ def _leaked(sites, n: int) -> bool:
     return False
 
 
-def _serial_leg(state: np.ndarray, model: WalkModel, t_steps: int,
-                on_step=None, warned: bool = False) -> np.ndarray:
-    """The leg on one padded (components, h + sites + h) buffer pair."""
-    length = model.length
-    halo = _halo(model)
-    cur = np.empty((model.ncomp, length + 2 * halo), dtype=complex)
-    cur[:, halo:halo + length] = state.T
-    nxt = np.empty_like(cur)
-    tmp = np.empty(length, dtype=complex)
+def _ring_ghosts(buf: np.ndarray, halo: int, width: int) -> list:
+    """The ring's last and first h sites, copied beside its ends."""
+    return [(np.positive, buf[:, width:width + halo], buf[:, :halo]),
+            (np.positive, buf[:, halo:2 * halo], buf[:, width + halo:])]
+
+
+def _mirror_ghosts(buf: np.ndarray, halo: int, width: int) -> list:
+    """The h columns beyond each fixed point of the reflection (r = 0 and
+    r = L/2, the first and last of the half's columns), each the negated,
+    swapped column as far on the other side: r - j is -swap(r + j).  The
+    swap pairs rows (0, 3) with (0, 3) and (1, 2) with (2, 1), so every
+    refill is a slice."""
+    lo, hi = halo, halo + width - 1
+    refills = []
+    for rows, mirror in ((slice(0, 4, 3), slice(0, 4, 3)),
+                         (slice(1, 3), slice(2, 0, -1))):
+        refills += [(np.negative, buf[mirror, lo + halo:lo:-1], buf[rows, :lo]),
+                    (np.negative, buf[mirror, hi - 1:hi - halo - 1:-1],
+                     buf[rows, hi + 1:])]
+    return refills
+
+
+def _leg(sites: np.ndarray, model: WalkModel, t_steps: int, on_step,
+         center: int, ghosts, ring) -> np.ndarray:
+    """t_steps steps of sites, a (columns, components) array, on a pair of
+    component-major (components, h + columns + h) buffers.
+
+    Each step multiplies column ``center`` by the phase, refills the h
+    ghost columns at either end (``ghosts(buf, h, columns)`` lists them as
+    (ufunc, source view, ghost view), each run as ufunc(source, ghost)),
+    then applies ``step_entries``.  ``ring`` maps a (columns, components)
+    view to the (sites, components) ring: leakage is checked on it after
+    every LEAKAGE_PERIOD-th step and the last, and the leg returns it.
+    """
+    width, halo = len(sites), _halo(model)
+    bufs = (np.empty((model.ncomp, width + 2 * halo), dtype=complex),
+            np.empty((model.ncomp, width + 2 * halo), dtype=complex))
+    bufs[0][:, halo:halo + width] = sites.T
+    tmp = np.empty(width, dtype=complex)
+    legs = [(_step_plan(model, src, dst, tmp, halo, halo + width),
+             ghosts(src, halo, width)) for src, dst in (bufs, bufs[::-1])]
+    views = [_read_only(buf[:, halo:halo + width].T) for buf in bufs]
     phase = np.exp(1j * model.chi)
-    center = halo + model.center
-    plan = _step_plan(model, cur, nxt, tmp, halo, halo + length)
-    next_plan = _step_plan(model, nxt, cur, tmp, halo, halo + length)
     if on_step is not None:
-        on_step(0, _read_only(cur[:, halo:halo + length].T))
+        on_step(0, views[0])
+    cur, warned = 0, False
     for n in range(1, t_steps + 1):
-        cur[:, center] *= phase
-        cur[:, :halo] = cur[:, length:length + halo]
-        cur[:, length + halo:] = cur[:, halo:2 * halo]
+        bufs[cur][:, halo + center] *= phase
+        plan, refills = legs[cur]
+        for ufunc, src, ghost in refills:
+            ufunc(src, ghost)
         _apply(plan)
-        cur, nxt, plan, next_plan = nxt, cur, next_plan, plan
+        cur = 1 - cur
         if (n % LEAKAGE_PERIOD == 0 or n == t_steps) and not warned:
-            warned = _leaked(cur[:, halo:halo + length].T, n)
+            warned = _leaked(ring(views[cur]), n)
         if on_step is not None:
-            on_step(n, _read_only(cur[:, halo:halo + length].T))
-    return _lattice(cur[:, halo:halo + length].T)
-
-
-# shortest ring whose leg two processes share (``splitleg``): a 4-component
-# step costs about 12 us of numpy call overhead plus 4.7 ns per site, so
-# halving a 1024-site ring saves about 2% of its leg, no more than a fork
-SPLIT_MIN_LENGTH = 2048
+            on_step(n, views[cur])
+    return _lattice(ring(views[cur]))
 
 
 def evolve(amps, model: WalkModel, t_steps: int,
@@ -347,24 +379,61 @@ def evolve(amps, model: WalkModel, t_steps: int,
     ``step`` in the same order (phase, then one multiply-add per
     ``step_entries`` row onto +0, the roll read as one shifted slice), so
     the result is bit-identical to t_steps applications of ``step``.
-
-    Without on_step, on a ring of at least SPLIT_MIN_LENGTH sites, this
-    process and a helper process (``tables._Helper``) may step the leg,
-    each owning half the ring, with the same bits and the same leakage
-    checks (``splitleg``).  If the helper cannot be started or does not
-    finish cleanly, the leg is stepped again here from the input, and a
-    leakage warning already given is not repeated.
     """
     if t_steps < 0:
         raise DomainError(f"t_steps must be >= 0, got {t_steps}")
-    state = _lattice(amps, model)
-    warned = False
-    if on_step is None and t_steps and model.length >= SPLIT_MIN_LENGTH:
-        from .splitleg import split_leg   # compiled only where it may run
-        out, warned = split_leg(state, model, t_steps)
-        if out is not None:
-            return out
-    return _serial_leg(state, model, t_steps, on_step, warned)
+    return _leg(_lattice(amps, model), model, t_steps, on_step, model.center,
+                _ring_ghosts, lambda view: view)
+
+
+def fold_odd(model: WalkModel, amps) -> np.ndarray:
+    """The exchange-odd part 0.5*(psi - exchange(psi)) of a fixed-p state
+    on the half of the ring r = 0 .. L/2 from the center (sites center ..
+    L-1, then 0), as a (L/2 + 1, components) array: ``evolve_odd``'s
+    input.  Exchange reflects site center + r onto center - r, so these
+    sites and the swap of the internal factors give every other site."""
+    amps = _lattice(amps, model)
+    odd = 0.5 * (amps - exchange(model, amps))
+    return np.concatenate((odd[model.center:], odd[:1]))
+
+
+def unfold_odd(half: np.ndarray) -> np.ndarray:
+    """The (sites, components) ring of an exchange-odd state from its
+    half (``fold_odd``): site center - r holds -swap(half[r])."""
+    center = len(half) - 1
+    return np.concatenate((half[center:], -half[center - 1:0:-1, _SWAP],
+                           half[:center]))
+
+
+def evolve_odd(half, model: WalkModel, t_steps: int,
+               on_step=None) -> np.ndarray:
+    """``evolve`` of an exchange-odd fixed-p state, stepped on half the
+    ring; returns the whole ring (``unfold_odd``).
+
+    The walk's ``step_entries`` and the center phase commute with
+    exchange, so an exchange-odd state stays odd, and the L/2 + 1 sites of
+    ``fold_odd`` (r = 0 .. L/2 from the center) carry it.  Each step
+    refills the h ghost columns beyond the two fixed points of the
+    reflection, r = 0 and r = L/2, with the negated, swapped sites across
+    them, then runs ``evolve``'s arithmetic on the half.  Leakage is
+    checked as in ``evolve``, on the unfolded ring.  on_step(n, half)
+    sees the read-only (L/2 + 1, components) half of the state after
+    n = 0..t_steps, valid only during the call.
+
+    ``evolve`` sums the terms of site center - r in another order than
+    those of center + r, so it keeps the state odd only to rounding, and
+    the two legs agree to about 1e-16, not bit for bit.
+    """
+    if model.total_momentum is None:
+        raise DomainError("the exchange-odd leg is defined for the fixed-p "
+                          "two-particle model")
+    if t_steps < 0:
+        raise DomainError(f"t_steps must be >= 0, got {t_steps}")
+    half = _lattice(half)
+    if half.shape != (model.center + 1, model.ncomp):
+        raise DomainError(f"half-ring shape {half.shape} does not match the "
+                          f"model's {(model.center + 1, model.ncomp)}")
+    return _leg(half, model, t_steps, on_step, 0, _mirror_ghosts, unfold_odd)
 
 
 def free_evolve(amps, model: WalkModel, t_steps: int) -> np.ndarray:
@@ -397,9 +466,13 @@ def extract_smatrix(model: WalkModel, spec_in: GaussianPacketSpec,
     the local stepper runs 2T steps, and the second free leg maps the
     result back.  For the fixed-p model the packet is projected onto the
     exchange-odd sector first, so the diagonal coefficient approximates
-    the fermionic elastic amplitude (S_diag = 1 + c).  on_step is passed
-    to the interacting leg's evolve (n = 0 .. 2T): each array it receives
-    is a read-only (sites, components) view, valid only during the call.
+    the fermionic elastic amplitude (S_diag = 1 + c), and the interacting
+    leg steps the exact odd part of the backward-evolved packet on half
+    the ring (``evolve_odd``); the single-particle leg is ``evolve``.
+    on_step is passed to that leg (n = 0 .. 2T): each array it receives is
+    a read-only view valid only during the call, of the (sites,
+    components) ring for the single-particle model and of the (L/2 + 1,
+    components) half ``fold_odd`` keeps for the fixed-p model.
 
     Raises the inconclusive-scattering error when the packet has not
     fully cleared the interaction region on either asymptotic leg.
@@ -419,7 +492,11 @@ def extract_smatrix(model: WalkModel, spec_in: GaussianPacketSpec,
             f"interaction region; increase t_steps or narrow the packet"
         )
 
-    middle = evolve(past, model, 2 * t_steps, on_step=on_step)
+    if model.total_momentum is None:
+        middle = evolve(past, model, 2 * t_steps, on_step=on_step)
+    else:
+        middle = evolve_odd(fold_odd(model, past), model, 2 * t_steps,
+                            on_step=on_step)
     mass_out = float(np.sum(np.abs(middle[window]) ** 2))
     if mass_out > TRAVERSAL_TOL:
         raise ScatteringInconclusiveError(

@@ -178,10 +178,10 @@ def test_unwritable_snapshot_prefix_exit_3(tmp_path, monkeypatch, capsys):
 
 
 def test_snapshot_run_steps_the_interacting_leg_once(tmp_path, monkeypatch):
-    # T = 240 in the golden config: one evolve of 2T = 480 steps, not one
-    # leg per view
+    # T = 240 in the golden config: one evolve_odd of 2T = 480 steps, not
+    # one leg per view
     legs, seen = [], []
-    leg = wavepacket.evolve
+    leg = wavepacket.evolve_odd
 
     def counted(amps, model, t_steps, on_step=None):
         legs.append(t_steps)
@@ -192,7 +192,7 @@ def test_snapshot_run_steps_the_interacting_leg_once(tmp_path, monkeypatch):
 
         return leg(amps, model, t_steps, on_step=observe)
 
-    monkeypatch.setattr(wavepacket, "evolve", counted)
+    monkeypatch.setattr(wavepacket, "evolve_odd", counted)
     monkeypatch.chdir(tmp_path)
     args = ["--config", str(GOLDEN / "wavepacket.cfg"),
             "--set", "snapshot_every=50", "--set", "snapshot_prefix=snap_"]
@@ -299,10 +299,11 @@ def test_writer_takes_the_first_and_the_main_process_the_last(
     model = wavepacket.thirring_com_model(ThirringParams(nu=0.8, chi=1.0), 0.3,
                                           length=256)
     state = np.zeros((256, model.ncomp), dtype=complex)
-    state[128, 0] = 1.0
+    state[128, 1] = 1.0
     steps = list(range(0, 2 * count, 2))
     with cli._SnapshotWriter(f"{tmp_path}/snap_", steps, model) as writer:
-        wavepacket.evolve(state, model, steps[-1], on_step=writer)
+        wavepacket.evolve_odd(wavepacket.fold_odd(model, state), model,
+                              steps[-1], on_step=writer)
     pids = [int((tmp_path / f"snap_{n:05d}.csv").read_text()) for n in steps]
     # the helper: the first half, so the extra one when odd; here: the rest
     half = (count + 1) // 2
@@ -313,16 +314,16 @@ def test_writer_takes_the_first_and_the_main_process_the_last(
 
 def test_helper_steps_the_leg_to_its_last_snapshot(forked, tmp_path,
                                                    monkeypatch):
-    # the helper's evolve is a leg of theirs[-1] = 250 steps; this
+    # the helper's evolve_odd is a leg of theirs[-1] = 250 steps; this
     # process steps all 2T = 480 (test_snapshot_run_steps_the_interacting_leg_once)
-    legs, leg, parent = tmp_path / "legs", cli.evolve, os.getpid()
+    legs, leg, parent = tmp_path / "legs", cli.evolve_odd, os.getpid()
 
     def recorded(amps, model, t_steps, on_step=None):
         with open(legs, "a") as fh:
             fh.write(f"{os.getpid() != parent} {t_steps}\n")
         return leg(amps, model, t_steps, on_step=on_step)
 
-    monkeypatch.setattr(cli, "evolve", recorded)
+    monkeypatch.setattr(cli, "evolve_odd", recorded)
     monkeypatch.chdir(tmp_path)
     assert cli.main(SNAPSHOT_ARGS) == 0
     assert legs.read_text() == "True 250\n"
@@ -368,27 +369,35 @@ _SNAPSHOT_FLOATS = st.one_of(
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
-@given(sites=st.integers(1, 40), ncomp=st.sampled_from([2, 4]),
-       data=st.data())
-def test_snapshot_text_is_the_rendered_table(sites, ncomp, data):
-    parts = data.draw(st.lists(_SNAPSHOT_FLOATS, min_size=2 * sites * ncomp,
-                               max_size=2 * sites * ncomp))
-    amps = np.array(parts).view(complex).reshape(sites, ncomp)
+@given(half_length=st.integers(1, 20), data=st.data())
+def test_snapshot_text_is_the_rendered_table(half_length, data):
+    # a snapshot is rendered from the half of an exchange-odd ring that
+    # the leg steps: its text is that of the whole ring's table
+    length = 2 * half_length
+    parts = data.draw(st.lists(_SNAPSHOT_FLOATS, min_size=8 * (half_length + 1),
+                               max_size=8 * (half_length + 1)))
+    half = np.array(parts).view(complex).reshape(half_length + 1, 4)
+    ring = np.empty((length, 4), dtype=complex)
+    for site in range(length):   # site center - r holds -swap(half[r])
+        r = (site - half_length) % length
+        ring[site] = (half[r] if r <= half_length
+                      else -half[length - r][[0, 2, 1, 3]])
     expected = tables.render_csv(
-        tables.ResultTable(columns=wavepacket.snapshot_columns(amps)))
-    assert cli._snapshot_text(cli._snapshot_prefixes(amps.shape), amps) == expected
-    # the main process renders the leg's read-only component-major view
-    view = np.ascontiguousarray(amps.T).T
+        tables.ResultTable(columns=wavepacket.snapshot_columns(ring)))
+    layout = cli._snapshot_layout(length)
+    assert cli._snapshot_text(layout, half) == expected
+    # the leg's half is a read-only component-major view
+    view = np.ascontiguousarray(half.T).T
     view.flags.writeable = False
-    assert cli._snapshot_text(cli._snapshot_prefixes(view.shape), view) == expected
+    assert cli._snapshot_text(layout, view) == expected
 
 
 def test_cli_import_loads_no_writer_or_split_leg_modules():
-    # modules only a snapshot writer or a split leg needs are loaded where
-    # those start: importing them with cli would cost every command's start
+    # modules only a snapshot writer needs are loaded where it starts:
+    # importing them with cli would cost every command's start
     src = str(Path(cli.__file__).parents[1])
-    code = ("import sys, dtscatter.cli; print(sorted({'mmap', 'select', "
-            "'dtscatter.splitleg'} & set(sys.modules))); "
+    code = ("import sys, dtscatter.cli; print(sorted({'mmap', 'select'} "
+            "& set(sys.modules))); "
             "print(sorted(m for m in sys.modules "
             "if m.partition('.')[0] == 'dtscatter'))")
     path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
@@ -401,6 +410,19 @@ def test_cli_import_loads_no_writer_or_split_leg_modules():
     assert package == str(["dtscatter"] + [f"dtscatter.{m}" for m in (
         "cli", "config", "dyson", "errors", "spectral", "tables", "thirring",
         "trotter", "wavepacket")])
+
+
+def test_default_wavepacket_run_starts_no_helper(forked, tmp_path,
+                                                monkeypatch):
+    # without snapshots the leg runs in this process, also on a ring of
+    # 2 048 sites, and a four-row table is written whole
+    monkeypatch.setattr(tables._Helper, "start",
+                        lambda work: pytest.fail("a helper was started"))
+    monkeypatch.chdir(tmp_path)
+    args = ["--config", str(GOLDEN / "wavepacket.cfg"),
+            "--set", "length=2048", "--set", "snapshot_every=0"]
+    assert cli.main(args) == 0
+    assert len(json.loads((tmp_path / "wavepacket.json").read_text())["rows"]) == 4
 
 
 def test_main_freezes_the_start_up_heap_once(tmp_path):
@@ -429,14 +451,14 @@ def test_main_freezes_the_start_up_heap_once(tmp_path):
 
 def test_inconclusive_leg_with_snapshots_is_a_flagged_row(
         forked, tmp_path, monkeypatch):
-    leg = wavepacket.evolve
+    leg = wavepacket.evolve_odd
 
     def stuck(amps, model, t_steps, on_step=None):
         out = leg(amps, model, t_steps, on_step=on_step)
         out[model.center] = 1.0   # mass left on the interaction center
         return out
 
-    monkeypatch.setattr(wavepacket, "evolve", stuck)
+    monkeypatch.setattr(wavepacket, "evolve_odd", stuck)
     monkeypatch.chdir(tmp_path)
     assert cli.main(SNAPSHOT_ARGS) == 2
     rows = json.loads((tmp_path / "wavepacket.json").read_text())["rows"]

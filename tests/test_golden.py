@@ -34,12 +34,13 @@ def test_cli_output_matches_golden(command, tmp_path, monkeypatch):
     assert (tmp_path / out_name).read_bytes() == (GOLDEN / out_name).read_bytes()
 
 
-# sha256 of the snapshot files as the two-leg snapshot writer wrote them;
-# the one-leg writer must reproduce them byte for byte
+# sha256 of the snapshot files as the half-ring leg and the two-process
+# snapshot writer wrote them; the one-process writer must reproduce them
+# byte for byte (test_cli.test_snapshots_match_without_fork)
 SNAPSHOT_SHA256 = {
-    "snap_00000.csv": "0a97e736934af660a611a743044b36485d5f6bd5d2e46501597e9e8b53084674",
-    "snap_00240.csv": "2ebed99705ae7bb1b1420cfe5fa8c4bee59455049f3c6d6957f4e48bd247a156",
-    "snap_00480.csv": "23b79b37b51858bc330c1207d287ae00240cbfd8f8726cb18dec414435c0584c",
+    "snap_00000.csv": "c2f330c78ec2fa52a82e62b99c08390e35b388a0bb291580eb4000505f836246",
+    "snap_00240.csv": "96ef8544288378b1eb01d8e316fdf2c14183b32542597badedde4afa91b16e08",
+    "snap_00480.csv": "8d2e3353bd1c3d096e11148245f2d84ac03b1fd2606e2a7380fb41d248fcbc0d",
 }
 
 
@@ -58,7 +59,7 @@ def test_wavepacket_snapshots_match_digests(tmp_path, monkeypatch):
 # (sigma_x = 64, length = 4096, t_steps = 900), where the golden config's
 # length = 1024 leaves last-bit drift in the longer run unseen
 DEFAULT_WAVEPACKET_SHA256 = (
-    "4d43496bbe76e4535499846f5e65f9e43ec98657af648f07480e64bece5ef9e2")
+    "5dd4aedd456d84466796d4f96df95d8e8b79113cf5cb43f8c5b7adc3e1485662")
 
 
 DEFAULT_WAVEPACKET_CFG = ("[run]\ncommand = wavepacket\n"
@@ -78,7 +79,7 @@ def test_wavepacket_default_config_matches_digest(tmp_path, monkeypatch):
 
 def test_wavepacket_default_config_matches_digest_in_one_process(
         tmp_path, monkeypatch):
-    # without os.fork the 4096-site leg is stepped by this process alone
+    # without os.fork no helper process can start; the table is the same
     monkeypatch.delattr(os, "fork")
     test_wavepacket_default_config_matches_digest(tmp_path, monkeypatch)
 

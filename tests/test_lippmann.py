@@ -53,16 +53,21 @@ def test_support_kernel_matches_matrix_power_sum():
     """G0 U0 on the support equals sum_{d>=1} z^{-d} <0|U0^d|0>.
 
     The right side is evaluated with literal dense matrix powers on a
-    ring (oracles.propagator_matrix_power), a route with no quadrature
-    or resolvent in it.
+    ring, a running product of the walk's matrix
+    (oracles.walk_unitary_dense), a route with no quadrature or
+    resolvent in it.
     """
     disp, w = _setup()
     z = np.exp(-1j * 1.0 + 0.3)
     block = support_kernel(disp, z, (0,), n=4096)
     acc = np.zeros((2, 2), dtype=complex)
     length = 200
+    u = oracles.walk_unitary_dense(0.8, length)
+    x0 = 2 * (length // 2)   # the first row of site length // 2
+    power = np.eye(2 * length, dtype=complex)
     for d in range(1, 81):  # tail ~ e^{-0.3*80} ~ 4e-11
-        acc += z ** (-d) * oracles.propagator_matrix_power(0.8, length, 0, d)
+        power = u @ power
+        acc += z ** (-d) * power[x0:x0 + 2, x0:x0 + 2]
     assert np.abs(block - acc).max() < 1e-8
 
 

@@ -600,9 +600,9 @@ def test_only_the_helper_forks_exits_and_reaps():
     assert inside == {"fork", "_exit", "waitpid"}
 
 
-def test_only_the_split_leg_maps_shared_memory():
-    """mmap, by name, attribute, string or import, appears in the package
-    only in splitleg: the snapshot writer shares no memory."""
+def test_no_module_maps_shared_memory():
+    """mmap, by name, attribute, string or import, appears in no module of
+    the package: no helper process shares memory with the main one."""
     package = Path(tables.__file__).parent
     seen = set()
     for path in sorted(package.glob("*.py")):
@@ -613,4 +613,4 @@ def test_only_the_split_leg_maps_shared_memory():
                     else node.name if isinstance(node, ast.alias) else None)
             if name == "mmap":
                 seen.add(path.name)
-    assert seen == {"splitleg.py"}
+    assert seen == set()

@@ -1,14 +1,13 @@
 """Direct wave-packet runs: locality, free limits, and sandwich measurements."""
 
-import os
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
-from dtscatter import splitleg
-from dtscatter import tables
 from dtscatter import wavepacket as wp
 from dtscatter.errors import (
     BoundaryLeakageWarning,
@@ -342,198 +341,130 @@ def test_returned_states_are_c_contiguous():
     mc = wp.thirring_com_model(ThirringParams(nu=0.8, chi=1.0), 0.3, length=256)
     st = wp.build_packet(mc, wp.GaussianPacketSpec(k0=0.7, sigma_x=10.0, x0=128,
                                                    band=(1, 1)))
+    half = np.asfortranarray(wp.fold_odd(mc, st))
     for out in (st, wp.band_project(mc, st, (1, 1)), wp.exchange(mc, st),
                 wp.antisymmetrize(mc, st), wp.free_evolve(st, mc, 3),
-                wp.evolve(st, mc, 3), wp.step(st, mc)):
+                wp.evolve(st, mc, 3), wp.step(st, mc),
+                wp.evolve_odd(half, mc, 3)):
         assert out.dtype == complex and out.flags["C_CONTIGUOUS"]
 
 
-# the two-process leg: a 512-site ring is long enough for its ghost zones
-# (SPLIT_BLOCK * h <= L / 4) and short enough to step cheaply
-SPLIT_LENGTH = 512
-SPLIT_MIN_LENGTH = wp.SPLIT_MIN_LENGTH
+# the exchange-odd leg steps half the ring and unfolds it: it must agree
+# with the full ring's evolve of the same odd state to rounding, step by
+# step, and warn of leakage at the same step
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Two-process legs from SPLIT_LENGTH sites on; records the forks."""
-    monkeypatch.setattr(wp, "SPLIT_MIN_LENGTH", SPLIT_LENGTH)
-    monkeypatch.setattr(tables, "_usable_cpus", lambda: 2)
-    forks = []
-    real = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
-    return forks
+def _odd_part(m, amps):
+    """0.5 * (amps - exchange(amps)), which fold_odd keeps half of."""
+    odd = 0.5 * (amps - wp.exchange(m, amps))
+    assert np.array_equal(wp.unfold_odd(wp.fold_odd(m, amps)), odd)
+    return odd
 
 
-def _split_models():
-    params = ThirringParams(nu=0.8, chi=1.0)
-    return (wp.WalkModel(0.8, 1.0, length=SPLIT_LENGTH),
-            wp.thirring_com_model(params, 0.3, length=SPLIT_LENGTH))
+def _legs(m, amps, t_steps):
+    """The full ring's and the odd leg's runs from the odd part of amps:
+    (final ring, the half of the state after each step, the steps named
+    by leakage warnings) for each."""
+    odd = _odd_part(m, amps)
+    runs = []
+    for leg, state in ((wp.evolve, odd), (wp.evolve_odd, wp.fold_odd(m, amps))):
+        halves = []
+
+        def on_step(n, amps):
+            if leg is wp.evolve_odd:
+                assert amps.shape == (m.center + 1, m.ncomp)
+                assert not amps.flags.writeable
+                halves.append((n, amps.copy()))
+            else:
+                halves.append((n, np.concatenate((amps[m.center:], amps[:1]))))
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = leg(state, m, t_steps, on_step=on_step)
+        steps = [int(str(w.message).split()[-2]) for w in caught
+                 if issubclass(w.category, BoundaryLeakageWarning)]
+        assert len(caught) == len(steps)
+        runs.append((out, halves, steps))
+    return runs
 
 
-def _signed_zero_state(m, x0, seed=0):
-    """An upper-band packet at x0 moving toward higher sites, cut to 24
-    sites either side, with zeros of random sign elsewhere."""
+def _assert_odd_leg_matches(m, amps, t_steps):
+    (full, full_halves, full_warned), (odd, halves, warned) = _legs(m, amps, t_steps)
+    assert [n for n, _ in halves] == list(range(t_steps + 1))
+    for (_, want), (_, got) in zip(full_halves, halves):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(odd, full, rtol=0, atol=1e-13)
+    assert warned == full_warned
+    return warned
+
+
+def _packet(m, x0, k0, sigma, seed=0):
+    """A Gaussian envelope around site x0 (ring distance), carrier k0 and
+    a random internal vector, normalized."""
     rng = np.random.default_rng(seed)
-    band = (1,) if m.total_momentum is None else (1, 1)
-    spec = wp.GaussianPacketSpec(k0=0.5, sigma_x=8.0, x0=m.center, band=band)
-    st = np.roll(wp.build_packet(m, spec), x0 - m.center, axis=0)
-    keep = (np.arange(m.length) - x0) % m.length
-    far = (keep > 24) & (keep < m.length - 24)
-    st[far] = (np.copysign(0.0, rng.standard_normal((far.sum(), m.ncomp)))
-               + 1j * np.copysign(0.0, rng.standard_normal((far.sum(), m.ncomp))))
-    return st
+    gap = (np.arange(m.length) - x0 + m.length // 2) % m.length - m.length // 2
+    env = np.exp(-gap ** 2 / (4.0 * sigma ** 2) + 1j * k0 * gap)
+    vec = rng.standard_normal(m.ncomp) + 1j * rng.standard_normal(m.ncomp)
+    amps = env[:, None] * vec[None, :]
+    return amps / np.linalg.norm(amps)
 
 
-def _serial(st, m, t_steps):
-    """The one-process leg (an observer keeps evolve serial)."""
-    return wp.evolve(st, m, t_steps, on_step=lambda n, amps: None)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(nu=st.floats(0.1, 0.95), chi=st.floats(-math.pi, math.pi),
+       p=st.floats(-math.pi, math.pi), half_length=st.integers(32, 256),
+       t_steps=st.integers(0, 400), x0=st.floats(0.0, 1.0),
+       k0=st.floats(-math.pi, math.pi), sigma=st.floats(2.0, 12.0),
+       seed=st.integers(0, 2 ** 16))
+def test_evolve_odd_matches_the_full_ring(nu, chi, p, half_length, t_steps,
+                                          x0, k0, sigma, seed):
+    m = wp.thirring_com_model(ThirringParams(nu=nu, chi=chi), p,
+                              length=2 * half_length)
+    amps = _packet(m, int(x0 * m.length), k0, sigma, seed)
+    _assert_odd_leg_matches(m, amps, t_steps)
 
 
-def _leg(run):
-    """(bytes of the leg's result, the leakage warnings it gave)."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = run()
-    return _bits(out).tobytes(), [(w.category, str(w.message)) for w in caught]
+# a 512-site ring, stepped for none, one, a few steps, past a leakage check
+# at 64 and to checks at the last step, from a packet on the center (the
+# reflection's fixed point r = 0) or on the seam (r = L/2)
+ODD_LENGTH = 512
 
 
-# t_steps: none, one, fewer than a block, one block, a block and a part,
-# and past a leakage check at 64 into a partial block
+def _odd_model():
+    return wp.thirring_com_model(ThirringParams(nu=0.8, chi=1.0), 0.3,
+                                 length=ODD_LENGTH)
+
+
 @pytest.mark.parametrize("t_steps", [0, 1, 5, 32, 45, 96, 150])
 @pytest.mark.parametrize("where", ["center", "seam"])
-def test_split_leg_matches_step_bitwise(t_steps, where, two_cpus):
-    # a packet on the center sits on the split between the halves; one on
-    # the seam straddles the ring's last and first sites
-    for m in _split_models():
-        x0 = m.center - 10 if where == "center" else 5
-        st = _signed_zero_state(m, x0)
-        cur = st
-        for _ in range(t_steps):
-            cur = wp.step(cur, m)
-        got = _leg(lambda: wp.evolve(st, m, t_steps))
-        assert got == _leg(lambda: _serial(st, m, t_steps))
-        assert got[0] == _bits(cur).tobytes()
-    assert len(two_cpus) == (2 if t_steps else 0)
+def test_odd_leg_matches_the_full_ring_across_the_fixed_points(t_steps, where):
+    m = _odd_model()
+    x0 = m.center - 10 if where == "center" else 5
+    _assert_odd_leg_matches(m, _packet(m, x0, 0.5, 8.0), t_steps)
 
 
-def test_split_block_divides_the_leakage_period():
-    # the split leg checks leakage only where its blocks end
-    assert wp.LEAKAGE_PERIOD % splitleg.SPLIT_BLOCK == 0
-
-
-def test_split_leg_at_the_default_floor(two_cpus, monkeypatch):
-    # a ring of SPLIT_MIN_LENGTH sites, crossing its center, is split
-    monkeypatch.setattr(wp, "SPLIT_MIN_LENGTH", SPLIT_MIN_LENGTH)
-    params = ThirringParams(nu=0.8, chi=1.0)
-    m = wp.thirring_com_model(params, 0.3, length=SPLIT_MIN_LENGTH)
-    st = _signed_zero_state(m, m.center - 40)
-    assert _leg(lambda: wp.evolve(st, m, 100)) == _leg(lambda: _serial(st, m, 100))
-    assert len(two_cpus) == 1
-
-
-# the packet starts `gap` sites before the ring's seam: the warning names
-# the last step (50), or the first multiple of 64 past LEAKAGE_TOL
+# the packet starts `gap` sites before the ring's seam (its mirror image
+# as far after it): the warning names the last step (50), or the first
+# multiple of 64 past LEAKAGE_TOL
 @pytest.mark.parametrize("t_steps, gap", [(50, 60), (64, 90), (70, 90),
                                           (200, 120)])
-def test_split_leg_warns_like_serial(t_steps, gap, two_cpus):
-    for m in _split_models():
-        st = _signed_zero_state(m, m.length - gap)
-        got = _leg(lambda: wp.evolve(st, m, t_steps))
-        assert got == _leg(lambda: _serial(st, m, t_steps))
-        assert len(got[1]) == 1
-        if t_steps == 50:
-            assert got[1][0][1].endswith("after 50 steps")
-    assert len(two_cpus) == 2
+def test_odd_leg_warns_like_the_full_ring(t_steps, gap):
+    m = _odd_model()
+    warned = _assert_odd_leg_matches(m, _packet(m, m.length - gap, 0.5, 8.0),
+                                     t_steps)
+    assert len(warned) == 1
+    if t_steps == 50:
+        assert warned == [50]
 
 
-def test_split_leg_raising_warning_reaps_the_stepper(two_cpus):
-    m = _split_models()[0]
-    st = _signed_zero_state(m, m.length - 120)
-    want = _leg(lambda: _serial(st, m, 200))[1]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(BoundaryLeakageWarning) as raised:
-            wp.evolve(st, m, 200)
-    assert [(raised.type, str(raised.value))] == want
-    assert len(two_cpus) == 1   # and the conftest guard finds it reaped
-
-
-def _open_fds() -> int:
-    fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
-    return len(os.listdir(fd_dir))
-
-
-def _split_and_serial(t_steps=150):
-    """Each model's leg from a leaking state: the evolve and the serial
-    (bits, warnings)."""
-    legs = []
-    for m in _split_models():
-        st = _signed_zero_state(m, m.length - 120)
-        legs.append((_leg(lambda: wp.evolve(st, m, t_steps)),
-                     _leg(lambda: _serial(st, m, t_steps))))
-    return legs
-
-
-def test_split_leg_without_fork_or_second_cpu(monkeypatch):
-    monkeypatch.setattr(wp, "SPLIT_MIN_LENGTH", SPLIT_LENGTH)
-    monkeypatch.setattr(tables, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one CPU"))
-    for got, want in _split_and_serial():
-        assert got == want
-    monkeypatch.setattr(tables, "_usable_cpus", lambda: 2)
-    monkeypatch.delattr(os, "fork")
-    for got, want in _split_and_serial():
-        assert got == want
-
-
-@pytest.mark.parametrize("broken", ["shared memory", "first pipe",
-                                    "second pipe", "fork"])
-def test_split_leg_without_pipe_or_process(broken, two_cpus, monkeypatch):
-    real_pipe = os.pipe
-    pipes = []
-
-    def pipe():
-        pipes.append(1)
-        if broken == "first pipe" or len(pipes) % 2 == 0:
-            raise OSError(24, "Too many open files")
-        return real_pipe()
-
-    def refuse(*args):
-        raise OSError(11, "Resource temporarily unavailable")
-
-    if broken == "fork":
-        monkeypatch.setattr(os, "fork", refuse)
-    elif broken == "shared memory":
-        monkeypatch.setattr(splitleg.mmap, "mmap", refuse)
-    else:
-        monkeypatch.setattr(os, "pipe", pipe)
-    before = _open_fds()
-    for got, want in _split_and_serial():
-        assert got == want
-    assert _open_fds() == before   # every pipe end opened is closed
-    assert not two_cpus
-
-
-def test_split_leg_survives_a_failed_stepper(two_cpus, monkeypatch):
-    # the stepper exits nonzero in its third block, after the 4-component
-    # leg warned at 64 steps and before the 2-component one warns at 128:
-    # the leg is stepped again here, and either warning is given once
-    parent = os.getpid()
-    real_apply = splitleg._apply
-    applied = []
-
-    def apply(plan):
-        if os.getpid() != parent:
-            applied.append(1)
-            if len(applied) > 2 * splitleg.SPLIT_BLOCK:
-                os._exit(1)
-        real_apply(plan)
-
-    monkeypatch.setattr(splitleg, "_apply", apply)
-    before = _open_fds()
-    for got, want in _split_and_serial():
-        assert got == want
-        assert len(got[1]) == 1
-    assert _open_fds() == before
-    assert len(two_cpus) == 2
+def test_odd_leg_guards():
+    mc = _odd_model()
+    half = wp.fold_odd(mc, _packet(mc, 100, 0.5, 8.0))
+    with pytest.raises(DomainError, match="half-ring shape"):
+        wp.evolve_odd(half[:-1], mc, 1)
+    with pytest.raises(DomainError, match="t_steps must be >= 0"):
+        wp.evolve_odd(half, mc, -1)
+    single = wp.WalkModel(0.8, 1.0, length=ODD_LENGTH)
+    with pytest.raises(DomainError, match="fixed-p"):
+        wp.evolve_odd(half[:, :2], single, 1)
+    with pytest.raises(DomainError, match="fixed-p"):
+        wp.fold_odd(single, np.zeros((ODD_LENGTH, 2)))
