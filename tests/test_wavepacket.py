@@ -434,20 +434,37 @@ def _odd_model():
                                  length=ODD_LENGTH)
 
 
+# The odd leg steps the ring split at the reflection's two fixed points.
+# Each of its steps is, bit for bit, ``step`` of the unfolded half, folded
+# again: the mirror ghosts are unfold_odd's sites, and the sums run in
+# step()'s order.  The full ring's evolve drifts from oddness by rounding,
+# so against it the leg agrees to 1e-13.
 @pytest.mark.parametrize("t_steps", [0, 1, 5, 32, 45, 96, 150])
 @pytest.mark.parametrize("where", ["center", "seam"])
-def test_odd_leg_matches_the_full_ring_across_the_fixed_points(t_steps, where):
+def test_split_leg_matches_step_bitwise(t_steps, where):
     m = _odd_model()
     x0 = m.center - 10 if where == "center" else 5
-    _assert_odd_leg_matches(m, _packet(m, x0, 0.5, 8.0), t_steps)
+    amps = _packet(m, x0, 0.5, 8.0)
+    halves = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryLeakageWarning)
+        out = wp.evolve_odd(wp.fold_odd(m, amps), m, t_steps,
+                            on_step=lambda n, half: halves.append(half.copy()))
+    half = wp.fold_odd(m, amps)
+    for n in range(t_steps + 1):
+        assert np.array_equal(halves[n], half)
+        ring = wp.step(wp.unfold_odd(half), m)
+        half = np.concatenate((ring[m.center:], ring[:1]))
+    assert np.array_equal(out, wp.unfold_odd(halves[-1]))
+    _assert_odd_leg_matches(m, amps, t_steps)
 
 
 # the packet starts `gap` sites before the ring's seam (its mirror image
-# as far after it): the warning names the last step (50), or the first
-# multiple of 64 past LEAKAGE_TOL
+# as far after it): the odd leg warns at the full (serial) ring's step,
+# the last step (50), or the first multiple of 64 past LEAKAGE_TOL
 @pytest.mark.parametrize("t_steps, gap", [(50, 60), (64, 90), (70, 90),
                                           (200, 120)])
-def test_odd_leg_warns_like_the_full_ring(t_steps, gap):
+def test_split_leg_warns_like_serial(t_steps, gap):
     m = _odd_model()
     warned = _assert_odd_leg_matches(m, _packet(m, m.length - gap, 0.5, 8.0),
                                      t_steps)
